@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang import trees as tr
-from fxlang.decompile import decompile_base, decompile_handler, reify
+from fxlang.decompile import decompile, reify
 from fxlang.errors import FuelExhausted
 from fxlang.gen import random_program
 from fxlang.smallstep import NormalValue, StateConfig, evaluate
@@ -39,7 +39,6 @@ from fxlang.syntax import (
     Var,
     alpha_eq,
     complete_handlers,
-    uses_effects,
 )
 from fxlang.typecheck import typecheck_program
 
@@ -133,10 +132,10 @@ class AcceptanceContext:
     """Shared caches across criteria."""
 
     def __init__(self):
-        self.reports: dict[tuple[str, str, Optional[int]], mc.StepReport] = {}
+        self.reports: dict[tuple[str, str, Optional[int]], cl.StepReport] = {}
         self._standard_corpus = None
 
-    def report(self, impl: str, pred: str, n: Optional[int]) -> mc.StepReport:
+    def report(self, impl: str, pred: str, n: Optional[int]) -> cl.StepReport:
         key = (impl, pred, n)
         if key not in self.reports:
             self.reports[key] = cl.run_report(impl, pred, n)
@@ -248,38 +247,37 @@ def crit_gap(ctx: AcceptanceContext):
 _SIM_ADMIN = ("M-Let", "M-Handle")
 
 
-def _lemma_shape(term, sig, cap=400):
+def lemma_shape(term, sig, cap=400) -> Optional[str]:
     """Decompilation is invariant under administrative transitions and
-    tracks one reduction per beta transition."""
+    tracks one reduction per beta transition.
+
+    Returns None when the shape holds for the first ``cap`` transitions,
+    else a description of the first violation.
+    """
 
     term = complete_handlers(term, sig) if sig else term
-    if uses_effects(term):
-        cfg = mc.HandlerConfig(term, {}, mc.identity_cont())
-        decomp, stepf = decompile_handler, mc.step_handler
-        cur = decomp(cfg)
-        assert alpha_eq(cur, Handle(term, Handler("x", Return(Var("x")), {})))
-    else:
-        cfg = mc.BaseConfig(term, {})
-        decomp, stepf = decompile_base, mc.step_base
-        cur = decomp(cfg)
-        assert alpha_eq(cur, term)
+    st = mc.inject(term)
+    cur = decompile(st)
+    if not alpha_eq(cur, Handle(term, mc.ID_HANDLER)):
+        return "initial configuration does not decompile to the term"
     scfg = StateConfig(cur)
-    ticks = 0
-    while ticks < cap:
-        rule, nxt = stepf(cfg)
+    for _ in range(cap):
+        rule, nxt = mc.step(st)
         if rule == "final":
-            return
-        ticks += 1
-        dec = decomp(nxt)
+            return None
+        dec = decompile(nxt)
         if rule in _SIM_ADMIN:
-            assert alpha_eq(dec, cur), f"administrative {rule} changed the term"
+            if not alpha_eq(dec, cur):
+                return f"administrative {rule} changed the term"
         else:
             out = small_step(scfg)
-            assert isinstance(out, StateConfig), f"{rule} fired on a normal form"
-            assert alpha_eq(out.term, dec), f"{rule} is not one reduction"
+            if not isinstance(out, StateConfig):
+                return f"{rule} fired on a normal form"
+            if not alpha_eq(out.term, dec):
+                return f"{rule} is not one reduction"
             scfg = StateConfig(dec, out.loc_counter, out.store)
-        cur = dec
-        cfg = nxt
+        cur, st = dec, nxt
+    return None
 
 
 def crit_simulation(ctx: AcceptanceContext):
@@ -351,9 +349,13 @@ def crit_simulation(ctx: AcceptanceContext):
     # Decompilation shape on a slice of the corpus plus a real handler run.
     for seed in range(60):
         term, sig = random_program(seed, effects=seed % 2 == 1, refs=False)
-        _lemma_shape(term, sig)
+        problem = lemma_shape(term, sig)
+        if problem:
+            return False, f"seed {seed}: {problem}"
     term, sig, _ = cl.compose("effcount", "odd", 2)
-    _lemma_shape(term, sig, cap=800)
+    problem = lemma_shape(term, sig, cap=800)
+    if problem:
+        return False, f"effcountxodd@2: {problem}"
     return True, (
         f"corpus: {values} values + {ops} unhandled ops + {diverged} fuel-bounded; "
         "library programs agree; decompilation shape holds"

@@ -160,7 +160,11 @@ def run_grid(spec: BenchSpec) -> list[GridRow]:
                     continue
                 for _ in range(spec.reps - 1):
                     again = cl.run_report(impl_name, pred.name, n, spec.fuel)
-                    assert again.ticks == rep.ticks, "nondeterministic tick count"
+                    if again.ticks != rep.ticks:
+                        raise RuntimeError(
+                            f"nondeterministic tick count for {impl_name} x "
+                            f"{pred.name} @ n={n}: {rep.ticks} then {again.ticks}"
+                        )
                 rows.append(
                     GridRow(
                         impl_name, pred_name, variant, n, "ok",

@@ -103,7 +103,8 @@ _REGISTRY: dict[str, ProgramDescriptor] = {}
 
 
 def _register(desc: ProgramDescriptor) -> ProgramDescriptor:
-    assert desc.name not in _REGISTRY, desc.name
+    if desc.name in _REGISTRY:
+        raise ValueError(f"program {desc.name!r} is already registered")
     _REGISTRY[desc.name] = desc
     return desc
 
@@ -802,9 +803,21 @@ def compose(impl_name: str, pred_name: str, n: Optional[int]) -> tuple[Term, Sig
     return App(as_value(counter_term), pred_term), sig, bits
 
 
+@dataclass(slots=True)
+class StepReport:
+    """One benchmark row: who ran, on what, and what it cost."""
+
+    impl: str
+    pred: str
+    n: int
+    result: object
+    ticks: int
+    envops: int
+
+
 def run_report(
     impl_name: str, pred_name: str, n: Optional[int], fuel: int = mc.DEFAULT_FUEL
-) -> mc.StepReport:
+) -> StepReport:
     """Run one counter x predicate cell and report the exact meters.
 
     Searchers report the length of the returned list as their result.
@@ -814,7 +827,7 @@ def run_report(
     res = mc.run_machine(term, sig, fuel)
     impl = get(impl_name)
     result = _impl_result(impl, res.value)
-    return mc.StepReport(
+    return StepReport(
         impl_name, pred_name, n if n is not None else bits, result, res.ticks, res.envops
     )
 
@@ -829,7 +842,7 @@ def _impl_result(impl: ProgramDescriptor, value):
 
 def run_on_predicate(
     impl_name: str, pred_term: Term, bits: int, fuel: int = mc.DEFAULT_FUEL
-) -> mc.StepReport:
+) -> StepReport:
     """Run a counter or searcher on a caller-supplied predicate term."""
 
     impl = get(impl_name)
@@ -841,7 +854,7 @@ def run_on_predicate(
     term = App(as_value(counter_term), pred_term)
     res = mc.run_machine(term, sig, fuel)
     result = _impl_result(impl, res.value)
-    return mc.StepReport(impl_name, "<custom>", bits, result, res.ticks, res.envops)
+    return StepReport(impl_name, "<custom>", bits, result, res.ticks, res.envops)
 
 
 def search_points(

@@ -138,13 +138,12 @@ def resumption_body(rho, m: Term) -> Term:
     return Handle(wrap_pure_cont(sigma, m), decompile_handler_def(h, henv))
 
 
-def decompile_base(cfg: mc.BaseConfig) -> Term:
-    return wrap_pure_cont(cfg.cont, decompile_term(cfg.comp, cfg.env))
+def decompile(st: mc.MachineState) -> Term:
+    """A machine configuration as the term it stands for: the computation
+    wrapped in one handle-nest per resumption, bottom included."""
 
-
-def decompile_handler(cfg: mc.HandlerConfig) -> Term:
-    m = decompile_term(cfg.comp, cfg.env)
-    kont = cfg.kont
+    m = decompile_term(st.comp, st.env)
+    kont = st.kont
     while kont is not None:
         rho, kont = kont
         m = resumption_body(rho, m)

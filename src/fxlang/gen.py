@@ -3,7 +3,7 @@
 Type-directed: every produced term checks under the generated signature
 by construction (and the tests verify that anyway).  Used for the
 soundness property (closed well-typed terms never get stuck) and for
-differential testing of the machines against the small-step semantics.
+differential testing of the machine against the small-step semantics.
 
 Recursion is allowed, so some programs diverge; the consumers treat fuel
 exhaustion as an outcome, not an error.

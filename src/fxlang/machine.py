@@ -1,19 +1,26 @@
-"""Instrumented CEK abstract machines.
+"""The instrumented CEK abstract machine.
 
-Two machines share this module:
+One machine runs every term.  Its continuation is a stack of
+resumptions, each pairing a pure continuation (a stack of let-frames)
+with a handler closure.  A pure term never pushes a handler, so it runs
+on a single resumption: the base machine of the cost model is this
+machine's pure fragment, the one-resumption special case of the
+generalised continuation (Hillerström, Lindley & Atkey, JFP 2020).
 
-  * the base machine for pure terms, whose continuation is a stack of
-    let-frames;
-  * the handler machine, whose continuation is a stack of resumptions,
-    each pairing a pure continuation with a handler closure.
+The bottom resumption holds an identity handler and decides where a run
+ends.  A term that uses effects runs over `identity_cont` and ends after
+the identity handler's return clause fires (M-RetHandler).  A pure term,
+like a probed predicate, runs over `answer_cont` and stops just before
+that transition, at the answer configuration.  So a pure run costs what
+the base machine charges: no tick for a handler it never installed.
 
-Both are metered.  ``ticks`` counts fired transition rules, exactly one
-per rule; interpreting a value term into a machine value never ticks.
-``envops`` counts environment lookups and single-binding extensions.
-Every data structure a resumption captures is persistent (environments
-copy on extension, continuations are linked tuples), so capturing the
-topmost resumption is O(1) and captured continuations can be re-invoked
-any number of times.
+The machine is metered.  ``ticks`` counts fired transition rules,
+exactly one per rule; interpreting a value term into a machine value
+never ticks.  ``envops`` counts environment lookups and single-binding
+extensions.  Every data structure a resumption captures is persistent
+(environments copy on extension, continuations are linked tuples), so
+capturing the topmost resumption is O(1) and captured continuations can
+be re-invoked any number of times.
 
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
@@ -25,7 +32,7 @@ reference-cell allocate/read/write, and forcing a memoised thunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from fxlang.errors import FuelExhausted, StuckError
 from fxlang.syntax import (
@@ -241,8 +248,10 @@ def mval_list(v) -> list:
 
 
 # The identity handler closure that sits at the bottom of every
-# generalised continuation.
+# generalised continuation.  ANSWER_HANDLER is the same handler as a
+# distinct object: a run over it stops before its return clause fires.
 ID_HANDLER = Handler("x", Return(Var("x")), {})
+ANSWER_HANDLER = Handler("x", Return(Var("x")), {})
 
 
 def identity_cont():
@@ -250,6 +259,14 @@ def identity_cont():
     continuation and the identity handler closure."""
 
     return ((None, ({}, ID_HANDLER)), None)
+
+
+def answer_cont():
+    """A fresh bottom continuation for runs that end at the answer
+    configuration, before the bottom M-RetHandler: pure terms and probed
+    predicates."""
+
+    return ((None, ({}, ANSWER_HANDLER)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +305,6 @@ class RunResult:
         if isinstance(self.outcome, FinalUnhandledOp):
             raise StuckError(f"unhandled operation {self.outcome.op}")
         return self.outcome.value
-
-
-@dataclass(slots=True)
-class StepReport:
-    """One benchmark row: who ran, on what, and what it cost."""
-
-    impl: str
-    pred: str
-    n: int
-    result: object
-    ticks: int
-    envops: int
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +361,7 @@ def delta_m(name: str, v):
 
 
 # ---------------------------------------------------------------------------
-# The handler machine (resumable fast loop)
+# The machine (resumable fast loop)
 # ---------------------------------------------------------------------------
 
 
@@ -405,67 +410,68 @@ class MachineState:
 
 
 def drive(st: MachineState, fuel: int, probe=None) -> str:
-    """Run the handler machine until a final state, fuel exhaustion, or
-    (under a probe) a query on the probe value.
+    """Run the machine until a final state, fuel exhaustion, or (under a
+    probe) a query on the probe value.
 
-    Returns the outcome kind: 'value', 'op', 'query' or 'fuel', with
-    details left on the state.  'op' means an operation reached the
+    Returns the outcome kind: 'value', 'answer', 'op', 'query' or
+    'fuel', with details left on the state.  'answer' is the final state
+    of a run over `answer_cont`; 'op' means an operation reached the
     bottom identity handler: the unhandled-operation final state.
     """
 
     comp = st.comp
     env = st.env
-    kont = st.kont
+    # The topmost resumption is kept unpacked: its pure continuation
+    # ``sigma`` and handler closure ``chi`` over the rest of the
+    # generalised continuation.  So pushing and popping let-frames costs
+    # what it would with a bare stack of frames, and the resumption is
+    # rebuilt only when captured, pushed under a handler or parked on
+    # ``st``.  ``chi`` is None for the empty continuation.
+    if st.kont is None:
+        sigma = chi = rest = None
+    else:
+        (sigma, chi), rest = st.kont
     store = st.store
     memo = st.memo
     ticks = st.ticks
     meter = st.meter
 
-    def stop(kind):
-        st.comp, st.env, st.kont, st.ticks = comp, env, kont, ticks
-        st.out_kind = kind
-        return kind
-
     while True:
         cls = comp.__class__
 
         if cls is Return:
-            if kont is None:
-                st.out_value = interp(comp.value, env, meter)
-                return stop("value")
-            rho, rest = kont
-            sigma, chi = rho
             if sigma is not None:
-                frame, sigtail = sigma
+                frame, sigma = sigma
                 fname = frame[1]
+                v = interp(comp.value, env, meter)
                 if fname is None:  # memo-record frame
-                    v = interp(comp.value, env, meter)
                     memo[frame[0]] = v
                     comp = Return(Quote(v))
-                    kont = ((sigtail, chi), rest)
-                    ticks += 1
                 else:  # M-RetCont
-                    v = interp(comp.value, env, meter)
                     env = dict(frame[0])
                     env[fname] = v
                     meter.envops += 1
                     comp = frame[2]
-                    kont = ((sigtail, chi), rest)
-                    ticks += 1
+                ticks += 1
+            elif chi is None:
+                st.out_value = interp(comp.value, env, meter)
+                return _park(st, "value", comp, env, sigma, chi, rest, ticks)
             else:  # M-RetHandler
-                if probe is not None and rest is None and chi[1] is ID_HANDLER:
-                    # Under a probe we stop at the bottom of the
-                    # continuation, before the identity handler fires:
-                    # this is the answer-node configuration.
-                    st.out_value = interp(comp.value, env, meter)
-                    return stop("answer")
-                h = chi[1]
                 v = interp(comp.value, env, meter)
-                env = dict(chi[0])
+                henv, h = chi
+                if rest is None:
+                    if h is ANSWER_HANDLER:
+                        # The answer stop: a pure term's result, or a
+                        # probed predicate's answer leaf.
+                        st.out_value = v
+                        return _park(st, "answer", comp, env, sigma, chi, rest, ticks)
+                    chi = None
+                else:
+                    (sigma, chi), rest = rest
+                env = dict(henv)
                 env[h.val_name] = v
                 meter.envops += 1
                 comp = h.val_body
-                kont = rest
                 ticks += 1
 
         elif cls is App:
@@ -478,10 +484,6 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 env[lam.param] = av
                 meter.envops += 1
                 comp = lam.body
-                ticks += 1
-            elif fcls is tuple:  # M-Resume
-                comp = Return(comp.arg)
-                kont = (fv, kont)
                 ticks += 1
             elif fcls is VRecClosure:
                 av = interp(comp.arg, env, meter)
@@ -501,6 +503,11 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 else:
                     comp = Return(Quote(delta_m(fv.name, av)))
                 ticks += 1
+            elif fcls is tuple:  # M-Resume
+                comp = Return(comp.arg)
+                rest = ((sigma, chi), rest)
+                sigma, chi = fv
+                ticks += 1
             elif fcls is VMemo:
                 cached = memo.get(fv.cell, _ABSENT)
                 if cached is not _ABSENT:
@@ -511,9 +518,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     thunk = fv.thunk
                     if thunk.__class__ is not VClosure:
                         raise StuckError("memoised value is not a closure")
-                    rho, rest = kont
-                    sigma, chi = rho
-                    kont = ((((fv.cell, None, None), sigma), chi), rest)
+                    sigma = ((fv.cell, None, None), sigma)
                     lam = thunk.term
                     env = dict(thunk.env)
                     env[lam.param] = av
@@ -523,15 +528,13 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             elif fcls is VSentinel:
                 if probe is not None and fv is probe:
                     st.out_query = interp(comp.arg, env, meter)
-                    return stop("query")
+                    return _park(st, "query", comp, env, sigma, chi, rest, ticks)
                 raise StuckError("application of the probe value outside extraction")
             else:
                 raise StuckError(f"application of a non-function: {fv!r}")
 
         elif cls is Let:
-            rho, rest = kont
-            sigma, chi = rho
-            kont = ((((env, comp.name, comp.body), sigma), chi), rest)
+            sigma = ((env, comp.name, comp.body), sigma)
             comp = comp.bound
             ticks += 1
 
@@ -553,8 +556,6 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             ticks += 1
 
         elif cls is Do:
-            rho, rest = kont
-            chi = rho[1]
             clause = chi[1].clauses.get(comp.op)
             if clause is None:
                 if rest is None:
@@ -562,7 +563,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     # unhandled-operation final state.
                     st.out_op = comp.op
                     st.out_arg = interp(comp.arg, env, meter)
-                    return stop("op")
+                    return _park(st, "op", comp, env, sigma, chi, rest, ticks)
                 raise StuckError(
                     f"mid-stack handler lacks a clause for {comp.op!r}; "
                     "handlers must be completed before running"
@@ -571,10 +572,10 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             av = interp(comp.arg, env, meter)
             env = dict(chi[0])
             env[p] = av
-            env[r] = rho
+            env[r] = (sigma, chi)
             meter.envops += 2
             comp = body
-            kont = rest
+            (sigma, chi), rest = rest
             ticks += 1
 
         elif cls is Split:
@@ -604,7 +605,9 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             ticks += 1
 
         elif cls is Handle:
-            kont = ((None, (env, comp.handler)), kont)
+            rest = ((sigma, chi), rest)
+            sigma = None
+            chi = (env, comp.handler)
             comp = comp.body
             ticks += 1
 
@@ -636,9 +639,16 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             raise StuckError(f"no machine rule for {cls.__name__}")
 
         if ticks >= fuel:
-            st.comp, st.env, st.kont, st.ticks = comp, env, kont, ticks
-            st.out_kind = "fuel"
-            return "fuel"
+            return _park(st, "fuel", comp, env, sigma, chi, rest, ticks)
+
+
+def _park(st, kind, comp, env, sigma, chi, rest, ticks):
+    """Leave a stopped run's registers on its state, so it can resume."""
+
+    st.comp, st.env, st.ticks = comp, env, ticks
+    st.kont = None if chi is None else ((sigma, chi), rest)
+    st.out_kind = kind
+    return kind
 
 
 _ABSENT = object()
@@ -646,240 +656,29 @@ _RET_UNIT = Return(UNIT_V)
 
 
 # ---------------------------------------------------------------------------
-# The base machine (pure continuation only)
-# ---------------------------------------------------------------------------
-
-
-class BaseState:
-    __slots__ = (
-        "comp", "env", "cont", "store", "locc", "memo",
-        "ticks", "meter", "memo_cells", "out_kind", "out_value",
-    )
-
-    def __init__(self, comp, env, cont=None):
-        self.comp = comp
-        self.env = env
-        self.cont = cont
-        self.store = {}
-        self.locc = 0
-        self.memo = {}
-        self.memo_cells = [0]
-        self.ticks = 0
-        self.meter = Meter()
-        self.out_kind = None
-        self.out_value = None
-
-
-def drive_base(st: BaseState, fuel: int) -> str:
-    comp = st.comp
-    env = st.env
-    cont = st.cont
-    store = st.store
-    memo = st.memo
-    ticks = st.ticks
-    meter = st.meter
-
-    while True:
-        cls = comp.__class__
-
-        if cls is Return:
-            if cont is None:
-                st.comp, st.env, st.cont, st.ticks = comp, env, cont, ticks
-                st.out_value = interp(comp.value, env, meter)
-                st.out_kind = "value"
-                return "value"
-            frame, rest = cont
-            fname = frame[1]
-            v = interp(comp.value, env, meter)
-            if fname is None:  # memo-record frame
-                memo[frame[0]] = v
-                comp = Return(Quote(v))
-                cont = rest
-            else:  # M-RetCont
-                env = dict(frame[0])
-                env[fname] = v
-                meter.envops += 1
-                comp = frame[2]
-                cont = rest
-            ticks += 1
-
-        elif cls is App:
-            fv = interp(comp.fn, env, meter)
-            fcls = fv.__class__
-            if fcls is VClosure:
-                av = interp(comp.arg, env, meter)
-                lam = fv.term
-                env = dict(fv.env)
-                env[lam.param] = av
-                meter.envops += 1
-                comp = lam.body
-                ticks += 1
-            elif fcls is VRecClosure:
-                av = interp(comp.arg, env, meter)
-                rec = fv.term
-                env = dict(fv.env)
-                env[rec.fname] = fv
-                env[rec.param] = av
-                meter.envops += 2
-                comp = rec.body
-                ticks += 1
-            elif fcls is Const:
-                av = interp(comp.arg, env, meter)
-                if fv.name == "memoise":
-                    cell = st.memo_cells[0]
-                    st.memo_cells[0] = cell + 1
-                    comp = Return(Quote(VMemo(cell, av)))
-                else:
-                    comp = Return(Quote(delta_m(fv.name, av)))
-                ticks += 1
-            elif fcls is VMemo:
-                cached = memo.get(fv.cell, _ABSENT)
-                if cached is not _ABSENT:
-                    comp = Return(Quote(cached))
-                    ticks += 1
-                else:
-                    av = interp(comp.arg, env, meter)
-                    thunk = fv.thunk
-                    if thunk.__class__ is not VClosure:
-                        raise StuckError("memoised value is not a closure")
-                    cont = ((fv.cell, None, None), cont)
-                    lam = thunk.term
-                    env = dict(thunk.env)
-                    env[lam.param] = av
-                    meter.envops += 1
-                    comp = lam.body
-                    ticks += 1
-            else:
-                raise StuckError(f"application of a non-function: {fv!r}")
-
-        elif cls is Let:
-            cont = ((env, comp.name, comp.body), cont)
-            comp = comp.bound
-            ticks += 1
-
-        elif cls is Case:
-            sv = interp(comp.scrutinee, env, meter)
-            scls = sv.__class__
-            if scls is VInl:
-                env = dict(env)
-                env[comp.left_name] = sv.value
-                meter.envops += 1
-                comp = comp.left
-            elif scls is VInr:
-                env = dict(env)
-                env[comp.right_name] = sv.value
-                meter.envops += 1
-                comp = comp.right
-            else:
-                raise StuckError("case on a non-sum")
-            ticks += 1
-
-        elif cls is Split:
-            pv = interp(comp.pair, env, meter)
-            if pv.__class__ is not VPair:
-                raise StuckError("split of a non-pair")
-            env = dict(env)
-            env[comp.fst_name] = pv.fst
-            env[comp.snd_name] = pv.snd
-            meter.envops += 2
-            comp = comp.body
-            ticks += 1
-
-        elif cls is CaseList:
-            sv = interp(comp.scrutinee, env, meter)
-            scls = sv.__class__
-            if scls is VNil:
-                comp = comp.nil_body
-            elif scls is VCons:
-                env = dict(env)
-                env[comp.head_name] = sv.head
-                env[comp.tail_name] = sv.tail
-                meter.envops += 2
-                comp = comp.cons_body
-            else:
-                raise StuckError("list case on a non-list")
-            ticks += 1
-
-        elif cls is LetRef:
-            store[st.locc] = interp(comp.init, env, meter)
-            env = dict(env)
-            env[comp.name] = VLoc(st.locc)
-            meter.envops += 1
-            st.locc += 1
-            comp = comp.body
-            ticks += 1
-
-        elif cls is Deref:
-            rv = interp(comp.ref, env, meter)
-            if rv.__class__ is not VLoc:
-                raise StuckError("dereference of a non-location")
-            comp = Return(Quote(store[rv.index]))
-            ticks += 1
-
-        elif cls is Assign:
-            rv = interp(comp.ref, env, meter)
-            if rv.__class__ is not VLoc:
-                raise StuckError("assignment to a non-location")
-            store[rv.index] = interp(comp.value, env, meter)
-            comp = _RET_UNIT
-            ticks += 1
-
-        elif cls is Do or cls is Handle:
-            raise StuckError("effect form on the base machine")
-
-        else:
-            raise StuckError(f"no machine rule for {cls.__name__}")
-
-        if ticks >= fuel:
-            st.comp, st.env, st.cont, st.ticks = comp, env, cont, ticks
-            st.out_kind = "fuel"
-            return "fuel"
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 
-def inject_base(term: Term) -> BaseState:
-    """Initial base-machine configuration for a pure closed term."""
+def inject(term: Term) -> MachineState:
+    """Initial configuration for a closed term: empty environment over
+    the bottom continuation.  A pure term runs over `answer_cont`, so it
+    ends at the answer stop; any other over `identity_cont`."""
 
-    if uses_effects(term):
-        raise StuckError("term uses do/handle: run it on the handler machine")
-    return BaseState(term, {}, None)
-
-
-def inject_handler(term: Term) -> MachineState:
-    """Initial handler-machine configuration: empty environment over the
-    identity continuation."""
-
-    return MachineState(term, {}, identity_cont())
+    kont = identity_cont() if uses_effects(term) else answer_cont()
+    return MachineState(term, {}, kont)
 
 
-def run_machine(
-    term: Term,
-    sig: Signature | None = None,
-    fuel: int = DEFAULT_FUEL,
-    machine: str = "auto",
-) -> RunResult:
-    """Drive a closed term to a final state on the appropriate machine.
+def run_machine(term: Term, sig: Signature | None = None, fuel: int = DEFAULT_FUEL) -> RunResult:
+    """Drive a closed term to a final state.
 
-    ``machine`` may be 'base', 'handler' or 'auto' (base exactly when the
-    term has no do/handle).  Handlers are completed against the signature
-    first.  Raises FuelExhausted if the budget runs out.
+    Handlers are completed against the signature first.  Raises
+    FuelExhausted if the budget runs out.
     """
 
     if sig:
         term = complete_handlers(term, sig)
-    if machine == "auto":
-        machine = "handler" if uses_effects(term) else "base"
-    if machine == "base":
-        st = inject_base(term)
-        kind = drive_base(st, fuel)
-        if kind == "fuel":
-            raise FuelExhausted(st.ticks)
-        return RunResult(FinalValue(st.out_value), st.ticks, st.meter.envops, st.store, st.locc)
-    st = inject_handler(term)
+    st = inject(term)
     kind = drive(st, fuel)
     if kind == "fuel":
         raise FuelExhausted(st.ticks)
@@ -890,83 +689,45 @@ def run_machine(
     return RunResult(outcome, st.ticks, st.meter.envops, st.store, st.locc)
 
 
-def memoise_value(thunk, memo_cells=None):
-    """Wrap a closure machine value in a fresh memo cell (the machine
-    primitive, exposed for direct use)."""
-
-    if thunk.__class__ is not VClosure:
-        raise StuckError("memoise expects a closure")
-    cells = memo_cells if memo_cells is not None else [0]
-    cell = cells[0]
-    cells[0] = cell + 1
-    return VMemo(cell, thunk)
-
-
 # ---------------------------------------------------------------------------
-# Single-step functions (slow path: tracing, decompilation tests)
+# Single steps (slow path: tracing, decompilation tests)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class HandlerConfig:
-    comp: Term
-    env: dict
-    kont: object
-    store: dict = field(default_factory=dict)
-    locc: int = 0
-    memo: dict = field(default_factory=dict)
-    memo_cells: list = field(default_factory=lambda: [0])
+def step(st: MachineState):
+    """One machine transition on a fork of ``st`` (see `MachineState.fork`).
 
-
-@dataclass(slots=True)
-class BaseConfig:
-    comp: Term
-    env: dict
-    cont: object = None
-    store: dict = field(default_factory=dict)
-    locc: int = 0
-    memo: dict = field(default_factory=dict)
-    memo_cells: list = field(default_factory=lambda: [0])
-
-
-def step_handler(cfg: HandlerConfig):
-    """One handler-machine transition.
-
-    Returns (rule_name, HandlerConfig) or (final_kind, Final...) where
-    final_kind is 'value' or 'op'.  The rule names follow the machine
-    description: M-App, M-Rec, M-Const, M-Split, M-CaseL, M-CaseR,
-    M-CaseNil, M-CaseCons, M-Let, M-RetCont, M-Handle, M-RetHandler,
-    M-Handle-Op, M-Resume, M-Alloc, M-Deref, M-Assign, M-Memo,
-    M-Memo-Hit, M-Memo-Force, M-Memo-Record.
+    Returns (rule_name, MachineState) or ('final', Final...) when ``st``
+    is final.  The rule names follow the machine description: M-App,
+    M-Rec, M-Const, M-Split, M-CaseL, M-CaseR, M-CaseNil, M-CaseCons,
+    M-Let, M-RetCont, M-Handle, M-RetHandler, M-Handle-Op, M-Resume,
+    M-Alloc, M-Deref, M-Assign, M-Memo, M-Memo-Hit, M-Memo-Force,
+    M-Memo-Record.
     """
 
-    st = MachineState(
-        cfg.comp, cfg.env, cfg.kont, dict(cfg.store), cfg.locc, dict(cfg.memo), cfg.memo_cells
-    )
-    rule = _classify_handler_rule(cfg)
-    kind = drive(st, fuel=1)
-    if kind == "value":
-        return "final", FinalValue(st.out_value)
+    rule = _classify_rule(st)
+    nxt = st.fork(st.comp)
+    kind = drive(nxt, fuel=1)
+    if kind == "fuel":  # the one transition fired
+        return rule, nxt
     if kind == "op":
-        return "final", FinalUnhandledOp(st.out_op, st.out_arg)
-    return rule, HandlerConfig(
-        st.comp, st.env, st.kont, st.store, st.locc, st.memo, st.memo_cells
-    )
+        return "final", FinalUnhandledOp(nxt.out_op, nxt.out_arg)
+    return "final", FinalValue(nxt.out_value)
 
 
-def _classify_handler_rule(cfg: HandlerConfig) -> str:
-    comp = cfg.comp
+def _classify_rule(st: MachineState) -> str:
+    comp = st.comp
     cls = comp.__class__
     m = Meter()
     if cls is Return:
-        if cfg.kont is None:
+        if st.kont is None:
             return "final"
-        (sigma, chi), rest = cfg.kont
+        (sigma, chi), rest = st.kont
         if sigma is not None:
             return "M-Memo-Record" if sigma[0][1] is None else "M-RetCont"
         return "M-RetHandler"
     if cls is App:
-        fv = interp(comp.fn, cfg.env, m)
+        fv = interp(comp.fn, st.env, m)
         fcls = fv.__class__
         if fcls is VClosure:
             return "M-App"
@@ -977,74 +738,22 @@ def _classify_handler_rule(cfg: HandlerConfig) -> str:
         if fcls is Const:
             return "M-Memo" if fv.name == "memoise" else "M-Const"
         if fcls is VMemo:
-            return "M-Memo-Hit" if fv.cell in cfg.memo else "M-Memo-Force"
+            return "M-Memo-Hit" if fv.cell in st.memo else "M-Memo-Force"
         return "stuck"
     if cls is Let:
         return "M-Let"
     if cls is Split:
         return "M-Split"
     if cls is Case:
-        sv = interp(comp.scrutinee, cfg.env, m)
+        sv = interp(comp.scrutinee, st.env, m)
         return "M-CaseL" if sv.__class__ is VInl else "M-CaseR"
     if cls is CaseList:
-        sv = interp(comp.scrutinee, cfg.env, m)
+        sv = interp(comp.scrutinee, st.env, m)
         return "M-CaseNil" if sv.__class__ is VNil else "M-CaseCons"
     if cls is Do:
         return "M-Handle-Op"
     if cls is Handle:
         return "M-Handle"
-    if cls is LetRef:
-        return "M-Alloc"
-    if cls is Deref:
-        return "M-Deref"
-    if cls is Assign:
-        return "M-Assign"
-    return "stuck"
-
-
-def step_base(cfg: BaseConfig):
-    st = BaseState(cfg.comp, cfg.env, cfg.cont)
-    st.store = dict(cfg.store)
-    st.locc = cfg.locc
-    st.memo = dict(cfg.memo)
-    st.memo_cells = cfg.memo_cells
-    rule = _classify_base_rule(cfg)
-    kind = drive_base(st, fuel=1)
-    if kind == "value":
-        return "final", FinalValue(st.out_value)
-    return rule, BaseConfig(st.comp, st.env, st.cont, st.store, st.locc, st.memo, st.memo_cells)
-
-
-def _classify_base_rule(cfg: BaseConfig) -> str:
-    comp = cfg.comp
-    cls = comp.__class__
-    m = Meter()
-    if cls is Return:
-        if cfg.cont is None:
-            return "final"
-        return "M-Memo-Record" if cfg.cont[0][1] is None else "M-RetCont"
-    if cls is App:
-        fv = interp(comp.fn, cfg.env, m)
-        fcls = fv.__class__
-        if fcls is VClosure:
-            return "M-App"
-        if fcls is VRecClosure:
-            return "M-Rec"
-        if fcls is Const:
-            return "M-Memo" if fv.name == "memoise" else "M-Const"
-        if fcls is VMemo:
-            return "M-Memo-Hit" if fv.cell in cfg.memo else "M-Memo-Force"
-        return "stuck"
-    if cls is Let:
-        return "M-Let"
-    if cls is Split:
-        return "M-Split"
-    if cls is Case:
-        sv = interp(comp.scrutinee, cfg.env, m)
-        return "M-CaseL" if sv.__class__ is VInl else "M-CaseR"
-    if cls is CaseList:
-        sv = interp(comp.scrutinee, cfg.env, m)
-        return "M-CaseNil" if sv.__class__ is VNil else "M-CaseCons"
     if cls is LetRef:
         return "M-Alloc"
     if cls is Deref:
@@ -1068,28 +777,22 @@ def comp_head(t: Term) -> str:
 
 def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
     """Step a term transition by transition, yielding
-    (tick, rule, head-form, continuation-depth) tuples."""
+    (tick, rule, head-form, continuation-depth) tuples.
+
+    A pure run reports depth 0 throughout: it never leaves its bottom
+    resumption, which is where it stops.
+    """
 
     if sig:
         term = complete_handlers(term, sig)
-    if uses_effects(term):
-        cfg = HandlerConfig(term, {}, identity_cont())
-        tick = 0
-        while tick < fuel:
-            rule, nxt = step_handler(cfg)
-            if rule == "final":
-                return
-            tick += 1
-            yield tick, rule, comp_head(nxt.comp), kont_depth(nxt.kont)
-            cfg = nxt
-        raise FuelExhausted(tick)
-    bcfg = BaseConfig(term, {})
+    pure = not uses_effects(term)
+    st = inject(term)
     tick = 0
     while tick < fuel:
-        rule, nxt = step_base(bcfg)
+        rule, nxt = step(st)
         if rule == "final":
             return
         tick += 1
-        yield tick, rule, comp_head(nxt.comp), 0
-        bcfg = nxt
+        yield tick, rule, comp_head(nxt.comp), 0 if pure else kont_depth(nxt.kont)
+        st = nxt
     raise FuelExhausted(tick)

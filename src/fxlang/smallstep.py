@@ -1,6 +1,6 @@
 """Substitution-based contextual small-step semantics.
 
-This is the slow, obviously-correct evaluator the abstract machines are
+This is the slow, obviously-correct evaluator the abstract machine is
 tested against.  Each call to :func:`step` performs exactly one
 reduction; finding the redex walks the evaluation context, which is
 navigation rather than reduction and is not counted.

@@ -275,7 +275,7 @@ def extract_tree(
         pred = pred.value
     probe = mc.VSentinel(probe_name)
     root = App(pred, Var(probe_name)) if is_value(pred) else pred
-    st0 = mc.MachineState(root, {probe_name: probe}, mc.identity_cont())
+    st0 = mc.MachineState(root, {probe_name: probe}, mc.answer_cont())
     tree = DecisionTree()
     stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
     while stack:

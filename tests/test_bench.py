@@ -1,4 +1,7 @@
+import pytest
+
 from fxlang import bench as bn
+from fxlang import countlib as cl
 
 
 def small_spec(**kw):
@@ -101,3 +104,19 @@ def test_repetitions_check_determinism():
     rows = bn.run_grid(small_spec(impls=["effcount"], preds=[("odd", "")],
                                   n_max=4, reps=3))
     assert all(r.status == "ok" for r in rows)
+
+
+def test_nondeterministic_ticks_raise(monkeypatch):
+    real = cl.run_report
+    calls = []
+
+    def drifting(impl, pred, n, fuel):
+        rep = real(impl, pred, n, fuel)
+        calls.append(rep)
+        rep.ticks += len(calls) - 1
+        return rep
+
+    monkeypatch.setattr(cl, "run_report", drifting)
+    spec = small_spec(impls=["effcount"], preds=[("odd", "")], n_max=2, reps=2)
+    with pytest.raises(RuntimeError, match="nondeterministic tick count"):
+        bn.run_grid(spec)

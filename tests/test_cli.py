@@ -118,3 +118,25 @@ def test_check_command(tmp_path):
     f.write_text("return (2, true)\n")
     code, out, _ = run_cli("check", str(f))
     assert code == 0 and "ok" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_trace_golden_pure(tmp_path):
+    # a pure run prints depth 0 and ends before the bottom M-RetHandler
+    f = tmp_path / "t.fx"
+    f.write_text("let x <- return 1 in x + x\n")
+    code, out, err = run_cli("run", str(f), "--trace")
+    assert code == 0 and err == ""
+    assert out == (
+        "tick=1 rule=M-Let comp=Return depth(k)=0\n"
+        "tick=2 rule=M-RetCont comp=App depth(k)=0\n"
+        "tick=3 rule=M-Const comp=Return depth(k)=0\n"
+    )
+
+
+def test_trace_golden_toss():
+    code, out, err = run_cli("run", str(PROGRAMS / "toss.fx"), "--trace")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "toss_trace.txt").read_text()

@@ -230,3 +230,10 @@ def test_counter_results_match_smallstep():
         out, _, _ = evaluate(term, sig, fuel=10**6)
         assert isinstance(out, NormalValue)
         assert res.value == out.value.value == want
+
+
+def test_register_rejects_duplicate_names():
+    before = cl.catalog()
+    with pytest.raises(ValueError, match="already registered"):
+        cl._register(cl.get("effcount"))
+    assert cl.catalog() == before

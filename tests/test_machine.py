@@ -2,11 +2,11 @@ import pytest
 
 from fxlang import countlib as cl
 from fxlang import machine as mc
-from fxlang.errors import FuelExhausted, StuckError
+from fxlang.errors import FuelExhausted
 from fxlang.gen import random_program
 from fxlang.parser import parse_program, parse_term
 from fxlang.pprint import render_mval
-from fxlang.syntax import BOOL, UNIT, complete_handlers, uses_effects
+from fxlang.syntax import BOOL, UNIT, complete_handlers
 
 
 def run(src, sig=None, **kw):
@@ -14,29 +14,43 @@ def run(src, sig=None, **kw):
     return mc.run_machine(term, sig, **kw)
 
 
-def test_inject_base_rejects_effect_forms():
+def test_inject_initial_state():
+    st = mc.inject(parse_term("return 5"))
+    assert st.ticks == 0 and st.env == {}
+    # one resumption with an empty pure continuation
+    assert st.kont[1] is None and st.kont[0][0] is None
+
+
+def test_inject_picks_bottom_by_effects():
     sig = {"Branch": (UNIT, BOOL)}
-    term = parse_term("do Branch ()", sig)
-    with pytest.raises(StuckError, match="handler machine"):
-        mc.inject_base(term)
+    effectful = mc.inject(parse_term("do Branch ()", sig))
+    pure = mc.inject(parse_term("return 5"))
+    assert effectful.kont[0][1][1] is mc.ID_HANDLER
+    assert pure.kont[0][1][1] is mc.ANSWER_HANDLER
 
 
-def test_inject_base_initial_state():
-    st = mc.inject_base(parse_term("return 5"))
-    assert st.ticks == 0 and st.cont is None and st.env == {}
+def test_pure_run_stops_before_bottom_handler():
+    # the answer stop saves exactly the bottom M-RetHandler: one tick and
+    # two envOps (the handler's binding and the lookup in its body)
+    term, _, _ = cl.compose("naivecount", "odd", 3)
+    res = mc.run_machine(term)
+    st = mc.MachineState(term, {}, mc.identity_cont())
+    assert mc.drive(st, fuel=10**7) == "value" and st.out_value == res.value
+    assert st.ticks == res.ticks + 1 and st.meter.envops == res.envops + 2
 
 
 def test_let_and_retcont_transitions():
-    cfg = mc.BaseConfig(parse_term("let x <- return 1 in x + x"), {})
-    rule, cfg = mc.step_base(cfg)
+    st = mc.inject(parse_term("let x <- return 1 in x + x"))
+    rule, st = mc.step(st)
     assert rule == "M-Let"
-    assert cfg.cont is not None and cfg.cont[1] is None
-    rule, cfg = mc.step_base(cfg)
+    sigma = st.kont[0][0]  # the bottom resumption's pure continuation
+    assert sigma is not None and sigma[1] is None and st.kont[1] is None
+    rule, st = mc.step(st)
     assert rule == "M-RetCont"
-    assert list(cfg.env.values()) == [1] and cfg.cont is None
-    rule, cfg = mc.step_base(cfg)
+    assert list(st.env.values()) == [1] and st.kont[0][0] is None
+    rule, st = mc.step(st)
     assert rule == "M-Const"
-    rule, final = mc.step_base(cfg)
+    rule, final = mc.step(st)
     assert rule == "final" and final.value == 2
 
 
@@ -58,19 +72,14 @@ def test_fast_loop_matches_single_steps():
             res = mc.run_machine(t2, None, fuel=20_000)
         except FuelExhausted:
             continue
-        if uses_effects(t2):
-            cfg = mc.HandlerConfig(t2, {}, mc.identity_cont())
-            stepf = mc.step_handler
-        else:
-            cfg = mc.BaseConfig(t2, {})
-            stepf = mc.step_base
+        st = mc.inject(t2)
         ticks = 0
         while True:
-            rule, nxt = stepf(cfg)
+            rule, nxt = mc.step(st)
             if rule == "final":
                 break
             ticks += 1
-            cfg = nxt
+            st = nxt
         assert ticks == res.ticks
 
 
@@ -106,15 +115,15 @@ handle ({lets} do Branch ()) with {{
 }}
 """
         sig, term = parse_program(src)
-        cfg = mc.HandlerConfig(complete_handlers(term, sig), {}, mc.identity_cont())
+        st = mc.inject(complete_handlers(term, sig))
         while True:
-            rule, nxt = mc.step_handler(cfg)
+            rule, nxt = mc.step(st)
             assert rule != "final"
             if rule == "M-Handle-Op":
                 r_val = [v for v in nxt.env.values() if isinstance(v, tuple)]
-                assert r_val and r_val[0][0] is cfg.kont[0][0]
+                assert r_val and r_val[0][0] is st.kont[0][0]
                 return
-            cfg = nxt
+            st = nxt
 
     check(2)
     check(40)
@@ -166,13 +175,13 @@ f ()
 """
     term = parse_term(src)
     ticks = []
-    cfg = mc.BaseConfig(term, {})
+    st = mc.inject(term)
     while True:
-        rule, nxt = mc.step_base(cfg)
+        rule, nxt = mc.step(st)
         if rule == "final":
             break
         ticks.append(rule)
-        cfg = nxt
+        st = nxt
     assert ticks.count("M-Memo-Force") == 1
     assert ticks.count("M-Memo-Hit") == 1
 
@@ -238,6 +247,6 @@ def test_handler_rules_appear_in_traces():
 
 def test_composed_pure_counter_runs_on_base_machine():
     term, sig, _ = cl.compose("naivecount", "odd", 2)
-    st = mc.inject_base(term)  # a pure program: valid initial config
-    assert mc.drive_base(st, fuel=10**6) == "value"
+    st = mc.inject(term)  # a pure program: ends at the answer stop
+    assert mc.drive(st, fuel=10**6) == "answer"
     assert st.out_value == 2

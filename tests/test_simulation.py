@@ -2,87 +2,88 @@
 decompilation map is invariant under administrative transitions and
 follows each beta-like transition by exactly one reduction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from fxlang import acceptance as ac
 from fxlang import countlib as cl
 from fxlang import machine as mc
-from fxlang.decompile import decompile_base, decompile_handler, reify
+from fxlang.decompile import decompile, reify
 from fxlang.gen import random_program
 from fxlang.parser import parse_term
-from fxlang.smallstep import StateConfig, step
-from fxlang.syntax import (
-    Handle,
-    Handler,
-    Return,
-    Var,
-    alpha_eq,
-    complete_handlers,
-    uses_effects,
-)
+from fxlang.syntax import Handle, Lam, alpha_eq, complete_handlers
 
-ADMIN = ("M-Let", "M-Handle")
-
-
-def lemma_shape(term, sig, cap=400):
-    term = complete_handlers(term, sig) if sig else term
-    if uses_effects(term):
-        cfg = mc.HandlerConfig(term, {}, mc.identity_cont())
-        decomp, stepf = decompile_handler, mc.step_handler
-        assert alpha_eq(decomp(cfg), Handle(term, Handler("x", Return(Var("x")), {})))
-    else:
-        cfg = mc.BaseConfig(term, {})
-        decomp, stepf = decompile_base, mc.step_base
-        assert alpha_eq(decomp(cfg), term)
-    cur = decomp(cfg)
-    scfg = StateConfig(cur)
-    for _ in range(cap):
-        rule, nxt = stepf(cfg)
-        if rule == "final":
-            return
-        dec = decomp(nxt)
-        if rule in ADMIN:
-            assert alpha_eq(dec, cur), f"{rule} changed the decompiled term"
-        else:
-            out = step(scfg)
-            assert isinstance(out, StateConfig)
-            assert alpha_eq(out.term, dec), f"{rule} is not exactly one reduction"
-            scfg = StateConfig(dec, out.loc_counter, out.store)
-        cur, cfg = dec, nxt
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_decompile_initial_config_is_identity():
+    # the initial configuration is the term under the bottom identity handler
     t = parse_term("let x <- return 1 in x + x")
-    assert alpha_eq(decompile_base(mc.BaseConfig(t, {})), t)
+    assert alpha_eq(decompile(mc.inject(t)), Handle(t, mc.ID_HANDLER))
 
 
 def test_lemma_shape_random_corpus():
     for seed in range(100):
         term, sig = random_program(seed, effects=seed % 2 == 1, refs=False)
-        lemma_shape(term, sig)
+        assert ac.lemma_shape(term, sig) is None, seed
 
 
 def test_lemma_shape_with_state():
-    lemma_shape(parse_term("letref x = 0 in (x := 1); !x"), {}, cap=100)
+    assert ac.lemma_shape(parse_term("letref x = 0 in (x := 1); !x"), {}, cap=100) is None
 
 
 def test_lemma_shape_on_multi_shot_handler_run():
     term, sig, _ = cl.compose("effcount", "odd", 2)
-    lemma_shape(term, sig, cap=800)
+    assert ac.lemma_shape(term, sig, cap=800) is None
+
+
+PLANTED_VIOLATION = """
+import sys
+from fxlang import acceptance as ac
+from fxlang.smallstep import StateConfig
+from fxlang.syntax import Return, Var
+
+if __debug__:  # not running under -O
+    sys.exit(2)
+real = ac.small_step
+
+def one_wrong_reduction(cfg, *args, **kwargs):
+    out = real(cfg, *args, **kwargs)
+    if isinstance(out, StateConfig):
+        return StateConfig(Return(Var("planted")), out.loc_counter, out.store)
+    return out
+
+ac.small_step = one_wrong_reduction
+passed, detail = ac.crit_simulation(ac.AcceptanceContext())
+print(detail)
+sys.exit(1 if passed else 0)
+"""
+
+
+def test_simulation_criterion_fails_under_optimize():
+    # invariants must not be asserts: -O would strip them
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_VIOLATION],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "is not one reduction" in proc.stdout
 
 
 def test_resumption_values_decompile_to_handler_wrapped_functions():
     # stop a run at the first operation clause and decompile the captured
     # resumption
     term, sig, _ = cl.compose("effcount", "odd", 1)
-    term = complete_handlers(term, sig)
-    cfg = mc.HandlerConfig(term, {}, mc.identity_cont())
+    st = mc.inject(complete_handlers(term, sig))
     while True:
-        rule, nxt = mc.step_handler(cfg)
+        rule, nxt = mc.step(st)
         if rule == "M-Handle-Op":
             rho = [v for v in nxt.env.values() if isinstance(v, tuple)][0]
             fn = reify(rho)
-            from fxlang.syntax import Lam
-
             assert isinstance(fn, Lam)
             assert isinstance(fn.body, Handle)
             return
-        cfg = nxt
+        st = nxt
