@@ -31,7 +31,6 @@ from fxlang.syntax import (
     App,
     Const,
     Handle,
-    Handler,
     Lam,
     Quote,
     Return,
@@ -39,6 +38,7 @@ from fxlang.syntax import (
     Var,
     alpha_eq,
     complete_handlers,
+    rewrite,
 )
 from fxlang.typecheck import typecheck_program
 
@@ -67,65 +67,17 @@ def memoise_to_identity(term: Term) -> Term:
     """Replace every occurrence of the memoise primitive by the identity
     function; observational equivalence means all results survive."""
 
-    from fxlang import syntax as sx
+    k = 0
 
-    counter = [0]
+    def identity(c: Const) -> Term:
+        nonlocal k
+        if c.name != "memoise":
+            return c
+        k += 1
+        x = f"idm{k}"
+        return Lam(x, Return(Var(x)))
 
-    def walk(t: Term) -> Term:
-        cls = t.__class__
-        if cls is Const and t.name == "memoise":
-            counter[0] += 1
-            x = f"idm{counter[0]}"
-            return Lam(x, Return(Var(x)))
-        if cls in (sx.Var, sx.Num, sx.UnitVal, sx.Nil, sx.Loc, sx.Quote, Const):
-            return t
-        if cls is Lam:
-            return Lam(t.param, walk(t.body), t.param_type)
-        if cls is sx.Rec:
-            return sx.Rec(t.fname, t.param, walk(t.body), t.fn_type)
-        if cls is sx.Pair:
-            return sx.Pair(walk(t.fst), walk(t.snd))
-        if cls is sx.Inl:
-            return sx.Inl(walk(t.value), t.ann)
-        if cls is sx.Inr:
-            return sx.Inr(walk(t.value), t.ann)
-        if cls is sx.Cons:
-            return sx.Cons(walk(t.head), walk(t.tail))
-        if cls is App:
-            return App(walk(t.fn), walk(t.arg))
-        if cls is Return:
-            return Return(walk(t.value))
-        if cls is sx.Let:
-            return sx.Let(t.name, walk(t.bound), walk(t.body))
-        if cls is sx.Split:
-            return sx.Split(walk(t.pair), t.fst_name, t.snd_name, walk(t.body))
-        if cls is sx.Case:
-            return sx.Case(walk(t.scrutinee), t.left_name, walk(t.left), t.right_name, walk(t.right))
-        if cls is sx.CaseList:
-            return sx.CaseList(
-                walk(t.scrutinee), walk(t.nil_body), t.head_name, t.tail_name, walk(t.cons_body)
-            )
-        if cls is sx.Do:
-            return sx.Do(t.op, walk(t.arg))
-        if cls is Handle:
-            h = t.handler
-            return Handle(
-                walk(t.body),
-                Handler(
-                    h.val_name,
-                    walk(h.val_body),
-                    {op: (p, r, walk(b)) for op, (p, r, b) in h.clauses.items()},
-                ),
-            )
-        if cls is sx.LetRef:
-            return sx.LetRef(t.name, walk(t.init), walk(t.body))
-        if cls is sx.Deref:
-            return sx.Deref(walk(t.ref))
-        if cls is sx.Assign:
-            return sx.Assign(walk(t.ref), walk(t.value))
-        raise TypeError(cls.__name__)
-
-    return walk(term)
+    return rewrite(term, Const, identity)
 
 
 class AcceptanceContext:

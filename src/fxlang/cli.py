@@ -2,7 +2,8 @@
 
 Subcommands: check, run, tree, count, bench, list, selftest.  Exit codes
 for `run`: 0 on a value, 1 on parse/type errors, 2 on an unhandled
-operation, 3 on fuel exhaustion.
+operation, 3 on fuel exhaustion.  `main` is the one error boundary: bad
+input in any subcommand becomes a one-line message and exit 1.
 """
 
 from __future__ import annotations
@@ -22,30 +23,26 @@ from fxlang.typecheck import TypeCheckError, typecheck_program
 
 
 def _load(path: str):
+    """Parse and typecheck a program file: (signature, term, type)."""
+
     with open(path, "r", encoding="utf-8") as fh:
         src = fh.read()
-    sig, term = parse_program(src)
-    typecheck_program(sig, term)
-    return sig, term
+    try:
+        sig, term = parse_program(src)
+        ty = typecheck_program(sig, term)
+    except RecursionError:
+        raise ValueError("nesting too deep") from None
+    return sig, term, ty
 
 
 def cmd_check(args) -> int:
-    try:
-        sig, term = _load(args.file)
-    except (ParseError, TypeCheckError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 1
-    ty = typecheck_program(sig, term)
+    _, _, ty = _load(args.file)
     print(f"{args.file}: ok, type {ty}")
     return 0
 
 
 def cmd_run(args) -> int:
-    try:
-        sig, term = _load(args.file)
-    except (ParseError, TypeCheckError) as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return 1
+    sig, term, _ = _load(args.file)
     if args.semantics == "smallstep":
         if args.trace:
             from fxlang.syntax import complete_handlers
@@ -97,12 +94,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    pred_name = bn.resolve_pred(args.pred, args.variant)
-    try:
-        pred, bits = cl.build_predicate(pred_name, args.n)
-    except (KeyError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    pred, bits = cl.build_predicate(bn.resolve_pred(args.pred, args.variant), args.n)
     depth = args.depth if args.depth is not None else 2 * bits + 2
     tree = tr.extract_tree(pred, fuel=args.fuel, depth_bound=depth)
     if args.format == "dot":
@@ -125,9 +117,6 @@ def cmd_count(args) -> int:
     try:
         rep = cl.run_report(args.impl, bn.resolve_pred(args.pred, args.variant),
                             args.n, fuel=args.fuel)
-    except (KeyError, ValueError, cl.LintError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except FuelExhausted as exc:
         print(f"fuel exhausted after {exc.steps} transitions", file=sys.stderr)
         return 3
@@ -243,7 +232,17 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_selftest)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:
+        msg = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        msg = str(exc.args[0]) if exc.args else "KeyError"
+    except (ParseError, TypeCheckError, cl.LintError, ValueError) as exc:
+        where = getattr(args, "file", None) or getattr(args, "spec", None)
+        msg = f"{where}: {exc}" if where else str(exc)
+    print(msg, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -59,8 +59,15 @@ def reify(v) -> Term:
         return Inr(reify(v.value))
     if cls is mc.VNil:
         return Nil()
-    if cls is mc.VCons:
-        return Cons(reify(v.head), reify(v.tail))
+    if cls is mc.VCons:  # along the spine in a loop, so long lists do not recurse
+        heads = []
+        while v.__class__ is mc.VCons:
+            heads.append(reify(v.head))
+            v = v.tail
+        out = reify(v)
+        for h in reversed(heads):
+            out = Cons(h, out)
+        return out
     if cls is mc.VClosure:
         lam: Lam = v.term
         return Lam(lam.param, open_term(lam.body, v.env, {lam.param}), lam.param_type)

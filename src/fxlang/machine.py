@@ -154,11 +154,23 @@ class VCons:
         self.head = head
         self.tail = tail
 
+    # Loops along the spine: effsearch returns lists of thousands of points.
     def __eq__(self, other):
-        return other.__class__ is VCons and self.head == other.head and self.tail == other.tail
+        a, b = self, other
+        while a.__class__ is VCons:
+            if b.__class__ is not VCons or a.head != b.head:
+                return False
+            a, b = a.tail, b.tail
+        return a == b
 
     def __repr__(self):
-        return f"{self.head!r} :: {self.tail!r}"
+        parts = []
+        v = self
+        while v.__class__ is VCons:
+            parts.append(repr(v.head))
+            v = v.tail
+        parts.append(repr(v))
+        return " :: ".join(parts)
 
 
 class VClosure:

@@ -84,6 +84,7 @@ Normal = NormalValue | NormalOp
 # ---------------------------------------------------------------------------
 
 
+# Hand-written on purpose: the oracle's hot path; on `map_children`, `evaluate` ran 1.5x slower.
 def subst(t: Term, m: dict[str, Term]) -> Term:
     """Simultaneous substitution of closed values for free variables."""
 

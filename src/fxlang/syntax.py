@@ -14,6 +14,12 @@ shape; the evaluators rely on it.
 
 Booleans are not primitive.  ``Bool`` abbreviates ``Unit + Unit`` with
 ``true = inl ()`` and ``false = inr ()``; ``if`` is a case split.
+
+Generic walkers (free variables, subterm iteration, handler completion)
+are built on :func:`children` and :func:`map_children`, so a new term
+form needs one entry in each of their two tables, plus its arms in the
+evaluators, the type checker and the printer.  ``alpha_eq`` and
+``smallstep.subst`` are hand-written for speed and need an arm too.
 """
 
 from __future__ import annotations
@@ -324,69 +330,152 @@ def is_value(t: Term) -> bool:
 # Traversals
 # ---------------------------------------------------------------------------
 
+# The two tables below are the only place that knows each term form's
+# shape: which fields are subterms and which names the form binds over
+# each of them.  Every generic walker reads them, through `children` and
+# `map_children` or, in the loops of this module, directly.
+
+_LEAVES = (Var, Num, Const, UnitVal, Nil, Loc, Quote)
+
+
+def _handle_children(t: Handle) -> tuple:
+    h = t.handler
+    clauses = tuple((b, (p, r)) for p, r, b in h.clauses.values())
+    return ((t.body, ()), (h.val_body, (h.val_name,))) + clauses
+
+
+_CHILDREN = {
+    **dict.fromkeys(_LEAVES, lambda t: ()),
+    Lam: lambda t: ((t.body, (t.param,)),),
+    Rec: lambda t: ((t.body, (t.fname, t.param)),),
+    Pair: lambda t: ((t.fst, ()), (t.snd, ())),
+    Inl: lambda t: ((t.value, ()),),
+    Inr: lambda t: ((t.value, ()),),
+    Cons: lambda t: ((t.head, ()), (t.tail, ())),
+    App: lambda t: ((t.fn, ()), (t.arg, ())),
+    Return: lambda t: ((t.value, ()),),
+    Let: lambda t: ((t.bound, ()), (t.body, (t.name,))),
+    Split: lambda t: ((t.pair, ()), (t.body, (t.fst_name, t.snd_name))),
+    Case: lambda t: ((t.scrutinee, ()), (t.left, (t.left_name,)), (t.right, (t.right_name,))),
+    CaseList: lambda t: (
+        (t.scrutinee, ()),
+        (t.nil_body, ()),
+        (t.cons_body, (t.head_name, t.tail_name)),
+    ),
+    Do: lambda t: ((t.arg, ()),),
+    Handle: _handle_children,
+    LetRef: lambda t: ((t.init, ()), (t.body, (t.name,))),
+    Deref: lambda t: ((t.ref, ()),),
+    Assign: lambda t: ((t.ref, ()), (t.value, ())),
+}
+
+
+def _handle_map(t: Handle, f) -> Term:
+    h = t.handler
+    return Handle(
+        f(t.body, ()),
+        Handler(
+            h.val_name,
+            f(h.val_body, (h.val_name,)),
+            {op: (p, r, f(b, (p, r))) for op, (p, r, b) in h.clauses.items()},
+        ),
+    )
+
+
+_MAP_CHILDREN = {
+    **dict.fromkeys(_LEAVES, lambda t, f: t),
+    Lam: lambda t, f: Lam(t.param, f(t.body, (t.param,)), t.param_type),
+    Rec: lambda t, f: Rec(t.fname, t.param, f(t.body, (t.fname, t.param)), t.fn_type),
+    Pair: lambda t, f: Pair(f(t.fst, ()), f(t.snd, ())),
+    Inl: lambda t, f: Inl(f(t.value, ()), t.ann),
+    Inr: lambda t, f: Inr(f(t.value, ()), t.ann),
+    Cons: lambda t, f: Cons(f(t.head, ()), f(t.tail, ())),
+    App: lambda t, f: App(f(t.fn, ()), f(t.arg, ())),
+    Return: lambda t, f: Return(f(t.value, ())),
+    Let: lambda t, f: Let(t.name, f(t.bound, ()), f(t.body, (t.name,))),
+    Split: lambda t, f: Split(
+        f(t.pair, ()), t.fst_name, t.snd_name, f(t.body, (t.fst_name, t.snd_name))
+    ),
+    Case: lambda t, f: Case(
+        f(t.scrutinee, ()),
+        t.left_name,
+        f(t.left, (t.left_name,)),
+        t.right_name,
+        f(t.right, (t.right_name,)),
+    ),
+    CaseList: lambda t, f: CaseList(
+        f(t.scrutinee, ()),
+        f(t.nil_body, ()),
+        t.head_name,
+        t.tail_name,
+        f(t.cons_body, (t.head_name, t.tail_name)),
+    ),
+    Do: lambda t, f: Do(t.op, f(t.arg, ())),
+    Handle: _handle_map,
+    LetRef: lambda t, f: LetRef(t.name, f(t.init, ()), f(t.body, (t.name,))),
+    Deref: lambda t, f: Deref(f(t.ref, ())),
+    Assign: lambda t, f: Assign(f(t.ref, ()), f(t.value, ())),
+}
+
+
+def children(t: Term) -> tuple:
+    """The immediate subterms of t in constructor order, each paired with
+    the tuple of names t binds over it: ``((subterm, names), ...)``."""
+
+    return _CHILDREN[t.__class__](t)
+
+
+def map_children(t: Term, f) -> Term:
+    """Rebuild t with each immediate subterm s replaced by ``f(s, names)``,
+    where names are the binders t puts over s.
+
+    f is called in constructor order.  Binder names, annotations and
+    operation labels are kept; a leaf comes back as the same object.
+    """
+
+    return _MAP_CHILDREN[t.__class__](t, f)
+
 
 def free_vars(t: Term) -> set[str]:
     out: set[str] = set()
-    _fv(t, out, frozenset())
+    stack = [(t, frozenset())]
+    while stack:
+        s, bound = stack.pop()
+        if s.__class__ is Var:
+            if s.name not in bound:
+                out.add(s.name)
+            continue
+        for c, names in _CHILDREN[s.__class__](s):
+            stack.append((c, bound.union(names) if names else bound))
     return out
 
 
-def _fv(t: Term, out: set[str], bound: frozenset[str]) -> None:
-    cls = t.__class__
-    if cls is Var:
-        if t.name not in bound:
-            out.add(t.name)
-    elif cls in (Num, Const, UnitVal, Nil, Loc, Quote):
-        pass
-    elif cls is Lam:
-        _fv(t.body, out, bound | {t.param})
-    elif cls is Rec:
-        _fv(t.body, out, bound | {t.fname, t.param})
-    elif cls is Pair:
-        _fv(t.fst, out, bound)
-        _fv(t.snd, out, bound)
-    elif cls in (Inl, Inr):
-        _fv(t.value, out, bound)
-    elif cls is Cons:
-        _fv(t.head, out, bound)
-        _fv(t.tail, out, bound)
-    elif cls is App:
-        _fv(t.fn, out, bound)
-        _fv(t.arg, out, bound)
-    elif cls is Return:
-        _fv(t.value, out, bound)
-    elif cls is Let:
-        _fv(t.bound, out, bound)
-        _fv(t.body, out, bound | {t.name})
-    elif cls is Split:
-        _fv(t.pair, out, bound)
-        _fv(t.body, out, bound | {t.fst_name, t.snd_name})
-    elif cls is Case:
-        _fv(t.scrutinee, out, bound)
-        _fv(t.left, out, bound | {t.left_name})
-        _fv(t.right, out, bound | {t.right_name})
-    elif cls is CaseList:
-        _fv(t.scrutinee, out, bound)
-        _fv(t.nil_body, out, bound)
-        _fv(t.cons_body, out, bound | {t.head_name, t.tail_name})
-    elif cls is Do:
-        _fv(t.arg, out, bound)
-    elif cls is Handle:
-        _fv(t.body, out, bound)
-        h = t.handler
-        _fv(h.val_body, out, bound | {h.val_name})
-        for op, (p, r, b) in h.clauses.items():
-            _fv(b, out, bound | {p, r})
-    elif cls is LetRef:
-        _fv(t.init, out, bound)
-        _fv(t.body, out, bound | {t.name})
-    elif cls is Deref:
-        _fv(t.ref, out, bound)
-    elif cls is Assign:
-        _fv(t.ref, out, bound)
-        _fv(t.value, out, bound)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown term node {cls.__name__}")
+def rewrite(t: Term, cls: type, g) -> Term:
+    """Replace every node of class cls, innermost first, by g(node), where
+    node already has its own subterms rewritten.
+
+    Only the nodes on a path to a cls node are rebuilt; other subterms are
+    shared.  No recursion, so deep terms do not hit Python's limit.
+    """
+
+    nodes, parents, first = [t], [-1], []
+    on_path: set[int] = set()
+    for i, s in enumerate(nodes):  # breadth-first: nodes grows while read
+        if s.__class__ is cls:
+            j = i
+            while j >= 0 and j not in on_path:
+                on_path.add(j)
+                j = parents[j]
+        first.append(len(nodes))
+        for c, _ in _CHILDREN[s.__class__](s):
+            nodes.append(c)
+            parents.append(i)
+    new: dict[int, Term] = {}
+    for i in sorted(on_path, reverse=True):  # children before parents
+        k = iter(range(first[i], len(nodes)))
+        s = map_children(nodes[i], lambda c, _, k=k: new.get(next(k), c))
+        new[i] = g(s) if s.__class__ is cls else s
+    return new.get(0, t)
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -400,6 +489,7 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return _aeq(a, b, {}, {})
 
 
+# Hand-written on purpose: written on `children` it ran 2-3x slower.
 def _aeq(a: Term, b: Term, ra: dict[str, str], rb: dict[str, str]) -> bool:
     ca, cb = a.__class__, b.__class__
     if ca is not cb:
@@ -506,7 +596,7 @@ class NameSupply:
 
     Reuses the requested base name when it is still free, otherwise
     appends a primed counter (``x``, ``x'1``, ``x'2``, ...).  Primes are
-    identifier characters in the surface syntax, so freshened terms stay
+    identifier characters in the surface syntax, so elaborated terms stay
     printable and re-parseable.
     """
 
@@ -530,122 +620,6 @@ class NameSupply:
                 return name
 
 
-def binder_names(t: Term) -> set[str]:
-    out: set[str] = set()
-    for s in subterms(t):
-        cls = s.__class__
-        if cls is Lam:
-            out.add(s.param)
-        elif cls is Rec:
-            out.add(s.fname)
-            out.add(s.param)
-        elif cls is Let:
-            out.add(s.name)
-        elif cls is Split:
-            out.add(s.fst_name)
-            out.add(s.snd_name)
-        elif cls is Case:
-            out.add(s.left_name)
-            out.add(s.right_name)
-        elif cls is CaseList:
-            out.add(s.head_name)
-            out.add(s.tail_name)
-        elif cls is Handle:
-            out.add(s.handler.val_name)
-            for p, r, _ in s.handler.clauses.values():
-                out.add(p)
-                out.add(r)
-        elif cls is LetRef:
-            out.add(s.name)
-    return out
-
-
-def freshen(t: Term) -> Term:
-    """Rename every binder so binder names are globally unique.
-
-    Substitution and machine environments then never have to worry about
-    capture or accidental shadowing.  Free variables keep their names.
-    """
-
-    return _freshen(t, {}, NameSupply(free_vars(t)))
-
-
-def _freshen(t: Term, env: dict[str, str], ns: NameSupply) -> Term:
-    cls = t.__class__
-    if cls is Var:
-        return Var(env.get(t.name, t.name))
-    if cls in (Num, Const, UnitVal, Nil, Loc, Quote):
-        return t
-    if cls is Lam:
-        p = ns.fresh(t.param)
-        return Lam(p, _freshen(t.body, {**env, t.param: p}, ns), t.param_type)
-    if cls is Rec:
-        f, p = ns.fresh(t.fname), ns.fresh(t.param)
-        return Rec(f, p, _freshen(t.body, {**env, t.fname: f, t.param: p}, ns), t.fn_type)
-    if cls is Pair:
-        return Pair(_freshen(t.fst, env, ns), _freshen(t.snd, env, ns))
-    if cls is Inl:
-        return Inl(_freshen(t.value, env, ns), t.ann)
-    if cls is Inr:
-        return Inr(_freshen(t.value, env, ns), t.ann)
-    if cls is Cons:
-        return Cons(_freshen(t.head, env, ns), _freshen(t.tail, env, ns))
-    if cls is App:
-        return App(_freshen(t.fn, env, ns), _freshen(t.arg, env, ns))
-    if cls is Return:
-        return Return(_freshen(t.value, env, ns))
-    if cls is Let:
-        x = ns.fresh(t.name)
-        return Let(x, _freshen(t.bound, env, ns), _freshen(t.body, {**env, t.name: x}, ns))
-    if cls is Split:
-        a, b = ns.fresh(t.fst_name), ns.fresh(t.snd_name)
-        return Split(
-            _freshen(t.pair, env, ns),
-            a,
-            b,
-            _freshen(t.body, {**env, t.fst_name: a, t.snd_name: b}, ns),
-        )
-    if cls is Case:
-        xl, xr = ns.fresh(t.left_name), ns.fresh(t.right_name)
-        return Case(
-            _freshen(t.scrutinee, env, ns),
-            xl,
-            _freshen(t.left, {**env, t.left_name: xl}, ns),
-            xr,
-            _freshen(t.right, {**env, t.right_name: xr}, ns),
-        )
-    if cls is CaseList:
-        h, tl = ns.fresh(t.head_name), ns.fresh(t.tail_name)
-        return CaseList(
-            _freshen(t.scrutinee, env, ns),
-            _freshen(t.nil_body, env, ns),
-            h,
-            tl,
-            _freshen(t.cons_body, {**env, t.head_name: h, t.tail_name: tl}, ns),
-        )
-    if cls is Do:
-        return Do(t.op, _freshen(t.arg, env, ns))
-    if cls is Handle:
-        h = t.handler
-        vx = ns.fresh(h.val_name)
-        clauses = {}
-        for op, (p, r, b) in h.clauses.items():
-            p2, r2 = ns.fresh(p), ns.fresh(r)
-            clauses[op] = (p2, r2, _freshen(b, {**env, p: p2, r: r2}, ns))
-        return Handle(
-            _freshen(t.body, env, ns),
-            Handler(vx, _freshen(h.val_body, {**env, h.val_name: vx}, ns), clauses),
-        )
-    if cls is LetRef:
-        x = ns.fresh(t.name)
-        return LetRef(x, _freshen(t.init, env, ns), _freshen(t.body, {**env, t.name: x}, ns))
-    if cls is Deref:
-        return Deref(_freshen(t.ref, env, ns))
-    if cls is Assign:
-        return Assign(_freshen(t.ref, env, ns), _freshen(t.value, env, ns))
-    raise TypeError(f"unknown term node {cls.__name__}")  # pragma: no cover
-
-
 def subterms(t: Term):
     """Iterate over every node of a term, t itself included."""
 
@@ -653,46 +627,8 @@ def subterms(t: Term):
     while stack:
         s = stack.pop()
         yield s
-        cls = s.__class__
-        if cls in (Var, Num, Const, UnitVal, Nil, Loc, Quote):
-            continue
-        if cls is Lam:
-            stack.append(s.body)
-        elif cls is Rec:
-            stack.append(s.body)
-        elif cls is Pair:
-            stack += (s.fst, s.snd)
-        elif cls in (Inl, Inr):
-            stack.append(s.value)
-        elif cls is Cons:
-            stack += (s.head, s.tail)
-        elif cls is App:
-            stack += (s.fn, s.arg)
-        elif cls is Return:
-            stack.append(s.value)
-        elif cls is Let:
-            stack += (s.bound, s.body)
-        elif cls is Split:
-            stack += (s.pair, s.body)
-        elif cls is Case:
-            stack += (s.scrutinee, s.left, s.right)
-        elif cls is CaseList:
-            stack += (s.scrutinee, s.nil_body, s.cons_body)
-        elif cls is Do:
-            stack.append(s.arg)
-        elif cls is Handle:
-            stack.append(s.body)
-            stack.append(s.handler.val_body)
-            for _, (_, _, b) in s.handler.clauses.items():
-                stack.append(b)
-        elif cls is LetRef:
-            stack += (s.init, s.body)
-        elif cls is Deref:
-            stack.append(s.ref)
-        elif cls is Assign:
-            stack += (s.ref, s.value)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown term node {cls.__name__}")
+        for c, _ in _CHILDREN[s.__class__](s):
+            stack.append(c)
 
 
 def uses_effects(t: Term) -> bool:
@@ -753,61 +689,4 @@ def complete_handler(h: Handler, sig: Signature) -> Handler:
 def complete_handlers(t: Term, sig: Signature) -> Term:
     """Apply the forwarding completion to every handler inside a term."""
 
-    cls = t.__class__
-    if cls in (Var, Num, Const, UnitVal, Nil, Loc, Quote):
-        return t
-    if cls is Lam:
-        return Lam(t.param, complete_handlers(t.body, sig), t.param_type)
-    if cls is Rec:
-        return Rec(t.fname, t.param, complete_handlers(t.body, sig), t.fn_type)
-    if cls is Pair:
-        return Pair(complete_handlers(t.fst, sig), complete_handlers(t.snd, sig))
-    if cls is Inl:
-        return Inl(complete_handlers(t.value, sig), t.ann)
-    if cls is Inr:
-        return Inr(complete_handlers(t.value, sig), t.ann)
-    if cls is Cons:
-        return Cons(complete_handlers(t.head, sig), complete_handlers(t.tail, sig))
-    if cls is App:
-        return App(complete_handlers(t.fn, sig), complete_handlers(t.arg, sig))
-    if cls is Return:
-        return Return(complete_handlers(t.value, sig))
-    if cls is Let:
-        return Let(t.name, complete_handlers(t.bound, sig), complete_handlers(t.body, sig))
-    if cls is Split:
-        return Split(
-            complete_handlers(t.pair, sig), t.fst_name, t.snd_name, complete_handlers(t.body, sig)
-        )
-    if cls is Case:
-        return Case(
-            complete_handlers(t.scrutinee, sig),
-            t.left_name,
-            complete_handlers(t.left, sig),
-            t.right_name,
-            complete_handlers(t.right, sig),
-        )
-    if cls is CaseList:
-        return CaseList(
-            complete_handlers(t.scrutinee, sig),
-            complete_handlers(t.nil_body, sig),
-            t.head_name,
-            t.tail_name,
-            complete_handlers(t.cons_body, sig),
-        )
-    if cls is Do:
-        return Do(t.op, complete_handlers(t.arg, sig))
-    if cls is Handle:
-        h = t.handler
-        h2 = Handler(
-            h.val_name,
-            complete_handlers(h.val_body, sig),
-            {op: (p, r, complete_handlers(b, sig)) for op, (p, r, b) in h.clauses.items()},
-        )
-        return Handle(complete_handlers(t.body, sig), complete_handler(h2, sig))
-    if cls is LetRef:
-        return LetRef(t.name, complete_handlers(t.init, sig), complete_handlers(t.body, sig))
-    if cls is Deref:
-        return Deref(complete_handlers(t.ref, sig))
-    if cls is Assign:
-        return Assign(complete_handlers(t.ref, sig), complete_handlers(t.value, sig))
-    raise TypeError(f"unknown term node {cls.__name__}")  # pragma: no cover
+    return rewrite(t, Handle, lambda h: Handle(h.body, complete_handler(h.handler, sig)))

@@ -100,9 +100,10 @@ def test_bench_command(tmp_path):
 
 
 def test_bench_spec_file():
+    # ticks and envOps are the cost model: the grid must not move
     code, out, _ = run_cli("bench", "--spec", str(PROGRAMS / "grid.spec"))
     assert code == 0
-    assert out.splitlines()[0].startswith("impl,pred")
+    assert out == (PROGRAMS.parent / "perfbench" / "grid.csv").read_text()
 
 
 def test_trace_flag(tmp_path):
@@ -140,3 +141,38 @@ def test_trace_golden_toss():
     code, out, err = run_cli("run", str(PROGRAMS / "toss.fx"), "--trace")
     assert code == 0 and err == ""
     assert out == (GOLDEN / "toss_trace.txt").read_text()
+
+
+def assert_one_line_error(code, out, err, *fragments):
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    for frag in fragments:
+        assert frag in err
+
+
+def test_run_missing_file(tmp_path):
+    missing = str(tmp_path / "missing.fx")
+    assert_one_line_error(*run_cli("run", missing), missing, "No such file")
+
+
+def test_bench_spec_missing_file(tmp_path):
+    missing = str(tmp_path / "missing.spec")
+    assert_one_line_error(*run_cli("bench", "--spec", missing), missing, "No such file")
+
+
+def test_bench_spec_malformed_line(tmp_path):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("impls effcount\npreds = odd\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)), "bad.spec: line 1: expected key")
+
+
+def test_bench_spec_unknown_program(tmp_path):
+    spec = tmp_path / "nosuch.spec"
+    spec.write_text("impls = nosuch\npreds = odd\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)), "unknown program 'nosuch'")
+
+
+def test_check_deep_nesting(tmp_path):
+    f = tmp_path / "deep.fx"
+    f.write_text("return " + "(" * 3000 + "1" + ")" * 3000 + "\n")
+    assert_one_line_error(*run_cli("check", str(f)), "deep.fx: nesting too deep")

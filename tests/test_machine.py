@@ -2,11 +2,12 @@ import pytest
 
 from fxlang import countlib as cl
 from fxlang import machine as mc
+from fxlang.decompile import reify
 from fxlang.errors import FuelExhausted
 from fxlang.gen import random_program
 from fxlang.parser import parse_program, parse_term
 from fxlang.pprint import render_mval
-from fxlang.syntax import BOOL, UNIT, complete_handlers
+from fxlang.syntax import BOOL, UNIT, Cons, Nil, Num, complete_handlers
 
 
 def run(src, sig=None, **kw):
@@ -250,3 +251,19 @@ def test_composed_pure_counter_runs_on_base_machine():
     st = mc.inject(term)  # a pure program: ends at the answer stop
     assert mc.drive(st, fuel=10**6) == "answer"
     assert st.out_value == 2
+
+
+def test_long_list_value_no_recursion_cliff():
+    # effsearch x odd@14 returns 8,192 points; a 5,000-cell list must not
+    # hit Python's recursion limit in equality, repr or reify
+    a, b = mc.VNIL, mc.VNIL
+    for i in range(5000):
+        a, b = mc.VCons(i, a), mc.VCons(i, b)
+    assert a == b and not a == mc.VCons(-1, b.tail)
+    assert repr(a).count(" :: ") == 5000 and repr(a).endswith("0 :: []")
+    t, n = reify(a), 5000
+    while t.__class__ is Cons:
+        n -= 1
+        assert t.head.__class__ is Num and t.head.value == n
+        t = t.tail
+    assert n == 0 and t.__class__ is Nil
