@@ -19,6 +19,7 @@ from fxlang import trees as tr
 from fxlang.errors import FuelExhausted
 from fxlang.parser import ParseError, parse_program
 from fxlang.pprint import render_mval, to_source
+from fxlang.syntax import complete_handlers
 from fxlang.typecheck import TypeCheckError, typecheck_program
 
 
@@ -41,26 +42,29 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _trace_smallstep(term, sig, fuel: int):
+    """Print each reduct of a small-step run; return its normal form and reduction count."""
+
+    cfg = ss.StateConfig(complete_handlers(term, sig) if sig else term)
+    steps = 0
+    while steps < fuel:
+        out = ss.step(cfg, sig)
+        if not isinstance(out, ss.StateConfig):
+            return out, steps
+        steps += 1
+        print(to_source(out.term))
+        cfg = out
+    raise FuelExhausted(steps)
+
+
 def cmd_run(args) -> int:
     sig, term, _ = _load(args.file)
     if args.semantics == "smallstep":
-        if args.trace:
-            from fxlang.syntax import complete_handlers
-
-            cfg = ss.StateConfig(complete_handlers(term, sig) if sig else term)
-            steps = 0
-            while steps < args.fuel:
-                out = ss.step(cfg, sig)
-                if not isinstance(out, ss.StateConfig):
-                    break
-                steps += 1
-                print(to_source(out.term))
-                cfg = out
-            else:
-                print(f"fuel exhausted after {steps} reductions", file=sys.stderr)
-                return 3
         try:
-            out, steps, _ = ss.evaluate(term, sig, fuel=args.fuel)
+            if args.trace:
+                out, steps = _trace_smallstep(term, sig, args.fuel)
+            else:
+                out, steps, _ = ss.evaluate(term, sig, fuel=args.fuel)
         except FuelExhausted as exc:
             print(f"fuel exhausted after {exc.steps} reductions", file=sys.stderr)
             return 3
@@ -71,15 +75,11 @@ def cmd_run(args) -> int:
         print(to_source(out.value))
         print(f"reductions: {steps}")
         return 0
-    if args.trace:
-        try:
+    try:
+        if args.trace:
             for tick, rule, head, depth in mc.trace_run(term, sig, fuel=args.fuel):
                 print(f"tick={tick} rule={rule} comp={head} depth(k)={depth}")
-        except FuelExhausted as exc:
-            print(f"fuel exhausted after {exc.steps} transitions", file=sys.stderr)
-            return 3
-        return 0
-    try:
+            return 0
         res = mc.run_machine(term, sig, fuel=args.fuel)
     except FuelExhausted as exc:
         print(f"fuel exhausted after {exc.steps} transitions", file=sys.stderr)

@@ -30,6 +30,7 @@ from fxlang.syntax import (
     Handle,
     Signature,
     Term,
+    as_value,
     language_level,
     subterms,
 )
@@ -760,16 +761,6 @@ _register(ProgramDescriptor(
 # ---------------------------------------------------------------------------
 
 
-def as_value(term: Term) -> Term:
-    """Unwrap the trivial computation around a program that is a value."""
-
-    from fxlang.syntax import Return, is_value
-
-    if term.__class__ is Return and is_value(term.value):
-        return term.value
-    return term
-
-
 def predicate_bits(pred: ProgramDescriptor, n: Optional[int]) -> int:
     if pred.bits is None:
         raise ValueError(f"{pred.name} is not a predicate")
@@ -786,6 +777,17 @@ def build_predicate(pred_name: str, n: Optional[int]) -> tuple[Term, int]:
     return as_value(term), predicate_bits(desc, n)
 
 
+def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]:
+    """A counter or searcher built at ``bits`` applied to a predicate, and its signature."""
+
+    impl = get(impl_name)
+    if impl.kind not in ("counter", "searcher"):
+        raise ValueError(f"{impl_name} is not a counter or searcher")
+    counter_term, sig = impl.build(bits if impl.takes_n else None)
+    lint_handles_ops(pred_term, sig.keys())
+    return App(as_value(counter_term), pred_term), sig
+
+
 def compose(impl_name: str, pred_name: str, n: Optional[int]) -> tuple[Term, Signature, int]:
     """Apply a counter/searcher to a predicate: the closed program to run.
 
@@ -794,13 +796,9 @@ def compose(impl_name: str, pred_name: str, n: Optional[int]) -> tuple[Term, Sig
     are linted against handling the counter's operations.
     """
 
-    impl = get(impl_name)
-    if impl.kind not in ("counter", "searcher"):
-        raise ValueError(f"{impl_name} is not a counter or searcher")
     pred_term, bits = build_predicate(pred_name, n)
-    counter_term, sig = impl.build(bits if impl.takes_n else None)
-    lint_handles_ops(pred_term, sig.keys())
-    return App(as_value(counter_term), pred_term), sig, bits
+    term, sig = _apply(impl_name, pred_term, bits)
+    return term, sig, bits
 
 
 @dataclass(slots=True)
@@ -824,20 +822,7 @@ def run_report(
     """
 
     term, sig, bits = compose(impl_name, pred_name, n)
-    res = mc.run_machine(term, sig, fuel)
-    impl = get(impl_name)
-    result = _impl_result(impl, res.value)
-    return StepReport(
-        impl_name, pred_name, n if n is not None else bits, result, res.ticks, res.envops
-    )
-
-
-def _impl_result(impl: ProgramDescriptor, value):
-    if impl.kind == "searcher":
-        return len(mc.mval_list(value))
-    if value.__class__ is not int:
-        raise StuckError(f"counter returned a non-numeral: {value!r}")
-    return value
+    return _report(impl_name, pred_name, n if n is not None else bits, term, sig, fuel)
 
 
 def run_on_predicate(
@@ -845,26 +830,18 @@ def run_on_predicate(
 ) -> StepReport:
     """Run a counter or searcher on a caller-supplied predicate term."""
 
-    impl = get(impl_name)
-    if impl.kind not in ("counter", "searcher"):
-        raise ValueError(f"{impl_name} is not a counter or searcher")
-    pred_term = as_value(pred_term)
-    counter_term, sig = impl.build(bits if impl.takes_n else None)
-    lint_handles_ops(pred_term, sig.keys())
-    term = App(as_value(counter_term), pred_term)
+    term, sig = _apply(impl_name, as_value(pred_term), bits)
+    return _report(impl_name, "<custom>", bits, term, sig, fuel)
+
+
+def _report(impl_name, pred_label, n, term, sig, fuel) -> StepReport:
     res = mc.run_machine(term, sig, fuel)
-    result = _impl_result(impl, res.value)
-    return StepReport(impl_name, "<custom>", bits, result, res.ticks, res.envops)
-
-
-def search_points(
-    impl_name: str, pred_name: str, n: Optional[int], fuel: int = mc.DEFAULT_FUEL
-) -> list:
-    """Run a searcher and return the machine values of the points found."""
-
-    term, sig, _ = compose(impl_name, pred_name, n)
-    res = mc.run_machine(term, sig, fuel)
-    return mc.mval_list(res.value)
+    result = res.value
+    if get(impl_name).kind == "searcher":
+        result = len(mc.mval_list(result))
+    elif result.__class__ is not int:
+        raise StuckError(f"counter returned a non-numeral: {result!r}")
+    return StepReport(impl_name, pred_label, n, result, res.ticks, res.envops)
 
 
 def point_term(bits: list[bool]) -> Term:

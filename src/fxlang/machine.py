@@ -22,6 +22,10 @@ extensions.  Every data structure a resumption captures is persistent
 capturing the topmost resumption is O(1) and captured continuations can
 be re-invoked any number of times.
 
+Rule names live in `drive`: each branch of its dispatch is one rule and
+names itself, so `step` and `trace_run` read the name off the state that
+a one-transition run stops in.
+
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
 cell contents (ML-style references).
@@ -309,8 +313,6 @@ class RunResult:
     outcome: FinalValue | FinalUnhandledOp
     ticks: int
     envops: int
-    store: dict
-    loc_counter: int
 
     @property
     def value(self):
@@ -388,7 +390,7 @@ class MachineState:
     __slots__ = (
         "comp", "env", "kont", "store", "locc", "memo",
         "ticks", "meter", "memo_cells",
-        "out_kind", "out_value", "out_op", "out_arg", "out_query",
+        "rule", "out_value", "out_op", "out_arg", "out_query",
     )
 
     def __init__(self, comp, env, kont, store=None, locc=0, memo=None, memo_cells=None):
@@ -401,7 +403,7 @@ class MachineState:
         self.memo_cells = [0] if memo_cells is None else memo_cells
         self.ticks = 0
         self.meter = Meter()
-        self.out_kind = None
+        self.rule = None
         self.out_value = None
         self.out_op = None
         self.out_arg = None
@@ -429,6 +431,9 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     'fuel', with details left on the state.  'answer' is the final state
     of a run over `answer_cont`; 'op' means an operation reached the
     bottom identity handler: the unhandled-operation final state.
+
+    Each branch that fires a transition names its rule in ``rule``; a
+    'fuel' stop leaves the last rule fired on ``st.rule``.
     """
 
     comp = st.comp
@@ -457,9 +462,11 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 fname = frame[1]
                 v = interp(comp.value, env, meter)
                 if fname is None:  # memo-record frame
+                    rule = "M-Memo-Record"
                     memo[frame[0]] = v
                     comp = Return(Quote(v))
-                else:  # M-RetCont
+                else:
+                    rule = "M-RetCont"
                     env = dict(frame[0])
                     env[fname] = v
                     meter.envops += 1
@@ -468,7 +475,8 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             elif chi is None:
                 st.out_value = interp(comp.value, env, meter)
                 return _park(st, "value", comp, env, sigma, chi, rest, ticks)
-            else:  # M-RetHandler
+            else:
+                rule = "M-RetHandler"
                 v = interp(comp.value, env, meter)
                 henv, h = chi
                 if rest is None:
@@ -490,6 +498,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             fv = interp(comp.fn, env, meter)
             fcls = fv.__class__
             if fcls is VClosure:
+                rule = "M-App"
                 av = interp(comp.arg, env, meter)
                 lam = fv.term
                 env = dict(fv.env)
@@ -498,6 +507,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 comp = lam.body
                 ticks += 1
             elif fcls is VRecClosure:
+                rule = "M-Rec"
                 av = interp(comp.arg, env, meter)
                 rec = fv.term
                 env = dict(fv.env)
@@ -509,13 +519,16 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             elif fcls is Const:
                 av = interp(comp.arg, env, meter)
                 if fv.name == "memoise":
+                    rule = "M-Memo"
                     cell = st.memo_cells[0]
                     st.memo_cells[0] = cell + 1
                     comp = Return(Quote(VMemo(cell, av)))
                 else:
+                    rule = "M-Const"
                     comp = Return(Quote(delta_m(fv.name, av)))
                 ticks += 1
-            elif fcls is tuple:  # M-Resume
+            elif fcls is tuple:
+                rule = "M-Resume"
                 comp = Return(comp.arg)
                 rest = ((sigma, chi), rest)
                 sigma, chi = fv
@@ -523,9 +536,10 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             elif fcls is VMemo:
                 cached = memo.get(fv.cell, _ABSENT)
                 if cached is not _ABSENT:
+                    rule = "M-Memo-Hit"
                     comp = Return(Quote(cached))
-                    ticks += 1
                 else:
+                    rule = "M-Memo-Force"
                     av = interp(comp.arg, env, meter)
                     thunk = fv.thunk
                     if thunk.__class__ is not VClosure:
@@ -536,7 +550,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     env[lam.param] = av
                     meter.envops += 1
                     comp = lam.body
-                    ticks += 1
+                ticks += 1
             elif fcls is VSentinel:
                 if probe is not None and fv is probe:
                     st.out_query = interp(comp.arg, env, meter)
@@ -546,6 +560,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 raise StuckError(f"application of a non-function: {fv!r}")
 
         elif cls is Let:
+            rule = "M-Let"
             sigma = ((env, comp.name, comp.body), sigma)
             comp = comp.bound
             ticks += 1
@@ -554,11 +569,13 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             sv = interp(comp.scrutinee, env, meter)
             scls = sv.__class__
             if scls is VInl:
+                rule = "M-CaseL"
                 env = dict(env)
                 env[comp.left_name] = sv.value
                 meter.envops += 1
                 comp = comp.left
             elif scls is VInr:
+                rule = "M-CaseR"
                 env = dict(env)
                 env[comp.right_name] = sv.value
                 meter.envops += 1
@@ -580,6 +597,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     f"mid-stack handler lacks a clause for {comp.op!r}; "
                     "handlers must be completed before running"
                 )
+            rule = "M-Handle-Op"
             p, r, body = clause
             av = interp(comp.arg, env, meter)
             env = dict(chi[0])
@@ -594,6 +612,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             pv = interp(comp.pair, env, meter)
             if pv.__class__ is not VPair:
                 raise StuckError("split of a non-pair")
+            rule = "M-Split"
             env = dict(env)
             env[comp.fst_name] = pv.fst
             env[comp.snd_name] = pv.snd
@@ -605,8 +624,10 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             sv = interp(comp.scrutinee, env, meter)
             scls = sv.__class__
             if scls is VNil:
+                rule = "M-CaseNil"
                 comp = comp.nil_body
             elif scls is VCons:
+                rule = "M-CaseCons"
                 env = dict(env)
                 env[comp.head_name] = sv.head
                 env[comp.tail_name] = sv.tail
@@ -617,6 +638,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             ticks += 1
 
         elif cls is Handle:
+            rule = "M-Handle"
             rest = ((sigma, chi), rest)
             sigma = None
             chi = (env, comp.handler)
@@ -624,6 +646,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             ticks += 1
 
         elif cls is LetRef:
+            rule = "M-Alloc"
             store[st.locc] = interp(comp.init, env, meter)
             env = dict(env)
             env[comp.name] = VLoc(st.locc)
@@ -636,6 +659,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             rv = interp(comp.ref, env, meter)
             if rv.__class__ is not VLoc:
                 raise StuckError("dereference of a non-location")
+            rule = "M-Deref"
             comp = Return(Quote(store[rv.index]))
             ticks += 1
 
@@ -643,6 +667,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             rv = interp(comp.ref, env, meter)
             if rv.__class__ is not VLoc:
                 raise StuckError("assignment to a non-location")
+            rule = "M-Assign"
             store[rv.index] = interp(comp.value, env, meter)
             comp = _RET_UNIT
             ticks += 1
@@ -651,6 +676,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             raise StuckError(f"no machine rule for {cls.__name__}")
 
         if ticks >= fuel:
+            st.rule = rule
             return _park(st, "fuel", comp, env, sigma, chi, rest, ticks)
 
 
@@ -659,8 +685,15 @@ def _park(st, kind, comp, env, sigma, chi, rest, ticks):
 
     st.comp, st.env, st.ticks = comp, env, ticks
     st.kont = None if chi is None else ((sigma, chi), rest)
-    st.out_kind = kind
     return kind
+
+
+def _outcome(st, kind):
+    """The final state a stopped run reached, from its stop kind."""
+
+    if kind == "op":
+        return FinalUnhandledOp(st.out_op, st.out_arg)
+    return FinalValue(st.out_value)
 
 
 _ABSENT = object()
@@ -694,15 +727,11 @@ def run_machine(term: Term, sig: Signature | None = None, fuel: int = DEFAULT_FU
     kind = drive(st, fuel)
     if kind == "fuel":
         raise FuelExhausted(st.ticks)
-    if kind == "op":
-        outcome: FinalValue | FinalUnhandledOp = FinalUnhandledOp(st.out_op, st.out_arg)
-    else:
-        outcome = FinalValue(st.out_value)
-    return RunResult(outcome, st.ticks, st.meter.envops, st.store, st.locc)
+    return RunResult(_outcome(st, kind), st.ticks, st.meter.envops)
 
 
 # ---------------------------------------------------------------------------
-# Single steps (slow path: tracing, decompilation tests)
+# Single steps and traces: `drive` one transition at a time
 # ---------------------------------------------------------------------------
 
 
@@ -710,69 +739,18 @@ def step(st: MachineState):
     """One machine transition on a fork of ``st`` (see `MachineState.fork`).
 
     Returns (rule_name, MachineState) or ('final', Final...) when ``st``
-    is final.  The rule names follow the machine description: M-App,
-    M-Rec, M-Const, M-Split, M-CaseL, M-CaseR, M-CaseNil, M-CaseCons,
-    M-Let, M-RetCont, M-Handle, M-RetHandler, M-Handle-Op, M-Resume,
-    M-Alloc, M-Deref, M-Assign, M-Memo, M-Memo-Hit, M-Memo-Force,
-    M-Memo-Record.
+    is final.  The rule name is the one `drive` gave the transition it
+    fired: M-App, M-Rec, M-Const, M-Split, M-CaseL, M-CaseR, M-CaseNil,
+    M-CaseCons, M-Let, M-RetCont, M-Handle, M-RetHandler, M-Handle-Op,
+    M-Resume, M-Alloc, M-Deref, M-Assign, M-Memo, M-Memo-Hit,
+    M-Memo-Force, M-Memo-Record.
     """
 
-    rule = _classify_rule(st)
     nxt = st.fork(st.comp)
     kind = drive(nxt, fuel=1)
     if kind == "fuel":  # the one transition fired
-        return rule, nxt
-    if kind == "op":
-        return "final", FinalUnhandledOp(nxt.out_op, nxt.out_arg)
-    return "final", FinalValue(nxt.out_value)
-
-
-def _classify_rule(st: MachineState) -> str:
-    comp = st.comp
-    cls = comp.__class__
-    m = Meter()
-    if cls is Return:
-        if st.kont is None:
-            return "final"
-        (sigma, chi), rest = st.kont
-        if sigma is not None:
-            return "M-Memo-Record" if sigma[0][1] is None else "M-RetCont"
-        return "M-RetHandler"
-    if cls is App:
-        fv = interp(comp.fn, st.env, m)
-        fcls = fv.__class__
-        if fcls is VClosure:
-            return "M-App"
-        if fcls is tuple:
-            return "M-Resume"
-        if fcls is VRecClosure:
-            return "M-Rec"
-        if fcls is Const:
-            return "M-Memo" if fv.name == "memoise" else "M-Const"
-        if fcls is VMemo:
-            return "M-Memo-Hit" if fv.cell in st.memo else "M-Memo-Force"
-        return "stuck"
-    if cls is Let:
-        return "M-Let"
-    if cls is Split:
-        return "M-Split"
-    if cls is Case:
-        sv = interp(comp.scrutinee, st.env, m)
-        return "M-CaseL" if sv.__class__ is VInl else "M-CaseR"
-    if cls is CaseList:
-        sv = interp(comp.scrutinee, st.env, m)
-        return "M-CaseNil" if sv.__class__ is VNil else "M-CaseCons"
-    if cls is Do:
-        return "M-Handle-Op"
-    if cls is Handle:
-        return "M-Handle"
-    if cls is LetRef:
-        return "M-Alloc"
-    if cls is Deref:
-        return "M-Deref"
-    if cls is Assign:
-        return "M-Assign"
-    return "stuck"
+        return nxt.rule, nxt
+    return "final", _outcome(nxt, kind)
 
 
 def kont_depth(kont) -> int:
@@ -783,12 +761,8 @@ def kont_depth(kont) -> int:
     return d
 
 
-def comp_head(t: Term) -> str:
-    return t.__class__.__name__
-
-
 def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
-    """Step a term transition by transition, yielding
+    """Run a term transition by transition, yielding
     (tick, rule, head-form, continuation-depth) tuples.
 
     A pure run reports depth 0 throughout: it never leaves its bottom
@@ -799,12 +773,8 @@ def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
         term = complete_handlers(term, sig)
     pure = not uses_effects(term)
     st = inject(term)
-    tick = 0
-    while tick < fuel:
-        rule, nxt = step(st)
-        if rule == "final":
+    while st.ticks < fuel:
+        if drive(st, st.ticks + 1) != "fuel":
             return
-        tick += 1
-        yield tick, rule, comp_head(nxt.comp), 0 if pure else kont_depth(nxt.kont)
-        st = nxt
-    raise FuelExhausted(tick)
+        yield st.ticks, st.rule, st.comp.__class__.__name__, 0 if pure else kont_depth(st.kont)
+    raise FuelExhausted(st.ticks)

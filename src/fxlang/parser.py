@@ -592,10 +592,6 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-class ElabError(Exception):
-    pass
-
-
 class _Elab:
     def __init__(self, sig: Signature, supply: NameSupply):
         self.sig = sig

@@ -47,19 +47,23 @@ def type_to_source(ty: sx.Type) -> str:
     if cls is sx.UnitType:
         return "Unit"
     if cls is sx.Arrow:
-        dom = type_to_source(ty.dom)
-        if isinstance(ty.dom, sx.Arrow):
-            dom = f"({dom})"
-        return f"{dom} -> {type_to_source(ty.cod)}"
+        return f"{_operand(ty.dom)} -> {type_to_source(ty.cod)}"
     if cls is sx.Prod:
-        return f"({type_to_source(ty.fst)} * {type_to_source(ty.snd)})"
+        return f"({_operand(ty.fst)} * {_operand(ty.snd)})"
     if cls is sx.Sum:
-        return f"({type_to_source(ty.left)} + {type_to_source(ty.right)})"
+        return f"({_operand(ty.left)} + {_operand(ty.right)})"
     if cls is sx.RefType:
         return f"Ref ({type_to_source(ty.elem)})"
     if cls is sx.ListType:
         return f"List ({type_to_source(ty.elem)})"
     raise TypeError(f"unknown type {ty!r}")
+
+
+def _operand(ty: sx.Type) -> str:
+    """A domain or an operand of ``*`` or ``+``, where an arrow needs parentheses."""
+
+    s = type_to_source(ty)
+    return f"({s})" if ty.__class__ is sx.Arrow else s
 
 
 def to_source(t: Term) -> str:
@@ -93,14 +97,14 @@ def _pp(t: Term, ctx: int) -> str:
         if t.value.__class__ is UnitVal and t.ann in (None, sx.BOOL):
             return "true"
         s = f"inl {_pp(t.value, _ATOM)}"
-        if t.ann is not None and t.ann != sx.BOOL:
+        if t.ann is not None:
             return f"({s} : {type_to_source(t.ann)})"
         return _paren(s, _APP, ctx)
     if cls is Inr:
         if t.value.__class__ is UnitVal and t.ann in (None, sx.BOOL):
             return "false"
         s = f"inr {_pp(t.value, _ATOM)}"
-        if t.ann is not None and t.ann != sx.BOOL:
+        if t.ann is not None:
             return f"({s} : {type_to_source(t.ann)})"
         return _paren(s, _APP, ctx)
     if cls is Nil:

@@ -36,17 +36,20 @@ from typing import Optional
 class Type:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        from fxlang import pprint
+
+        return pprint.type_to_source(self)
+
 
 @dataclass(frozen=True, slots=True)
 class NatType(Type):
-    def __str__(self) -> str:
-        return "Nat"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
 class UnitType(Type):
-    def __str__(self) -> str:
-        return "Unit"
+    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,18 +57,11 @@ class Arrow(Type):
     dom: Type
     cod: Type
 
-    def __str__(self) -> str:
-        dom = f"({self.dom})" if isinstance(self.dom, Arrow) else str(self.dom)
-        return f"{dom} -> {self.cod}"
-
 
 @dataclass(frozen=True, slots=True)
 class Prod(Type):
     fst: Type
     snd: Type
-
-    def __str__(self) -> str:
-        return f"({self.fst} * {self.snd})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,26 +69,15 @@ class Sum(Type):
     left: Type
     right: Type
 
-    def __str__(self) -> str:
-        if self == BOOL:
-            return "Bool"
-        return f"({self.left} + {self.right})"
-
 
 @dataclass(frozen=True, slots=True)
 class RefType(Type):
     elem: Type
 
-    def __str__(self) -> str:
-        return f"Ref ({self.elem})"
-
 
 @dataclass(frozen=True, slots=True)
 class ListType(Type):
     elem: Type
-
-    def __str__(self) -> str:
-        return f"List ({self.elem})"
 
 
 NAT = NatType()
@@ -324,6 +309,14 @@ VALUE_CLASSES = (Var, Num, Const, UnitVal, Lam, Rec, Pair, Inl, Inr, Nil, Cons, 
 
 def is_value(t: Term) -> bool:
     return isinstance(t, VALUE_CLASSES)
+
+
+def as_value(t: Term) -> Term:
+    """Unwrap the trivial computation around a program that is a value."""
+
+    if t.__class__ is Return and is_value(t.value):
+        return t.value
+    return t
 
 
 # ---------------------------------------------------------------------------

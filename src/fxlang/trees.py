@@ -36,6 +36,7 @@ from fxlang.syntax import (
     Signature,
     Term,
     Var,
+    as_value,
     bool_,
     complete_handlers,
     is_value,
@@ -271,8 +272,7 @@ def extract_tree(
         raise ValueError("no decision tree for stateful predicates")
     if sig:
         pred = complete_handlers(pred, sig)
-    if pred.__class__ is Return and is_value(pred.value):
-        pred = pred.value
+    pred = as_value(pred)
     probe = mc.VSentinel(probe_name)
     root = App(pred, Var(probe_name)) if is_value(pred) else pred
     st0 = mc.MachineState(root, {probe_name: probe}, mc.answer_cont())

@@ -2,6 +2,9 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from fxlang import smallstep as ss
 from fxlang.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -141,6 +144,18 @@ def test_trace_golden_toss():
     code, out, err = run_cli("run", str(PROGRAMS / "toss.fx"), "--trace")
     assert code == 0 and err == ""
     assert out == (GOLDEN / "toss_trace.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["toss", "pair_arith"])
+def test_smallstep_trace_golden(name, monkeypatch):
+    # the trace ends with the value and reduction count of its own run;
+    # resumption binders are numbered from a process-wide counter
+    monkeypatch.setattr(ss, "_fresh_counter", 0)
+    code, out, err = run_cli(
+        "run", str(PROGRAMS / f"{name}.fx"), "--semantics", "smallstep", "--trace"
+    )
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{name}_smallstep_trace.txt").read_text()
 
 
 def assert_one_line_error(code, out, err, *fragments):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fxlang import countlib as cl
@@ -13,6 +15,22 @@ from fxlang.syntax import BOOL, UNIT, Cons, Nil, Num, complete_handlers
 def run(src, sig=None, **kw):
     term = parse_term(src, sig)
     return mc.run_machine(term, sig, **kw)
+
+
+# The rule names `step` documents.
+RULES = set(re.findall(r"M-[A-Za-z]+(?:-[A-Za-z]+)*", mc.step.__doc__))
+
+
+def fired(term, sig=None):
+    """The rule of each transition of a run, one forked `step` at a time."""
+
+    st = mc.inject(complete_handlers(term, sig) if sig else term)
+    out = []
+    while True:
+        rule, st = mc.step(st)
+        if rule == "final":
+            return out
+        out.append(rule)
 
 
 def test_inject_initial_state():
@@ -73,15 +91,7 @@ def test_fast_loop_matches_single_steps():
             res = mc.run_machine(t2, None, fuel=20_000)
         except FuelExhausted:
             continue
-        st = mc.inject(t2)
-        ticks = 0
-        while True:
-            rule, nxt = mc.step(st)
-            if rule == "final":
-                break
-            ticks += 1
-            st = nxt
-        assert ticks == res.ticks
+        assert len(fired(t2)) == res.ticks
 
 
 def test_deterministic_reports():
@@ -174,17 +184,9 @@ let f = memoise (fun (_ : Unit) -> return [true]) in
 let a <- f () in
 f ()
 """
-    term = parse_term(src)
-    ticks = []
-    st = mc.inject(term)
-    while True:
-        rule, nxt = mc.step(st)
-        if rule == "final":
-            break
-        ticks.append(rule)
-        st = nxt
-    assert ticks.count("M-Memo-Force") == 1
-    assert ticks.count("M-Memo-Hit") == 1
+    rules = fired(parse_term(src))
+    assert rules.count("M-Memo-Force") == 1
+    assert rules.count("M-Memo-Hit") == 1
 
 
 def test_memoise_behaves_as_identity_wrap():
@@ -234,9 +236,63 @@ def test_trace_classifies_all_pure_rules():
         "case [a] {[] -> return 0; h :: t -> !r}"
     )
     rules = set(rule for _, rule, _, _ in mc.trace_run(term))
-    assert "stuck" not in rules
+    assert rules <= RULES
     for wanted in ("M-Split", "M-Alloc", "M-Assign", "M-CaseCons", "M-Deref"):
         assert wanted in rules
+
+
+MULTI_SHOT = """
+operation Branch : Unit -> Bool
+handle (let y <- do Branch () in if y then return 7 else return 9) with {
+  val x -> return x;
+  Branch () r -> let a <- r true in let b <- r false in return (a, b)
+}
+"""
+
+
+# Programs and the rules they fire, in order; together they fire every rule.
+RULE_CASES = [
+    ("let (a, b) = (1, 2) in letref r = a in (r := b); case [a] {[] -> return 0; h :: t -> !r}",
+     "Split Alloc Let Assign RetCont CaseCons Deref"),
+    ("case ([] : List Nat) {[] -> return 0; h :: t -> return h}", "CaseNil"),
+    ("case (inl 3 : Nat + Nat) {inl x -> x + 1; inr y -> return y}", "CaseL Const"),
+    ("case (inr 3 : Nat + Nat) {inl x -> return x; inr y -> y + 1}", "CaseR Const"),
+    ("(rec (f : Nat -> Nat) i -> if i = 0 then return 0 else f (i - 1)) 1",
+     "Rec Let Const RetCont CaseR Let Const RetCont Rec Let Const RetCont CaseL"),
+    ("(fun (x : Nat) -> x + 1) 1", "App Const"),
+    ("let f = memoise (fun (_ : Unit) -> return [true]) in let a <- f () in f ()",
+     "Let Memo RetCont Let RetCont Let Memo-Force Memo-Record RetCont Memo-Hit"),
+    (MULTI_SHOT,
+     "Handle Let Handle-Op Let Resume RetCont CaseL RetHandler "
+     "RetCont Let Resume RetCont CaseR RetHandler RetCont RetHandler"),
+]
+
+
+@pytest.mark.parametrize("src, rules", RULE_CASES)
+def test_rule_names(src, rules):
+    sig, term = parse_program(src)
+    want = ["M-" + r for r in rules.split()]
+    assert fired(term, sig) == want
+    assert [rule for _, rule, _, _ in mc.trace_run(term, sig)] == want
+
+
+def test_rule_cases_fire_every_rule():
+    # so every branch of `drive` is checked for its name
+    names = {"M-" + r for _, rules in RULE_CASES for r in rules.split()}
+    assert len(RULES) == 21 and names == RULES
+
+
+def test_trace_run_agrees_with_forked_steps():
+    for seed in range(200):
+        term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 7 == 3)
+        term = complete_handlers(term, sig) if sig else term
+        try:
+            res = mc.run_machine(term, None, fuel=20_000)
+        except FuelExhausted:
+            continue
+        traced = [rule for _, rule, _, _ in mc.trace_run(term)]
+        assert traced == fired(term), seed
+        assert len(traced) == res.ticks and set(traced) <= RULES, seed
 
 
 def test_handler_rules_appear_in_traces():

@@ -1,7 +1,8 @@
 import pytest
 
+from fxlang.gen import random_program
 from fxlang.parser import ParseError, parse_program, parse_term
-from fxlang.pprint import to_source
+from fxlang.pprint import program_to_source, to_source
 from fxlang.syntax import (
     App,
     Case,
@@ -16,6 +17,7 @@ from fxlang.syntax import (
     Var,
     alpha_eq,
 )
+from fxlang.typecheck import typecheck_program
 
 
 def roundtrip(src, sig=None):
@@ -94,6 +96,36 @@ def test_print_parse_roundtrip(src):
     sig = {"Branch": (__import__("fxlang.syntax", fromlist=["UNIT"]).UNIT,
                       __import__("fxlang.syntax", fromlist=["BOOL"]).BOOL)}
     roundtrip(src, sig)
+
+
+def retypecheck(sig, term):
+    """Print a program, parse it back and typecheck the result."""
+
+    src = program_to_source(sig, term)
+    sig2, again = parse_program(src)
+    typecheck_program(sig2, again)
+    assert sig2 == sig and alpha_eq(term, again), src
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # an arrow operand of a sum keeps its parentheses
+        "return (inl (fun (u : Unit) -> return 1) : (Unit -> Nat) + Unit)",
+        # a Bool annotation on a non-literal injection is printed
+        "fun (x : Unit) -> return (inr x : Bool)",
+    ],
+)
+def test_printed_annotations_typecheck(src):
+    term = parse_term(src)
+    typecheck_program({}, term)
+    retypecheck({}, term)
+
+
+def test_generated_programs_retypecheck():
+    for seed in range(1000):
+        term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)
+        retypecheck(sig, term)
 
 
 def test_handler_roundtrip():
