@@ -227,7 +227,7 @@ def lemma_shape(term, sig, cap=400) -> Optional[str]:
                 return f"{rule} fired on a normal form"
             if not alpha_eq(out.term, dec):
                 return f"{rule} is not one reduction"
-            scfg = StateConfig(dec, out.loc_counter, out.store)
+            scfg = StateConfig(dec, out.loc_counter, out.store, out.resume_counter)
         cur, st = dec, nxt
     return None
 

@@ -26,6 +26,19 @@ Rule names live in `drive`: each branch of its dispatch is one rule and
 names itself, so `step` and `trace_run` read the name off the state that
 a one-transition run stops in.
 
+How a transition is carried out in Python is not part of the cost model,
+so `drive` takes three shortcuts that leave ticks and envOps as they
+are.  It reads a variable operand with one dict lookup instead of
+calling `interp`, which stays the reader of every other value term.  A
+rule that computes a value (M-Const, M-Deref, M-Memo, M-Memo-Hit,
+M-Memo-Record) leaves it in a local value register rather than building
+a ``Return(Quote(v))`` that the next M-RetCont or M-RetHandler takes
+apart at once; a run that stops there parks that term, so the register
+is never visible on a stopped `MachineState`.  And a constant applied to
+a literal pair, as in ``x + 1``, reads the two components directly and
+builds no `VPair`; `delta_m` takes the two naturals and is still the
+one definition of ``+``, ``-`` and ``=``.
+
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
 cell contents (ML-style references).
@@ -361,10 +374,11 @@ def interp(v: Term, env: dict, meter: Meter):
     raise StuckError(f"not a value term: {v!r}")
 
 
-def delta_m(name: str, v):
-    if v.__class__ is not VPair or v.fst.__class__ is not int or v.snd.__class__ is not int:
+def delta_m(name: str, a, b):
+    """The arithmetic constants on the two components of their pair."""
+
+    if a.__class__ is not int or b.__class__ is not int:
         raise StuckError(f"constant {name!r} applied to a non-numeric pair")
-    a, b = v.fst, v.snd
     if name == "+":
         return a + b
     if name == "-":
@@ -434,6 +448,18 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
 
     Each branch that fires a transition names its rule in ``rule``; a
     'fuel' stop leaves the last rule fired on ``st.rule``.
+
+    Three shortcuts keep the hot rules cheap without changing what they
+    cost.  A variable operand is read with ``env[name]`` inline; `interp`
+    reads every other value term.  A rule whose result is a computed
+    value (M-Const, M-Deref, M-Memo, M-Memo-Hit, M-Memo-Record) puts it
+    in the register ``val`` and sets ``comp`` to None, meaning "return
+    ``val``", so the next M-RetCont or M-RetHandler reads it without a
+    ``Return(Quote(v))`` being built; `_park` builds that term only when a
+    run stops there, so a stopped state never holds the register.  A
+    constant applied to a literal pair reads the two components
+    directly, with no `VPair`.  envOps are counted in a local and added
+    to ``st.meter`` on every exit.
     """
 
     comp = st.comp
@@ -452,238 +478,302 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     memo = st.memo
     ticks = st.ticks
     meter = st.meter
+    envops = 0
+    val = None
 
-    while True:
-        cls = comp.__class__
+    try:
+        while True:
+            cls = comp.__class__
 
-        if cls is Return:
-            if sigma is not None:
-                frame, sigma = sigma
-                fname = frame[1]
-                v = interp(comp.value, env, meter)
-                if fname is None:  # memo-record frame
-                    rule = "M-Memo-Record"
-                    memo[frame[0]] = v
-                    comp = Return(Quote(v))
+            if comp is None or cls is Return:
+                if comp is not None:
+                    x = comp.value
+                    if x.__class__ is Var:
+                        envops += 1
+                        val = env[x.name]
+                    else:
+                        val = interp(x, env, meter)
+                if sigma is not None:
+                    frame, sigma = sigma
+                    fname = frame[1]
+                    if fname is None:  # memo-record frame
+                        rule = "M-Memo-Record"
+                        memo[frame[0]] = val
+                        comp = None
+                    else:
+                        rule = "M-RetCont"
+                        env = dict(frame[0])
+                        env[fname] = val
+                        envops += 1
+                        comp = frame[2]
+                    ticks += 1
+                elif chi is None:
+                    st.out_value = val
+                    return _park(st, "value", comp, val, env, sigma, chi, rest, ticks)
                 else:
-                    rule = "M-RetCont"
-                    env = dict(frame[0])
-                    env[fname] = v
-                    meter.envops += 1
-                    comp = frame[2]
-                ticks += 1
-            elif chi is None:
-                st.out_value = interp(comp.value, env, meter)
-                return _park(st, "value", comp, env, sigma, chi, rest, ticks)
-            else:
-                rule = "M-RetHandler"
-                v = interp(comp.value, env, meter)
-                henv, h = chi
-                if rest is None:
-                    if h is ANSWER_HANDLER:
-                        # The answer stop: a pure term's result, or a
-                        # probed predicate's answer leaf.
-                        st.out_value = v
-                        return _park(st, "answer", comp, env, sigma, chi, rest, ticks)
-                    chi = None
+                    rule = "M-RetHandler"
+                    henv, h = chi
+                    if rest is None:
+                        if h is ANSWER_HANDLER:
+                            # The answer stop: a pure term's result, or a
+                            # probed predicate's answer leaf.
+                            st.out_value = val
+                            return _park(st, "answer", comp, val, env, sigma, chi, rest, ticks)
+                        chi = None
+                    else:
+                        (sigma, chi), rest = rest
+                    env = dict(henv)
+                    env[h.val_name] = val
+                    envops += 1
+                    comp = h.val_body
+                    ticks += 1
+
+            elif cls is App:
+                x = comp.fn
+                if x.__class__ is Var:
+                    envops += 1
+                    fv = env[x.name]
                 else:
-                    (sigma, chi), rest = rest
-                env = dict(henv)
-                env[h.val_name] = v
-                meter.envops += 1
-                comp = h.val_body
+                    fv = interp(x, env, meter)
+                fcls = fv.__class__
+                if fcls is VClosure or fcls is VRecClosure:
+                    x = comp.arg
+                    if x.__class__ is Var:
+                        envops += 1
+                        av = env[x.name]
+                    else:
+                        av = interp(x, env, meter)
+                    fn = fv.term
+                    env = dict(fv.env)
+                    if fcls is VRecClosure:
+                        rule = "M-Rec"
+                        env[fn.fname] = fv
+                        envops += 1
+                    else:
+                        rule = "M-App"
+                    env[fn.param] = av
+                    envops += 1
+                    comp = fn.body
+                    ticks += 1
+                elif fcls is Const:
+                    x = comp.arg
+                    if fv.name == "memoise":
+                        rule = "M-Memo"
+                        cell = st.memo_cells[0]
+                        st.memo_cells[0] = cell + 1
+                        val = VMemo(cell, interp(x, env, meter))
+                    elif x.__class__ is Pair:
+                        rule = "M-Const"
+                        a = x.fst
+                        if a.__class__ is Var:
+                            envops += 1
+                            a = env[a.name]
+                        elif a.__class__ is Num:
+                            a = a.value
+                        else:
+                            a = interp(a, env, meter)
+                        b = x.snd
+                        if b.__class__ is Var:
+                            envops += 1
+                            b = env[b.name]
+                        elif b.__class__ is Num:
+                            b = b.value
+                        else:
+                            b = interp(b, env, meter)
+                        val = delta_m(fv.name, a, b)
+                    else:  # an operand bound to a pair, or no pair at all
+                        rule = "M-Const"
+                        pv = interp(x, env, meter)
+                        if pv.__class__ is not VPair:
+                            raise StuckError(f"constant {fv.name!r} applied to a non-numeric pair")
+                        val = delta_m(fv.name, pv.fst, pv.snd)
+                    comp = None
+                    ticks += 1
+                elif fcls is tuple:
+                    rule = "M-Resume"
+                    comp = Return(comp.arg)
+                    rest = ((sigma, chi), rest)
+                    sigma, chi = fv
+                    ticks += 1
+                elif fcls is VMemo:
+                    cached = memo.get(fv.cell, _ABSENT)
+                    if cached is not _ABSENT:
+                        rule = "M-Memo-Hit"
+                        val = cached
+                        comp = None
+                    else:
+                        rule = "M-Memo-Force"
+                        av = interp(comp.arg, env, meter)
+                        thunk = fv.thunk
+                        if thunk.__class__ is not VClosure:
+                            raise StuckError("memoised value is not a closure")
+                        sigma = ((fv.cell, None, None), sigma)
+                        lam = thunk.term
+                        env = dict(thunk.env)
+                        env[lam.param] = av
+                        envops += 1
+                        comp = lam.body
+                    ticks += 1
+                elif fcls is VSentinel:
+                    if probe is not None and fv is probe:
+                        st.out_query = interp(comp.arg, env, meter)
+                        return _park(st, "query", comp, val, env, sigma, chi, rest, ticks)
+                    raise StuckError("application of the probe value outside extraction")
+                else:
+                    raise StuckError(f"application of a non-function: {fv!r}")
+
+            elif cls is Let:
+                rule = "M-Let"
+                sigma = ((env, comp.name, comp.body), sigma)
+                comp = comp.bound
                 ticks += 1
 
-        elif cls is App:
-            fv = interp(comp.fn, env, meter)
-            fcls = fv.__class__
-            if fcls is VClosure:
-                rule = "M-App"
-                av = interp(comp.arg, env, meter)
-                lam = fv.term
-                env = dict(fv.env)
-                env[lam.param] = av
-                meter.envops += 1
-                comp = lam.body
-                ticks += 1
-            elif fcls is VRecClosure:
-                rule = "M-Rec"
-                av = interp(comp.arg, env, meter)
-                rec = fv.term
-                env = dict(fv.env)
-                env[rec.fname] = fv
-                env[rec.param] = av
-                meter.envops += 2
-                comp = rec.body
-                ticks += 1
-            elif fcls is Const:
-                av = interp(comp.arg, env, meter)
-                if fv.name == "memoise":
-                    rule = "M-Memo"
-                    cell = st.memo_cells[0]
-                    st.memo_cells[0] = cell + 1
-                    comp = Return(Quote(VMemo(cell, av)))
+            elif cls is Case:
+                x = comp.scrutinee
+                if x.__class__ is Var:
+                    envops += 1
+                    sv = env[x.name]
                 else:
-                    rule = "M-Const"
-                    comp = Return(Quote(delta_m(fv.name, av)))
+                    sv = interp(x, env, meter)
+                scls = sv.__class__
+                if scls is VInl:
+                    rule = "M-CaseL"
+                    env = dict(env)
+                    env[comp.left_name] = sv.value
+                    comp = comp.left
+                elif scls is VInr:
+                    rule = "M-CaseR"
+                    env = dict(env)
+                    env[comp.right_name] = sv.value
+                    comp = comp.right
+                else:
+                    raise StuckError("case on a non-sum")
+                envops += 1
                 ticks += 1
-            elif fcls is tuple:
-                rule = "M-Resume"
-                comp = Return(comp.arg)
+
+            elif cls is Do:
+                clause = chi[1].clauses.get(comp.op)
+                if clause is None:
+                    if rest is None:
+                        # Fell through to the identity handler: the
+                        # unhandled-operation final state.
+                        st.out_op = comp.op
+                        st.out_arg = interp(comp.arg, env, meter)
+                        return _park(st, "op", comp, val, env, sigma, chi, rest, ticks)
+                    raise StuckError(
+                        f"mid-stack handler lacks a clause for {comp.op!r}; "
+                        "handlers must be completed before running"
+                    )
+                rule = "M-Handle-Op"
+                p, r, body = clause
+                av = interp(comp.arg, env, meter)
+                env = dict(chi[0])
+                env[p] = av
+                env[r] = (sigma, chi)
+                envops += 2
+                comp = body
+                (sigma, chi), rest = rest
+                ticks += 1
+
+            elif cls is Split:
+                x = comp.pair
+                if x.__class__ is Var:
+                    envops += 1
+                    pv = env[x.name]
+                else:
+                    pv = interp(x, env, meter)
+                if pv.__class__ is not VPair:
+                    raise StuckError("split of a non-pair")
+                rule = "M-Split"
+                env = dict(env)
+                env[comp.fst_name] = pv.fst
+                env[comp.snd_name] = pv.snd
+                envops += 2
+                comp = comp.body
+                ticks += 1
+
+            elif cls is CaseList:
+                x = comp.scrutinee
+                if x.__class__ is Var:
+                    envops += 1
+                    sv = env[x.name]
+                else:
+                    sv = interp(x, env, meter)
+                scls = sv.__class__
+                if scls is VNil:
+                    rule = "M-CaseNil"
+                    comp = comp.nil_body
+                elif scls is VCons:
+                    rule = "M-CaseCons"
+                    env = dict(env)
+                    env[comp.head_name] = sv.head
+                    env[comp.tail_name] = sv.tail
+                    envops += 2
+                    comp = comp.cons_body
+                else:
+                    raise StuckError("list case on a non-list")
+                ticks += 1
+
+            elif cls is Handle:
+                rule = "M-Handle"
                 rest = ((sigma, chi), rest)
-                sigma, chi = fv
+                sigma = None
+                chi = (env, comp.handler)
+                comp = comp.body
                 ticks += 1
-            elif fcls is VMemo:
-                cached = memo.get(fv.cell, _ABSENT)
-                if cached is not _ABSENT:
-                    rule = "M-Memo-Hit"
-                    comp = Return(Quote(cached))
-                else:
-                    rule = "M-Memo-Force"
-                    av = interp(comp.arg, env, meter)
-                    thunk = fv.thunk
-                    if thunk.__class__ is not VClosure:
-                        raise StuckError("memoised value is not a closure")
-                    sigma = ((fv.cell, None, None), sigma)
-                    lam = thunk.term
-                    env = dict(thunk.env)
-                    env[lam.param] = av
-                    meter.envops += 1
-                    comp = lam.body
+
+            elif cls is LetRef:
+                rule = "M-Alloc"
+                store[st.locc] = interp(comp.init, env, meter)
+                env = dict(env)
+                env[comp.name] = VLoc(st.locc)
+                envops += 1
+                st.locc += 1
+                comp = comp.body
                 ticks += 1
-            elif fcls is VSentinel:
-                if probe is not None and fv is probe:
-                    st.out_query = interp(comp.arg, env, meter)
-                    return _park(st, "query", comp, env, sigma, chi, rest, ticks)
-                raise StuckError("application of the probe value outside extraction")
+
+            elif cls is Deref:
+                rv = interp(comp.ref, env, meter)
+                if rv.__class__ is not VLoc:
+                    raise StuckError("dereference of a non-location")
+                rule = "M-Deref"
+                val = store[rv.index]
+                comp = None
+                ticks += 1
+
+            elif cls is Assign:
+                rv = interp(comp.ref, env, meter)
+                if rv.__class__ is not VLoc:
+                    raise StuckError("assignment to a non-location")
+                rule = "M-Assign"
+                store[rv.index] = interp(comp.value, env, meter)
+                comp = _RET_UNIT
+                ticks += 1
+
             else:
-                raise StuckError(f"application of a non-function: {fv!r}")
+                raise StuckError(f"no machine rule for {cls.__name__}")
 
-        elif cls is Let:
-            rule = "M-Let"
-            sigma = ((env, comp.name, comp.body), sigma)
-            comp = comp.bound
-            ticks += 1
-
-        elif cls is Case:
-            sv = interp(comp.scrutinee, env, meter)
-            scls = sv.__class__
-            if scls is VInl:
-                rule = "M-CaseL"
-                env = dict(env)
-                env[comp.left_name] = sv.value
-                meter.envops += 1
-                comp = comp.left
-            elif scls is VInr:
-                rule = "M-CaseR"
-                env = dict(env)
-                env[comp.right_name] = sv.value
-                meter.envops += 1
-                comp = comp.right
-            else:
-                raise StuckError("case on a non-sum")
-            ticks += 1
-
-        elif cls is Do:
-            clause = chi[1].clauses.get(comp.op)
-            if clause is None:
-                if rest is None:
-                    # Fell through to the identity handler: the
-                    # unhandled-operation final state.
-                    st.out_op = comp.op
-                    st.out_arg = interp(comp.arg, env, meter)
-                    return _park(st, "op", comp, env, sigma, chi, rest, ticks)
-                raise StuckError(
-                    f"mid-stack handler lacks a clause for {comp.op!r}; "
-                    "handlers must be completed before running"
-                )
-            rule = "M-Handle-Op"
-            p, r, body = clause
-            av = interp(comp.arg, env, meter)
-            env = dict(chi[0])
-            env[p] = av
-            env[r] = (sigma, chi)
-            meter.envops += 2
-            comp = body
-            (sigma, chi), rest = rest
-            ticks += 1
-
-        elif cls is Split:
-            pv = interp(comp.pair, env, meter)
-            if pv.__class__ is not VPair:
-                raise StuckError("split of a non-pair")
-            rule = "M-Split"
-            env = dict(env)
-            env[comp.fst_name] = pv.fst
-            env[comp.snd_name] = pv.snd
-            meter.envops += 2
-            comp = comp.body
-            ticks += 1
-
-        elif cls is CaseList:
-            sv = interp(comp.scrutinee, env, meter)
-            scls = sv.__class__
-            if scls is VNil:
-                rule = "M-CaseNil"
-                comp = comp.nil_body
-            elif scls is VCons:
-                rule = "M-CaseCons"
-                env = dict(env)
-                env[comp.head_name] = sv.head
-                env[comp.tail_name] = sv.tail
-                meter.envops += 2
-                comp = comp.cons_body
-            else:
-                raise StuckError("list case on a non-list")
-            ticks += 1
-
-        elif cls is Handle:
-            rule = "M-Handle"
-            rest = ((sigma, chi), rest)
-            sigma = None
-            chi = (env, comp.handler)
-            comp = comp.body
-            ticks += 1
-
-        elif cls is LetRef:
-            rule = "M-Alloc"
-            store[st.locc] = interp(comp.init, env, meter)
-            env = dict(env)
-            env[comp.name] = VLoc(st.locc)
-            meter.envops += 1
-            st.locc += 1
-            comp = comp.body
-            ticks += 1
-
-        elif cls is Deref:
-            rv = interp(comp.ref, env, meter)
-            if rv.__class__ is not VLoc:
-                raise StuckError("dereference of a non-location")
-            rule = "M-Deref"
-            comp = Return(Quote(store[rv.index]))
-            ticks += 1
-
-        elif cls is Assign:
-            rv = interp(comp.ref, env, meter)
-            if rv.__class__ is not VLoc:
-                raise StuckError("assignment to a non-location")
-            rule = "M-Assign"
-            store[rv.index] = interp(comp.value, env, meter)
-            comp = _RET_UNIT
-            ticks += 1
-
-        else:
-            raise StuckError(f"no machine rule for {cls.__name__}")
-
-        if ticks >= fuel:
-            st.rule = rule
-            return _park(st, "fuel", comp, env, sigma, chi, rest, ticks)
+            if ticks >= fuel:
+                st.rule = rule
+                return _park(st, "fuel", comp, val, env, sigma, chi, rest, ticks)
+    except KeyError as e:
+        # The loop's dict reads are ``env[name]`` and ``store[index]``.
+        (key,) = e.args
+        what = "variable" if key.__class__ is str else "location"
+        raise StuckError(f"unbound {what} {key!r}") from None
+    finally:
+        meter.envops += envops
 
 
-def _park(st, kind, comp, env, sigma, chi, rest, ticks):
-    """Leave a stopped run's registers on its state, so it can resume."""
+def _park(st, kind, comp, val, env, sigma, chi, rest, ticks):
+    """Leave a stopped run's registers on its state, so it can resume.
 
-    st.comp, st.env, st.ticks = comp, env, ticks
+    A computation held in the value register is parked as the term it
+    stands for, ``return <val>``.
+    """
+
+    st.comp = Return(Quote(val)) if comp is None else comp
+    st.env, st.ticks = env, ticks
     st.kont = None if chi is None else ((sigma, chi), rest)
     return kind
 

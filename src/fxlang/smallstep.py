@@ -55,11 +55,13 @@ from fxlang.syntax import (
 
 @dataclass(slots=True)
 class StateConfig:
-    """A computation paired with a store: (term, location counter, store)."""
+    """A computation paired with a store: (term, location counter, store),
+    and the number of resumption binders named so far (``resume.yN``)."""
 
     term: Term
     loc_counter: int = 0
     store: dict[int, Term] = field(default_factory=dict)
+    resume_counter: int = 0
 
 
 @dataclass(slots=True)
@@ -198,15 +200,6 @@ def _rebuild(frames: list, upto: int, core: Term) -> Term:
     return core
 
 
-_fresh_counter = 0
-
-
-def _fresh_resume_var() -> str:
-    global _fresh_counter
-    _fresh_counter += 1
-    return f"resume.y{_fresh_counter}"
-
-
 def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal:
     """Perform exactly one reduction, or report the normal form."""
 
@@ -219,7 +212,8 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             if m.bound.__class__ is Return:
                 contractum = subst(m.body, {m.name: m.bound.value})
                 return StateConfig(
-                    _rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store
+                    _rebuild(frames, len(frames), contractum),
+                    cfg.loc_counter, cfg.store, cfg.resume_counter,
                 )
             frames.append((_LET, m.name, m.body))
             m = m.bound
@@ -229,7 +223,8 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
                 h = m.handler
                 contractum = subst(h.val_body, {h.val_name: m.body.value})
                 return StateConfig(
-                    _rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store
+                    _rebuild(frames, len(frames), contractum),
+                    cfg.loc_counter, cfg.store, cfg.resume_counter,
                 )
             frames.append((_HANDLE, m.handler))
             m = m.body
@@ -255,7 +250,8 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
                     f"handler lacks a clause for {m.op!r}; complete handlers first"
                 )
             p, r, body = clause
-            y = _fresh_resume_var()
+            resumes = cfg.resume_counter + 1
+            y = f"resume.y{resumes}"
             resumed: Term = Return(Var(y))
             for j in range(len(frames) - 1, i, -1):
                 fj = frames[j]
@@ -263,13 +259,12 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             result_ty = sig[m.op][1] if sig and m.op in sig else None
             resumption = Lam(y, Handle(resumed, h), result_ty)
             contractum = subst(body, {p: m.arg, r: resumption})
-            return StateConfig(
-                _rebuild(frames, i, contractum), cfg.loc_counter, cfg.store
-            )
+            return StateConfig(_rebuild(frames, i, contractum), cfg.loc_counter, cfg.store, resumes)
         residual = _rebuild(frames, len(frames), m)
         return NormalOp(m.op, m.arg, residual)
 
-    # Beta-style redexes.
+    # Beta-style redexes and the store rules.
+    loc, store = cfg.loc_counter, cfg.store
     if cls is App:
         fn = m.fn
         fcls = fn.__class__
@@ -281,14 +276,12 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             contractum = Return(delta(fn.name, m.arg))
         else:
             raise StuckError(f"application of a non-function: {fn!r}")
-        return StateConfig(_rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store)
-    if cls is Split:
+    elif cls is Split:
         p = m.pair
         if p.__class__ is not Pair:
             raise StuckError("split of a non-pair")
         contractum = subst(m.body, {m.fst_name: p.fst, m.snd_name: p.snd})
-        return StateConfig(_rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store)
-    if cls is Case:
+    elif cls is Case:
         s = m.scrutinee
         if s.__class__ is Inl:
             contractum = subst(m.left, {m.left_name: s.value})
@@ -296,8 +289,7 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             contractum = subst(m.right, {m.right_name: s.value})
         else:
             raise StuckError("case on a non-sum")
-        return StateConfig(_rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store)
-    if cls is CaseList:
+    elif cls is CaseList:
         s = m.scrutinee
         if s.__class__ is Nil:
             contractum = m.nil_body
@@ -305,33 +297,30 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             contractum = subst(m.cons_body, {m.head_name: s.head, m.tail_name: s.tail})
         else:
             raise StuckError("list case on a non-list")
-        return StateConfig(_rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store)
-    if cls is LetRef:
-        loc = cfg.loc_counter
-        store = dict(cfg.store)
+    elif cls is LetRef:
+        store = dict(store)
         store[loc] = m.init
         contractum = subst(m.body, {m.name: Loc(loc)})
-        return StateConfig(_rebuild(frames, len(frames), contractum), loc + 1, store)
-    if cls is Deref:
+        loc += 1
+    elif cls is Deref:
         r = m.ref
         if r.__class__ is not Loc:
             raise StuckError("dereference of a non-location")
-        if r.index not in cfg.store:
+        if r.index not in store:
             raise StuckError(f"unbound location {r.index}")
-        contractum = Return(cfg.store[r.index])
-        return StateConfig(_rebuild(frames, len(frames), contractum), cfg.loc_counter, cfg.store)
-    if cls is Assign:
+        contractum = Return(store[r.index])
+    elif cls is Assign:
         r = m.ref
         if r.__class__ is not Loc:
             raise StuckError("assignment to a non-location")
-        if r.index not in cfg.store:
+        if r.index not in store:
             raise StuckError(f"unbound location {r.index}")
-        store = dict(cfg.store)
+        store = dict(store)
         store[r.index] = m.value
-        return StateConfig(
-            _rebuild(frames, len(frames), Return(UNIT_V)), cfg.loc_counter, store
-        )
-    raise StuckError(f"no rule for {cls.__name__}")
+        contractum = Return(UNIT_V)
+    else:
+        raise StuckError(f"no rule for {cls.__name__}")
+    return StateConfig(_rebuild(frames, len(frames), contractum), loc, store, cfg.resume_counter)
 
 
 def evaluate(

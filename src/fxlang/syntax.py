@@ -187,9 +187,10 @@ class Loc(Term):
 class Quote(Term):
     """A machine value lifted back into value-term position.
 
-    Runtime-only.  The machine uses it when a transition must place a
-    computed value (a store read, a constant result, a memoised result)
-    into the computation component of a configuration.
+    Runtime-only.  The machine uses it when a run stops right after a
+    transition that computed a value (a store read, a constant result, a
+    memoised result): the stopped configuration's computation is
+    ``return`` of that value.
     """
 
     mval: object

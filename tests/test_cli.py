@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from fxlang import smallstep as ss
 from fxlang.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -147,10 +146,8 @@ def test_trace_golden_toss():
 
 
 @pytest.mark.parametrize("name", ["toss", "pair_arith"])
-def test_smallstep_trace_golden(name, monkeypatch):
-    # the trace ends with the value and reduction count of its own run;
-    # resumption binders are numbered from a process-wide counter
-    monkeypatch.setattr(ss, "_fresh_counter", 0)
+def test_smallstep_trace_golden(name):
+    # the trace ends with the value and reduction count of its own run
     code, out, err = run_cli(
         "run", str(PROGRAMS / f"{name}.fx"), "--semantics", "smallstep", "--trace"
     )

@@ -4,12 +4,33 @@ import pytest
 
 from fxlang import countlib as cl
 from fxlang import machine as mc
-from fxlang.decompile import reify
-from fxlang.errors import FuelExhausted
+from fxlang.decompile import decompile, reify
+from fxlang.errors import FuelExhausted, StuckError
 from fxlang.gen import random_program
 from fxlang.parser import parse_program, parse_term
 from fxlang.pprint import render_mval
-from fxlang.syntax import BOOL, UNIT, Cons, Nil, Num, complete_handlers
+from fxlang.syntax import (
+    BOOL,
+    UNIT,
+    UNIT_V,
+    App,
+    Case,
+    Cons,
+    Const,
+    Deref,
+    Inl,
+    Lam,
+    Let,
+    Loc,
+    Nil,
+    Num,
+    Pair,
+    Quote,
+    Rec,
+    Return,
+    Var,
+    complete_handlers,
+)
 
 
 def run(src, sig=None, **kw):
@@ -323,3 +344,81 @@ def test_long_list_value_no_recursion_cliff():
         assert t.head.__class__ is Num and t.head.value == n
         t = t.tail
     assert n == 0 and t.__class__ is Nil
+
+
+# Stuck states: each error is raised where the operand is read, fast
+# path or not, and is a StuckError, never a bare KeyError.
+_RET_X = Return(Var("x"))
+STUCK_CASES = [
+    (_RET_X, "unbound variable 'x'"),
+    (App(Var("x"), Num(1)), "unbound variable 'x'"),
+    (App(Lam("y", Return(Var("y"))), Var("x")), "unbound variable 'x'"),
+    (App(Rec("f", "y", Return(Var("y"))), Var("x")), "unbound variable 'x'"),
+    (Case(Var("x"), "l", Return(Num(0)), "r", Return(Num(1))), "unbound variable 'x'"),
+    (App(Const("+"), Pair(Var("x"), Num(1))), "unbound variable 'x'"),
+    (App(Const("+"), Pair(Num(1), Var("x"))), "unbound variable 'x'"),
+    (Let("p", Return(Pair(Num(1), Num(2))), App(Const("+"), Var("x"))),
+     "unbound variable 'x'"),
+    (App(Const("+"), Pair(Num(1), UNIT_V)), "non-numeric pair"),
+    (App(Const("-"), Pair(Inl(UNIT_V), Num(1))), "non-numeric pair"),
+    (Let("p", Return(Pair(Num(1), UNIT_V)), App(Const("+"), Var("p"))), "non-numeric pair"),
+    (App(Const("="), Num(1)), "non-numeric pair"),
+    (Deref(Loc(3)), "unbound location 3"),
+    (App(Num(1), Num(2)), "application of a non-function"),
+    (Let("f", Return(UNIT_V), App(Var("f"), Num(2))), "application of a non-function"),
+]
+
+
+@pytest.mark.parametrize("term, message", STUCK_CASES)
+def test_stuck_states_raise_stuck_error(term, message):
+    with pytest.raises(StuckError, match=re.escape(message)):
+        mc.run_machine(term)
+    with pytest.raises(StuckError, match=re.escape(message)):
+        fired(term)
+
+
+def test_delta_m_defines_the_constants():
+    assert mc.delta_m("+", 2, 3) == 5
+    assert mc.delta_m("-", 2, 3) == 0 and mc.delta_m("-", 3, 2) == 1
+    assert mc.delta_m("=", 4, 4) == mc.VTRUE and mc.delta_m("=", 4, 5) == mc.VFALSE
+    for a, b in [(1, mc.VUNIT), (mc.VTRUE, 1), (1, None)]:
+        with pytest.raises(StuckError, match="non-numeric pair"):
+            mc.delta_m("+", a, b)
+    with pytest.raises(StuckError, match="unknown constant"):
+        mc.delta_m("*", 2, 3)
+
+
+# Rules whose result is a computed value, and programs that fire them.
+VALUE_RULE_CASES = [
+    ("2 + 3", "M-Const", [5]),
+    ("letref r = 4 in !r", "M-Deref", [4]),
+    ("let f = memoise (fun (_ : Unit) -> return 7) in let a <- f () in f ()",
+     "M-Memo-Record", [7]),
+    ("let f = memoise (fun (_ : Unit) -> return 7) in let a <- f () in f ()",
+     "M-Memo-Hit", [7]),
+    ("let f = memoise (fun (_ : Unit) -> return 7) in f ()", "M-Memo", [mc.VMemo]),
+]
+
+
+@pytest.mark.parametrize("src, rule, values", VALUE_RULE_CASES)
+def test_fuel_stop_after_value_rule_parks_a_quoted_return(src, rule, values):
+    # a run stopped right after the rule shows its result as return <v>,
+    # which decompiles and resumes like any other configuration
+    st = mc.inject(parse_term(src))
+    seen = []
+    while True:
+        name, nxt = mc.step(st)
+        if name == "final":
+            break
+        if name == rule:
+            comp = nxt.comp
+            assert comp.__class__ is Return and comp.value.__class__ is Quote
+            v = comp.value.mval
+            seen.append(v.__class__ if isinstance(values[0], type) else v)
+            decompile(nxt)
+        st = nxt
+    assert seen == values
+    # and the in-place loop that `trace_run` uses parks the same way
+    st = mc.inject(parse_term(src))
+    while mc.drive(st, st.ticks + 1) == "fuel":
+        assert st.comp is not None

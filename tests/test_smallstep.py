@@ -114,6 +114,26 @@ handle (let a <- do Branch () in return a) with {
     assert alpha_eq(a.term, b.term)
 
 
+def test_step_is_a_function_of_its_input():
+    # resumption binders are numbered from the configuration, so handler
+    # runs elsewhere in the process do not rename them
+    sig, t = parse_program("""
+operation Branch : Unit -> Bool
+handle (let a <- do Branch () in return a) with {
+  val x -> return [x];
+  Branch () r -> let u <- r true in let v <- r false in return u
+}
+""")
+    cfg = StateConfig(complete_handlers(t, sig))
+    before = step(cfg, sig)
+    term, sig2, _ = cl.compose("effcount", "odd", 3)
+    evaluate(term, sig2)
+    after = step(cfg, sig)
+    assert "resume.y1" in to_source(before.term)
+    assert to_source(after.term) == to_source(before.term)
+    assert before.resume_counter == after.resume_counter == 1
+
+
 def test_step_counts_reductions_not_navigation():
     # navigating into nested lets costs nothing: one step per redex
     t = parse_term("let a <- (let b <- return 1 in b + 1) in a + 1")
