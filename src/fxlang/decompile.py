@@ -10,6 +10,8 @@ tests lean on both facts.
 
 from __future__ import annotations
 
+from itertools import count
+
 from fxlang import machine as mc
 from fxlang.smallstep import subst
 from fxlang.syntax import (
@@ -34,49 +36,47 @@ from fxlang.syntax import (
     free_vars,
 )
 
-_resume_counter = 0
+def reify(v, names=None) -> Term:
+    """A machine value as the closed value term it denotes.
 
+    ``names`` numbers the binders of reified resumptions (``resume.yN``)
+    within one decompilation; a fresh numbering starts at 1, so the
+    result is a function of ``v`` alone.
+    """
 
-def _fresh_resume() -> str:
-    global _resume_counter
-    _resume_counter += 1
-    return f"resume.y{_resume_counter}"
-
-
-def reify(v) -> Term:
-    """A machine value as the closed value term it denotes."""
-
+    if names is None:
+        names = count(1)
     cls = v.__class__
     if cls is int:
         return Num(v)
     if cls is mc.VUnit:
         return UNIT_V
     if cls is mc.VPair:
-        return Pair(reify(v.fst), reify(v.snd))
+        return Pair(reify(v.fst, names), reify(v.snd, names))
     if cls is mc.VInl:
-        return Inl(reify(v.value))
+        return Inl(reify(v.value, names))
     if cls is mc.VInr:
-        return Inr(reify(v.value))
+        return Inr(reify(v.value, names))
     if cls is mc.VNil:
         return Nil()
     if cls is mc.VCons:  # along the spine in a loop, so long lists do not recurse
         heads = []
         while v.__class__ is mc.VCons:
-            heads.append(reify(v.head))
+            heads.append(reify(v.head, names))
             v = v.tail
-        out = reify(v)
+        out = reify(v, names)
         for h in reversed(heads):
             out = Cons(h, out)
         return out
     if cls is mc.VClosure:
         lam: Lam = v.term
-        return Lam(lam.param, open_term(lam.body, v.env, {lam.param}), lam.param_type)
+        return Lam(lam.param, open_term(lam.body, v.env, {lam.param}, names), lam.param_type)
     if cls is mc.VRecClosure:
         rec: Rec = v.term
         return Rec(
             rec.fname,
             rec.param,
-            open_term(rec.body, v.env, {rec.fname, rec.param}),
+            open_term(rec.body, v.env, {rec.fname, rec.param}, names),
             rec.fn_type,
         )
     if cls is Const:
@@ -86,72 +86,68 @@ def reify(v) -> Term:
     if cls is mc.VSentinel:
         return Var(v.name)
     if cls is tuple:  # resumption: restart its continuation on the argument
-        y = _fresh_resume()
-        return Lam(y, resumption_body(v, Return(Var(y))))
+        y = f"resume.y{next(names)}"
+        return Lam(y, resumption_body(v, Return(Var(y)), names))
     if cls is mc.VMemo:
         # Memoisation only changes cost; as a term, the wrapper is the thunk.
-        return reify(v.thunk)
+        return reify(v.thunk, names)
     raise TypeError(f"cannot reify {v!r}")
 
 
-def open_term(t: Term, env: dict, bound: set[str]) -> Term:
+def open_term(t: Term, env: dict, bound: set[str], names) -> Term:
     """Substitute an environment's values into a term's free variables."""
 
     need = free_vars(t) - bound
     if not need:
         return t
-    mapping = {x: reify(env[x]) for x in need if x in env}
+    mapping = {x: reify(env[x], names) for x in need if x in env}
     return subst(t, mapping)
 
 
-def decompile_term(t: Term, env: dict) -> Term:
-    t = _strip_quotes(t)
-    return open_term(t, env, set())
-
-
-def _strip_quotes(t: Term) -> Term:
+def decompile_term(t: Term, env: dict, names) -> Term:
     if t.__class__ is Quote:
-        return reify(t.mval)
+        return reify(t.mval, names)
     if t.__class__ is Return and t.value.__class__ is Quote:
-        return Return(reify(t.value.mval))
-    return t
+        return Return(reify(t.value.mval, names))
+    return open_term(t, env, set(), names)
 
 
-def wrap_pure_cont(sigma, m: Term) -> Term:
+def wrap_pure_cont(sigma, m: Term, names) -> Term:
     """Rebuild the let-nest a pure continuation stands for around m."""
 
     while sigma is not None:
-        frame, sigma = sigma
-        if frame[1] is None:  # memo-record frame: transparent as a term
-            continue
-        fenv, x, body = frame
-        m = Let(x, m, open_term(body, fenv, {x}))
+        fenv, x, body, sigma = sigma
+        if x is not None:  # a memo-record frame is transparent as a term
+            m = Let(x, m, open_term(body, fenv, {x}, names))
     return m
 
 
-def decompile_handler_def(h: Handler, env: dict) -> Handler:
+def decompile_handler_def(h: Handler, env: dict, names) -> Handler:
     return Handler(
         h.val_name,
-        open_term(h.val_body, env, {h.val_name}),
+        open_term(h.val_body, env, {h.val_name}, names),
         {
-            op: (p, r, open_term(b, env, {p, r}))
+            op: (p, r, open_term(b, env, {p, r}, names))
             for op, (p, r, b) in h.clauses.items()
         },
     )
 
 
-def resumption_body(rho, m: Term) -> Term:
+def resumption_body(rho, m: Term, names) -> Term:
     sigma, (henv, h) = rho
-    return Handle(wrap_pure_cont(sigma, m), decompile_handler_def(h, henv))
+    return Handle(wrap_pure_cont(sigma, m, names), decompile_handler_def(h, henv, names))
 
 
 def decompile(st: mc.MachineState) -> Term:
     """A machine configuration as the term it stands for: the computation
-    wrapped in one handle-nest per resumption, bottom included."""
+    wrapped in one handle-nest per resumption, bottom included.
+    Resumption binders are numbered afresh on every call, so equal
+    states decompile to equal terms."""
 
-    m = decompile_term(st.comp, st.env)
+    names = count(1)
+    m = decompile_term(st.comp, st.env, names)
     kont = st.kont
     while kont is not None:
         rho, kont = kont
-        m = resumption_body(rho, m)
+        m = resumption_body(rho, m, names)
     return m

@@ -18,26 +18,33 @@ The machine is metered.  ``ticks`` counts fired transition rules,
 exactly one per rule; interpreting a value term into a machine value
 never ticks.  ``envops`` counts environment lookups and single-binding
 extensions.  Every data structure a resumption captures is persistent
-(environments copy on extension, continuations are linked tuples), so
-capturing the topmost resumption is O(1) and captured continuations can
-be re-invoked any number of times.
+(a captured environment is never extended in place, continuations are
+linked tuples), so capturing the topmost resumption is O(1) and captured
+continuations can be re-invoked any number of times.
 
 Rule names live in `drive`: each branch of its dispatch is one rule and
 names itself, so `step` and `trace_run` read the name off the state that
 a one-transition run stops in.
 
 How a transition is carried out in Python is not part of the cost model,
-so `drive` takes three shortcuts that leave ticks and envOps as they
-are.  It reads a variable operand with one dict lookup instead of
-calling `interp`, which stays the reader of every other value term.  A
-rule that computes a value (M-Const, M-Deref, M-Memo, M-Memo-Hit,
-M-Memo-Record) leaves it in a local value register rather than building
-a ``Return(Quote(v))`` that the next M-RetCont or M-RetHandler takes
-apart at once; a run that stops there parks that term, so the register
-is never visible on a stopped `MachineState`.  And a constant applied to
-a literal pair, as in ``x + 1``, reads the two components directly and
-builds no `VPair`; `delta_m` takes the two naturals and is still the
-one definition of ``+``, ``-`` and ``=``.
+so `drive` takes shortcuts that leave ticks and envOps as they are.  It
+reads a variable operand with one dict lookup instead of calling
+`interp`, which stays the reader of every other value term.  A rule that
+computes a value (M-Const, M-Deref, M-Memo, M-Memo-Hit, M-Memo-Record)
+leaves it in a local value register rather than building a
+``Return(Quote(v))`` that the next M-RetCont or M-RetHandler takes apart
+at once; a run that stops there parks that term, so the register is
+never visible on a stopped `MachineState`.  A constant applied to a
+literal pair, as in ``x + 1``, reads the two components directly and
+builds no `VPair`; `delta_m` takes the two naturals and is still the one
+definition of ``+``, ``-`` and ``=``.  ``let x <- c (v, w) in N`` with an
+arithmetic constant ``c`` is one superoperator (Proebsting, POPL 1995):
+M-Let, M-Const and M-RetCont in one loop iteration, three ticks, no
+frame pushed; it fires only when the fuel covers all three, so every
+stop still lands on a tick boundary and a one-transition run still sees
+each rule.  And an environment that the running `drive` copied and that
+nothing has captured since is extended in place: it is copied on its
+first binding, not on every one.
 
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
@@ -95,10 +102,11 @@ DEFAULT_FUEL = 10**8
 # Numerals are plain ints; constants are the Const term itself; a
 # resumption is a tuple (pure_cont, handler_closure) so that the
 # continuation entry and the first-class value are literally the same
-# object.  Pure continuations are linked tuples  None | (frame, rest)
-# with frame = (env, name, term); a memo-record frame is (cell_id, None,
-# None).  Handler closures are (env, Handler).  Generalised continuations
-# are linked tuples  None | (resumption, rest).
+# object.  A pure continuation is a flat linked tuple: None, or a
+# let-frame (env, name, term, rest), or a memo-record frame (cell_id,
+# None, None, rest); one tuple per push.  Handler closures are
+# (env, Handler).  Generalised continuations are linked tuples
+# None | (resumption, rest).
 
 
 class VUnit:
@@ -388,6 +396,35 @@ def delta_m(name: str, a, b):
     raise StuckError(f"unknown constant {name!r}")
 
 
+def _apply_const(name: str, arg: Term, env: dict, meter: Meter):
+    """M-Const's result: constant ``name`` applied to the value term
+    ``arg``.  A literal pair's components are read directly, with no
+    `VPair` built; an operand bound to a pair goes through `interp`."""
+
+    if arg.__class__ is Pair:
+        a = arg.fst
+        if a.__class__ is Var:
+            meter.envops += 1
+            a = env[a.name]
+        elif a.__class__ is Num:
+            a = a.value
+        else:
+            a = interp(a, env, meter)
+        b = arg.snd
+        if b.__class__ is Var:
+            meter.envops += 1
+            b = env[b.name]
+        elif b.__class__ is Num:
+            b = b.value
+        else:
+            b = interp(b, env, meter)
+        return delta_m(name, a, b)
+    pv = interp(arg, env, meter)
+    if pv.__class__ is not VPair:
+        raise StuckError(f"constant {name!r} applied to a non-numeric pair")
+    return delta_m(name, pv.fst, pv.snd)
+
+
 # ---------------------------------------------------------------------------
 # The machine (resumable fast loop)
 # ---------------------------------------------------------------------------
@@ -449,21 +486,35 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     Each branch that fires a transition names its rule in ``rule``; a
     'fuel' stop leaves the last rule fired on ``st.rule``.
 
-    Three shortcuts keep the hot rules cheap without changing what they
+    Four shortcuts keep the hot rules cheap without changing what they
     cost.  A variable operand is read with ``env[name]`` inline; `interp`
     reads every other value term.  A rule whose result is a computed
     value (M-Const, M-Deref, M-Memo, M-Memo-Hit, M-Memo-Record) puts it
     in the register ``val`` and sets ``comp`` to None, meaning "return
     ``val``", so the next M-RetCont or M-RetHandler reads it without a
     ``Return(Quote(v))`` being built; `_park` builds that term only when a
-    run stops there, so a stopped state never holds the register.  A
-    constant applied to a literal pair reads the two components
-    directly, with no `VPair`.  envOps are counted in a local and added
-    to ``st.meter`` on every exit.
+    run stops there, so a stopped state never holds the register.
+
+    ``let x <- c V in N`` with ``c`` an arithmetic constant and ``V`` a
+    literal pair is a superoperator: when ``ticks + 3 <= fuel`` one
+    iteration reads the operands as M-Const does (`_apply_const`), binds
+    the result and adds 3 ticks for M-Let, M-Const and M-RetCont, with
+    no frame pushed and ``rule`` left at "M-RetCont".  With less fuel it
+    takes the ordinary M-Let, so a run never stops inside the three, and
+    a one-transition run (`step`, `trace_run`) never fuses.
+
+    ``own`` is true only while ``env`` is a dict that this call copied
+    and nothing has captured since; then M-Split, M-CaseL, M-CaseR,
+    M-CaseCons and the fused let extend it in place instead of copying
+    it.  A let-frame push, M-Handle and an `interp` call whose result may
+    close over ``env`` capture it, and so does parking it on ``st``; at
+    entry ``env`` is the state's, so ``own`` starts false.  envOps are
+    counted in a local and added to ``st.meter`` on every exit.
     """
 
     comp = st.comp
     env = st.env
+    own = False
     # The topmost resumption is kept unpacked: its pure continuation
     # ``sigma`` and handler closure ``chi`` over the rest of the
     # generalised continuation.  So pushing and popping let-frames costs
@@ -493,19 +544,19 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         val = env[x.name]
                     else:
                         val = interp(x, env, meter)
+                        own = False
                 if sigma is not None:
-                    frame, sigma = sigma
-                    fname = frame[1]
-                    if fname is None:  # memo-record frame
+                    # a memo-record frame's None body is "return val"
+                    fenv, fname, comp, sigma = sigma
+                    if fname is None:
                         rule = "M-Memo-Record"
-                        memo[frame[0]] = val
-                        comp = None
+                        memo[fenv] = val
                     else:
                         rule = "M-RetCont"
-                        env = dict(frame[0])
+                        env = dict(fenv)
                         env[fname] = val
                         envops += 1
-                        comp = frame[2]
+                        own = True
                     ticks += 1
                 elif chi is None:
                     st.out_value = val
@@ -525,6 +576,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     env = dict(henv)
                     env[h.val_name] = val
                     envops += 1
+                    own = True
                     comp = h.val_body
                     ticks += 1
 
@@ -545,6 +597,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         av = interp(x, env, meter)
                     fn = fv.term
                     env = dict(fv.env)
+                    own = True
                     if fcls is VRecClosure:
                         rule = "M-Rec"
                         env[fn.fname] = fv
@@ -556,37 +609,15 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     comp = fn.body
                     ticks += 1
                 elif fcls is Const:
-                    x = comp.arg
                     if fv.name == "memoise":
                         rule = "M-Memo"
                         cell = st.memo_cells[0]
                         st.memo_cells[0] = cell + 1
-                        val = VMemo(cell, interp(x, env, meter))
-                    elif x.__class__ is Pair:
+                        val = VMemo(cell, interp(comp.arg, env, meter))
+                        own = False
+                    else:
                         rule = "M-Const"
-                        a = x.fst
-                        if a.__class__ is Var:
-                            envops += 1
-                            a = env[a.name]
-                        elif a.__class__ is Num:
-                            a = a.value
-                        else:
-                            a = interp(a, env, meter)
-                        b = x.snd
-                        if b.__class__ is Var:
-                            envops += 1
-                            b = env[b.name]
-                        elif b.__class__ is Num:
-                            b = b.value
-                        else:
-                            b = interp(b, env, meter)
-                        val = delta_m(fv.name, a, b)
-                    else:  # an operand bound to a pair, or no pair at all
-                        rule = "M-Const"
-                        pv = interp(x, env, meter)
-                        if pv.__class__ is not VPair:
-                            raise StuckError(f"constant {fv.name!r} applied to a non-numeric pair")
-                        val = delta_m(fv.name, pv.fst, pv.snd)
+                        val = _apply_const(fv.name, comp.arg, env, meter)
                     comp = None
                     ticks += 1
                 elif fcls is tuple:
@@ -607,9 +638,10 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         thunk = fv.thunk
                         if thunk.__class__ is not VClosure:
                             raise StuckError("memoised value is not a closure")
-                        sigma = ((fv.cell, None, None), sigma)
+                        sigma = (fv.cell, None, None, sigma)
                         lam = thunk.term
                         env = dict(thunk.env)
+                        own = True
                         env[lam.param] = av
                         envops += 1
                         comp = lam.body
@@ -623,10 +655,29 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     raise StuckError(f"application of a non-function: {fv!r}")
 
             elif cls is Let:
-                rule = "M-Let"
-                sigma = ((env, comp.name, comp.body), sigma)
-                comp = comp.bound
-                ticks += 1
+                x = comp.bound
+                if (
+                    x.__class__ is App and ticks + 3 <= fuel
+                    and x.fn.__class__ is Const and x.fn.name != "memoise"
+                    and x.arg.__class__ is Pair
+                ):
+                    # M-Let, M-Const, M-RetCont.  The result is a natural
+                    # or a boolean, so nothing captures ``env`` here.
+                    rule = "M-RetCont"
+                    val = _apply_const(x.fn.name, x.arg, env, meter)
+                    if not own:
+                        env = dict(env)
+                        own = True
+                    env[comp.name] = val
+                    envops += 1
+                    comp = comp.body
+                    ticks += 3
+                else:
+                    rule = "M-Let"
+                    sigma = (env, comp.name, comp.body, sigma)
+                    own = False
+                    comp = x
+                    ticks += 1
 
             elif cls is Case:
                 x = comp.scrutinee
@@ -635,19 +686,22 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     sv = env[x.name]
                 else:
                     sv = interp(x, env, meter)
+                    own = False
                 scls = sv.__class__
                 if scls is VInl:
                     rule = "M-CaseL"
-                    env = dict(env)
-                    env[comp.left_name] = sv.value
+                    name = comp.left_name
                     comp = comp.left
                 elif scls is VInr:
                     rule = "M-CaseR"
-                    env = dict(env)
-                    env[comp.right_name] = sv.value
+                    name = comp.right_name
                     comp = comp.right
                 else:
                     raise StuckError("case on a non-sum")
+                if not own:
+                    env = dict(env)
+                    own = True
+                env[name] = sv.value
                 envops += 1
                 ticks += 1
 
@@ -668,6 +722,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 p, r, body = clause
                 av = interp(comp.arg, env, meter)
                 env = dict(chi[0])
+                own = True
                 env[p] = av
                 env[r] = (sigma, chi)
                 envops += 2
@@ -682,10 +737,13 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     pv = env[x.name]
                 else:
                     pv = interp(x, env, meter)
+                    own = False
                 if pv.__class__ is not VPair:
                     raise StuckError("split of a non-pair")
                 rule = "M-Split"
-                env = dict(env)
+                if not own:
+                    env = dict(env)
+                    own = True
                 env[comp.fst_name] = pv.fst
                 env[comp.snd_name] = pv.snd
                 envops += 2
@@ -699,13 +757,16 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     sv = env[x.name]
                 else:
                     sv = interp(x, env, meter)
+                    own = False
                 scls = sv.__class__
                 if scls is VNil:
                     rule = "M-CaseNil"
                     comp = comp.nil_body
                 elif scls is VCons:
                     rule = "M-CaseCons"
-                    env = dict(env)
+                    if not own:
+                        env = dict(env)
+                        own = True
                     env[comp.head_name] = sv.head
                     env[comp.tail_name] = sv.tail
                     envops += 2
@@ -719,13 +780,16 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 rest = ((sigma, chi), rest)
                 sigma = None
                 chi = (env, comp.handler)
+                own = False
                 comp = comp.body
                 ticks += 1
 
             elif cls is LetRef:
                 rule = "M-Alloc"
+                # the initial value may close over ``env``
                 store[st.locc] = interp(comp.init, env, meter)
                 env = dict(env)
+                own = True
                 env[comp.name] = VLoc(st.locc)
                 envops += 1
                 st.locc += 1
@@ -747,6 +811,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     raise StuckError("assignment to a non-location")
                 rule = "M-Assign"
                 store[rv.index] = interp(comp.value, env, meter)
+                own = False
                 comp = _RET_UNIT
                 ticks += 1
 

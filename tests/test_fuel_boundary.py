@@ -1,0 +1,144 @@
+"""Every fuel stop of `drive` lands on a tick boundary.
+
+`drive` takes ``let x <- c (v, w) in N`` (c an arithmetic constant) as one
+superoperator worth three ticks when the fuel covers all three.  A run
+cut at any k ticks must still be the run of k single steps: the same
+ticks, the same last rule, the same envOps and the same decompiled term.
+"""
+
+import inspect
+import sys
+
+import pytest
+
+from fxlang import countlib as cl
+from fxlang import machine as mc
+from fxlang.decompile import decompile
+from fxlang.gen import random_program
+from fxlang.parser import parse_term
+from fxlang.syntax import App, Const, Pair, complete_handlers
+from termeq import same, same_state
+
+MEMO_SRC = """
+letref hits = 0 in
+let thunk = (fun (_ : Unit) ->
+  let h <- !hits in let h1 <- h + 1 in let _ <- (hits := h1) in
+  let d <- h1 - 1 in return (d = 0)) in
+let f <- memoise thunk in
+let a <- f () in
+let b <- f () in
+let n <- !hits in
+let m <- n + 2 in
+if a then return m else return 0
+"""
+
+
+def _catalog(counter, pred, n):
+    term, sig, _ = cl.compose(counter, pred, n)
+    return complete_handlers(term, sig) if sig else term
+
+
+def _random(seed):
+    term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 7 == 3)
+    return complete_handlers(term, sig) if sig else term
+
+
+CATALOG = {
+    "naivecount-odd-2": lambda: _catalog("naivecount", "odd", 2),
+    "lazycount-odd-2": lambda: _catalog("lazycount", "odd", 2),
+    "bergercount-queens-2": lambda: _catalog("bergercount", "queens", 2),
+    "effcount-odd-2": lambda: _catalog("effcount", "odd", 2),
+    "memoise": lambda: parse_term(MEMO_SRC),
+}
+
+
+def _fusable(t):
+    b = t.bound
+    return (
+        b.__class__ is App and b.fn.__class__ is Const
+        and b.fn.name != "memoise" and b.arg.__class__ is Pair
+    )
+
+
+def single_steps(term):
+    """Per tick k: (rule, envOps so far, state) after k forked `step`s,
+    and how many M-Let transitions fired on a fusable let."""
+
+    st = mc.inject(term)
+    out, envops, fusable = [], 0, 0
+    while True:
+        rule, nxt = mc.step(st)
+        if rule == "final":
+            return out, fusable
+        if rule == "M-Let" and _fusable(st.comp):
+            fusable += 1
+        envops += nxt.meter.envops
+        out.append((rule, envops, nxt))
+        st = nxt
+
+
+def check_every_fuel_stop(term, decompile_every=1):
+    """Cut the run at every k.  The stopped states must match slot by
+    slot; their decompilations are compared every ``decompile_every``
+    ticks and at the last."""
+
+    steps, fusable = single_steps(term)
+    for k, (rule, envops, st_k) in enumerate(steps, 1):
+        st = mc.inject(term)
+        assert mc.drive(st, k) == "fuel"
+        assert (st.ticks, st.rule, st.meter.envops) == (k, rule, envops), k
+        assert same_state(st, st_k), k
+        if k % decompile_every == 0 or k == len(steps):
+            assert same(decompile(st), decompile(st_k)), k
+    return len(steps), fusable
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_fuel_stop_matches_single_steps(name):
+    # bergercount's states decompile to terms of thousands of nodes
+    every = 20 if name.startswith("bergercount") else 1
+    ticks, fusable = check_every_fuel_stop(CATALOG[name](), every)
+    assert ticks > 0
+    if name != "effcount-odd-2":  # effcount adds in tail position only
+        assert fusable > 0
+
+
+def test_every_fuel_stop_matches_single_steps_on_random_programs():
+    for seed in range(200):
+        check_every_fuel_stop(_random(seed))
+
+
+def loop_iterations(st, fuel):
+    """`drive(st, fuel)`, counting the turns of its dispatch loop."""
+
+    lines, first = inspect.getsourcelines(mc.drive)
+    head = first + next(i for i, s in enumerate(lines) if s.strip() == "cls = comp.__class__")
+    code = mc.drive.__code__
+    turns = 0
+
+    def local(frame, event, arg):
+        nonlocal turns
+        if event == "line" and frame.f_lineno == head:
+            turns += 1
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        kind = mc.drive(st, fuel)
+    finally:
+        sys.settrace(old)
+    return kind, turns
+
+
+def test_fused_let_takes_one_loop_turn():
+    # Each fusable let saves two turns, and the answer stop takes one.
+    term = CATALOG["naivecount-odd-2"]()
+    steps, fusable = single_steps(term)
+    kind, turns = loop_iterations(mc.inject(term), 10**6)
+    assert kind == "answer"
+    assert turns == len(steps) - 2 * fusable + 1
+    # one transition at a time, nothing fuses
+    st = mc.inject(term)
+    assert loop_iterations(st, 3) == ("fuel", 3) and st.rule == steps[2][0]
+    assert sum(rule == "M-Let" for rule, _, _ in steps) > fusable > 0

@@ -29,8 +29,10 @@ from fxlang.syntax import (
     Rec,
     Return,
     Var,
+    alpha_eq,
     complete_handlers,
 )
+from termeq import same
 
 
 def run(src, sig=None, **kw):
@@ -84,7 +86,7 @@ def test_let_and_retcont_transitions():
     rule, st = mc.step(st)
     assert rule == "M-Let"
     sigma = st.kont[0][0]  # the bottom resumption's pure continuation
-    assert sigma is not None and sigma[1] is None and st.kont[1] is None
+    assert sigma is not None and sigma[3] is None and st.kont[1] is None
     rule, st = mc.step(st)
     assert rule == "M-RetCont"
     assert list(st.env.values()) == [1] and st.kont[0][0] is None
@@ -92,6 +94,18 @@ def test_let_and_retcont_transitions():
     assert rule == "M-Const"
     rule, final = mc.step(st)
     assert rule == "final" and final.value == 2
+
+
+def test_decompile_is_a_function_of_its_state():
+    # the first M-Handle-Op binds a resumption, which decompiles to a
+    # function with a generated binder; both calls must name it alike
+    term, sig, _ = cl.compose("effcount", "odd", 1)
+    st = mc.inject(complete_handlers(term, sig))
+    rule = None
+    while rule != "M-Handle-Op":
+        rule, st = mc.step(st)
+    a, b = decompile(st), decompile(st)
+    assert same(a, b) and alpha_eq(a, b)
 
 
 def test_constant_application_single_tick():
