@@ -57,6 +57,22 @@ def resolve_pred(name: str, variant: str) -> str:
     return combined
 
 
+def parse_lists(impls: str, preds: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The comma lists of counters and of predicates (name[:variant]) in
+    a spec or on the command line.  Empty entries are dropped."""
+
+    def entries(text: str) -> list[str]:
+        return [e.strip() for e in text.split(",") if e.strip()]
+
+    impl_list, pred_list = entries(impls), []
+    for entry in entries(preds):
+        name, _, variant = entry.partition(":")
+        pred_list.append((name, variant))
+    if not impl_list or not pred_list:
+        raise ValueError("`impls` and `preds` each need at least one name")
+    return impl_list, pred_list
+
+
 def parse_spec_file(text: str) -> BenchSpec:
     """Flat key=value format; '#' starts a comment.
 
@@ -75,14 +91,7 @@ def parse_spec_file(text: str) -> BenchSpec:
         kv[k.strip()] = v.strip().strip('"')
     if "impls" not in kv or "preds" not in kv:
         raise ValueError("spec needs both `impls` and `preds`")
-    impls = [s.strip() for s in kv["impls"].split(",") if s.strip()]
-    preds = []
-    for entry in kv["preds"].split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, _, variant = entry.partition(":")
-        preds.append((name, variant))
+    impls, preds = parse_lists(kv["impls"], kv["preds"])
     return BenchSpec(
         impls=impls,
         preds=preds,
@@ -129,6 +138,8 @@ def _cap_for(impl: str, pred: str, default: int) -> int:
 
 
 def run_grid(spec: BenchSpec) -> list[GridRow]:
+    if spec.n_min < 0:
+        raise ValueError(f"nmin must be at least 0, not {spec.n_min}")
     rows: list[GridRow] = []
     for impl_name in spec.impls:
         impl = cl.get(impl_name)
@@ -152,7 +163,6 @@ def run_grid(spec: BenchSpec) -> list[GridRow]:
                         )
                     )
                     continue
-                bits = cl.predicate_bits(pred, n)
                 try:
                     rep = cl.run_report(impl_name, pred.name, n, spec.fuel)
                 except FuelExhausted:
@@ -168,7 +178,7 @@ def run_grid(spec: BenchSpec) -> list[GridRow]:
                 rows.append(
                     GridRow(
                         impl_name, pred_name, variant, n, "ok",
-                        rep.result, rep.ticks, rep.envops, bits,
+                        rep.result, rep.ticks, rep.envops, pred.bits(n),
                     )
                 )
     rows.sort(key=lambda r: (r.impl, r.pred, r.variant, r.n))

@@ -133,12 +133,9 @@ def cmd_bench(args) -> int:
         if not args.impls or not args.preds:
             print("bench needs --spec FILE or both --impls and --preds", file=sys.stderr)
             return 1
-        preds = []
-        for entry in args.preds.split(","):
-            name, _, variant = entry.strip().partition(":")
-            preds.append((name, variant))
+        impls, preds = bn.parse_lists(args.impls, args.preds)
         spec = bn.BenchSpec(
-            impls=[s.strip() for s in args.impls.split(",")],
+            impls=impls,
             preds=preds,
             n_min=args.nmin,
             n_max=args.nmax,

@@ -14,12 +14,20 @@ plain effectful counter is pinned by the acceptance suite.
 A descriptor records what each program is (point / predicate / counter /
 searcher), which language features it needs, and - for predicates - the
 class of its decision tree; counters dually record the widest predicate
-class they count correctly.
+class they count correctly.  It holds the program as source: a string,
+or a function from n to a string.  `build` parses each source text once
+per process, so each (program, n) at most once, and hands every caller
+the same term.  Sharing is safe: no term is written after
+`parse_program` returns (the one writer of a term field is the
+elaborator's `_annotated`, inside the parse), `complete_handler` copies a
+handler's clauses before adding to them, and the machine tests identity
+only on its own `ID_HANDLER` and `ANSWER_HANDLER`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from fxlang import machine as mc
@@ -70,34 +78,48 @@ class ProgramDescriptor:
     name: str
     kind: str  # 'point' | 'predicate' | 'counter' | 'searcher' | 'program'
     level: str  # 'base' | 'handler' | 'base+memo' | 'state'
-    build: Callable[[Optional[int]], tuple[Term, Signature]]
-    takes_n: bool = False
+    source: str | Callable[[int], str]  # the program, or its template in n
     input_class: Optional[str] = None  # predicates: the class of their tree
     accepts: Optional[str] = None  # counters: widest class counted correctly
-    bits: Optional[Callable[[int], int]] = None  # predicate arity in bits
-    natural_bits: Optional[int] = None  # arity at which an n-standard tree is full
+    bits: Optional[Callable[[Optional[int]], int]] = None  # predicate arity in bits
     summary: str = ""
 
-    def term(self, n: Optional[int] = None) -> Term:
-        return self.build(n)[0]
+    @property
+    def takes_n(self) -> bool:
+        return callable(self.source)
 
-    def sig(self, n: Optional[int] = None) -> Signature:
-        return self.build(n)[1]
+    def build(self, n: Optional[int] = None) -> tuple[Term, Signature]:
+        """The program at size n (fixed programs ignore n) and its
+        signature.  Every caller gets the same term: do not write to it."""
+
+        if n is not None and n < 0:
+            raise ValueError(f"size parameter n must be at least 0, not {n}")
+        if not self.takes_n:
+            return _parse(self.source)
+        if n is None:
+            raise ValueError(f"{self.name} needs a size parameter n")
+        return _parse(self.source(n))
 
     def class_at(self, n: Optional[int]) -> Optional[str]:
         """The predicate's class when embedded at size n.
 
         A fixed-arity standard predicate (say, one that always queries
         exactly index 0) stops being n-standard when embedded in a wider
-        space: indices beyond its natural arity go unqueried, which is
-        the at-most-once class.
+        space: indices beyond its natural arity, ``bits(None)``, go
+        unqueried, which is the at-most-once class.
         """
 
         if self.input_class != N_STANDARD or self.takes_n:
             return self.input_class
-        if self.natural_bits is None or self.bits is None:
-            return self.input_class
-        return N_STANDARD if self.bits(n) == self.natural_bits else AT_MOST_ONCE
+        return N_STANDARD if self.bits(n) == self.bits(None) else AT_MOST_ONCE
+
+
+@cache
+def _parse(src: str) -> tuple[Term, Signature]:
+    # Calls `parse_program` through this module's binding, so a wrapper
+    # installed on `countlib.parse_program` sees every parse.
+    sig, term = parse_program(src)
+    return term, sig
 
 
 _REGISTRY: dict[str, ProgramDescriptor] = {}
@@ -123,24 +145,6 @@ def get(name: str) -> ProgramDescriptor:
         ) from None
 
 
-def _fixed(src: str):
-    def build(n=None):
-        sig, term = parse_program(src)
-        return term, sig
-
-    return build
-
-
-def _templated(fn: Callable[[int], str]):
-    def build(n=None):
-        if n is None:
-            raise ValueError("this program needs a size parameter n")
-        sig, term = parse_program(fn(n))
-        return term, sig
-
-    return build
-
-
 # ---------------------------------------------------------------------------
 # Example points and predicates
 # ---------------------------------------------------------------------------
@@ -149,17 +153,17 @@ _DIVERGE = "(rec (loop : Unit -> Bool) u -> loop u) ()"
 
 _register(ProgramDescriptor(
     "q0", "point", "base",
-    _fixed("fun (_ : Nat) -> true"),
+    "fun (_ : Nat) -> true",
     summary="the all-true point",
 ))
 _register(ProgramDescriptor(
     "q1", "point", "base",
-    _fixed("fun (i : Nat) -> i = 0"),
+    "fun (i : Nat) -> i = 0",
     summary="true at index 0, false elsewhere",
 ))
 _register(ProgramDescriptor(
     "q2", "point", "base",
-    _fixed(
+    (
         "fun (i : Nat) -> if i = 0 then return true else "
         f"(if i = 1 then return false else {_DIVERGE})"
     ),
@@ -167,7 +171,7 @@ _register(ProgramDescriptor(
 ))
 _register(ProgramDescriptor(
     "bottom", "program", "base",
-    _fixed(_DIVERGE),
+    _DIVERGE,
     summary="the diverging computation",
 ))
 
@@ -175,44 +179,44 @@ _PRED = "(q : Nat -> Bool)"
 
 _register(ProgramDescriptor(
     "T0", "predicate", "base",
-    _fixed(f"fun {_PRED} -> true"),
-    input_class=N_STANDARD, bits=lambda n: n or 0, natural_bits=0,
+    f"fun {_PRED} -> true",
+    input_class=N_STANDARD, bits=lambda n: n or 0,
     summary="constant true, no queries (0-standard)",
 ))
 _register(ProgramDescriptor(
     "T1", "predicate", "base",
-    _fixed(f"fun {_PRED} -> q 1; q 0; true"),
-    input_class=N_STANDARD, bits=lambda n: max(n or 2, 2), natural_bits=2,
+    f"fun {_PRED} -> q 1; q 0; true",
+    input_class=N_STANDARD, bits=lambda n: max(n or 2, 2),
     summary="constant true after querying 1 then 0",
 ))
 _register(ProgramDescriptor(
     "T2", "predicate", "base",
-    _fixed(f"fun {_PRED} -> q 0; q 0; true"),
+    f"fun {_PRED} -> q 0; q 0; true",
     input_class=GENERAL, bits=lambda n: max(n or 2, 2),
     summary="constant true, queries index 0 twice",
 ))
 _register(ProgramDescriptor(
     "I0", "predicate", "base",
-    _fixed(f"fun {_PRED} -> q 0"),
+    f"fun {_PRED} -> q 0",
     input_class=AT_MOST_ONCE, bits=lambda n: max(n or 1, 1),
     summary="the identity predicate on bit 0",
 ))
 _register(ProgramDescriptor(
     "I1", "predicate", "base",
-    _fixed(f"fun {_PRED} -> let b <- q 0 in if b then return true else return false"),
+    f"fun {_PRED} -> let b <- q 0 in if b then return true else return false",
     input_class=AT_MOST_ONCE, bits=lambda n: max(n or 1, 1),
     summary="identity on bit 0 via a conditional",
 ))
 _register(ProgramDescriptor(
     "I2", "predicate", "base",
-    _fixed(f"fun {_PRED} -> q 0 && q 0"),
+    f"fun {_PRED} -> q 0 && q 0",
     input_class=GENERAL, bits=lambda n: max(n or 1, 1),
     summary="identity on bit 0, queried twice",
 ))
 _register(ProgramDescriptor(
     "constfalse", "predicate", "base",
-    _fixed(f"fun {_PRED} -> false"),
-    input_class=N_STANDARD, bits=lambda n: n or 0, natural_bits=0,
+    f"fun {_PRED} -> false",
+    input_class=N_STANDARD, bits=lambda n: n or 0,
     summary="constant false, no queries",
 ))
 
@@ -234,7 +238,7 @@ fun {_PRED} ->
 
 _register(ProgramDescriptor(
     "odd", "predicate", "base",
-    _templated(_odd_src), takes_n=True,
+    _odd_src,
     input_class=N_STANDARD, bits=lambda n: n,
     summary="true on points with an odd number of true bits",
 ))
@@ -246,7 +250,7 @@ _register(ProgramDescriptor(
 
 _register(ProgramDescriptor(
     "toss", "program", "handler",
-    _fixed("""
+    """
 operation Branch : Unit -> Bool
 # Toss outcomes encoded as booleans: Heads = true, Tails = false.
 let append = (rec (app : List Bool -> List Bool -> List Bool) l -> fun (l2 : List Bool) ->
@@ -256,7 +260,7 @@ handle toss () with {
   val x -> return [x];
   Branch () r -> let heads <- r true in let tails <- r false in append heads tails
 }
-"""),
+""",
     summary="enumerates both coin-toss outcomes: [Heads, Tails]",
 ))
 
@@ -321,7 +325,7 @@ def _naivecount_src(n: int) -> str:
 
 _register(ProgramDescriptor(
     "naivecount", "counter", "base",
-    _templated(_naivecount_src), takes_n=True,
+    _naivecount_src,
     accepts=GENERAL,
     summary="applies the predicate to all 2^n points in turn",
 ))
@@ -344,7 +348,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
 
 _register(ProgramDescriptor(
     "bestshot", "counter", "base",
-    _templated(_bestshot_src), takes_n=True,
+    _bestshot_src,
     accepts=GENERAL,
     summary="deferred choice: a satisfying point if one exists",
 ))
@@ -370,7 +374,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
 
 _register(ProgramDescriptor(
     "lazycount", "counter", "base",
-    _templated(_lazycount_src), takes_n=True,
+    _lazycount_src,
     accepts=GENERAL,
     summary="tests a best-shot point first; constant time on empty predicates",
 ))
@@ -391,7 +395,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->
 
 _register(ProgramDescriptor(
     "effcount", "counter", "handler",
-    _fixed(_EFFCOUNT_SRC),
+    _EFFCOUNT_SRC,
     accepts=N_STANDARD,
     summary="one generic point, resumed twice per query; n-independent",
 ))
@@ -420,7 +424,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_POW2}
 
 _register(ProgramDescriptor(
     "effcount_miss", "counter", "handler",
-    _templated(_effcount_miss_src), takes_n=True,
+    _effcount_miss_src,
     accepts=AT_MOST_ONCE,
     summary="depth-passing handler; scales leaves by the unexplored subtree",
 ))
@@ -508,7 +512,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_POW2}
 
 _register(ProgramDescriptor(
     "effcount_rep", "counter", "handler",
-    _templated(_effcount_rep_src), takes_n=True,
+    _effcount_rep_src,
     accepts=GENERAL,
     summary="memoises answers in a balanced map and scales unexplored "
             "subtrees; counts any predicate",
@@ -565,13 +569,13 @@ def _effsearch_cons_src(n: int) -> str:
 
 _register(ProgramDescriptor(
     "effsearch", "searcher", "handler",
-    _templated(_effsearch_src), takes_n=True,
+    _effsearch_src,
     accepts=N_STANDARD,
     summary="materialises satisfying points as difference lists",
 ))
 _register(ProgramDescriptor(
     "effsearch_cons", "searcher", "handler",
-    _templated(_effsearch_cons_src), takes_n=True,
+    _effsearch_cons_src,
     accepts=N_STANDARD,
     summary="effsearch with plain cons-list concatenation (the slow contrast)",
 ))
@@ -654,7 +658,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_berger_prelude(n)}
 
 _register(ProgramDescriptor(
     "bergercount", "counter", "base+memo",
-    _templated(_berger_src), takes_n=True,
+    _berger_src,
     accepts=GENERAL,
     summary="memoised leftmost-solution pruning; fast on fail-fast predicates",
 ))
@@ -744,13 +748,13 @@ def _queens_eager_src(n: int) -> str:
 
 _register(ProgramDescriptor(
     "queens", "predicate", "base",
-    _templated(_queens_failfast_src), takes_n=True,
+    _queens_failfast_src,
     input_class=AT_MOST_ONCE, bits=lambda n: n * n,
     summary="n-queens board validity, rejecting at the first violation",
 ))
 _register(ProgramDescriptor(
     "queens_eager", "predicate", "base",
-    _templated(_queens_eager_src), takes_n=True,
+    _queens_eager_src,
     input_class=N_STANDARD, bits=lambda n: n * n,
     summary="n-queens board validity after reading the whole board",
 ))
@@ -761,20 +765,14 @@ _register(ProgramDescriptor(
 # ---------------------------------------------------------------------------
 
 
-def predicate_bits(pred: ProgramDescriptor, n: Optional[int]) -> int:
-    if pred.bits is None:
-        raise ValueError(f"{pred.name} is not a predicate")
-    return pred.bits(n)
-
-
 def build_predicate(pred_name: str, n: Optional[int]) -> tuple[Term, int]:
     """A predicate term and its arity in bits."""
 
     desc = get(pred_name)
     if desc.kind != "predicate":
         raise ValueError(f"{pred_name} is not a predicate")
-    term, _ = desc.build(n if desc.takes_n else None)
-    return as_value(term), predicate_bits(desc, n)
+    term, _ = desc.build(n)
+    return as_value(term), desc.bits(n)
 
 
 def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]:
@@ -783,7 +781,7 @@ def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]
     impl = get(impl_name)
     if impl.kind not in ("counter", "searcher"):
         raise ValueError(f"{impl_name} is not a counter or searcher")
-    counter_term, sig = impl.build(bits if impl.takes_n else None)
+    counter_term, sig = impl.build(bits)
     lint_handles_ops(pred_term, sig.keys())
     return App(as_value(counter_term), pred_term), sig
 
@@ -859,7 +857,7 @@ def validate_catalog(n_small: int = 3) -> None:
     ones) and verify the declared language level."""
 
     for name, desc in _REGISTRY.items():
-        term, sig = desc.build(n_small if desc.takes_n else None)
+        term, sig = desc.build(n_small)
         lvl = language_level(term)
         if lvl != desc.level:
             raise AssertionError(f"{name}: declared {desc.level}, found {lvl}")

@@ -444,14 +444,14 @@ class MachineState:
         "rule", "out_value", "out_op", "out_arg", "out_query",
     )
 
-    def __init__(self, comp, env, kont, store=None, locc=0, memo=None, memo_cells=None):
+    def __init__(self, comp, env, kont, store=None, locc=0, memo=None, memo_cells=0):
         self.comp = comp
         self.env = env
         self.kont = kont
         self.store = {} if store is None else store
         self.locc = locc
         self.memo = {} if memo is None else memo
-        self.memo_cells = [0] if memo_cells is None else memo_cells
+        self.memo_cells = memo_cells
         self.ticks = 0
         self.meter = Meter()
         self.rule = None
@@ -463,8 +463,8 @@ class MachineState:
     def fork(self, comp):
         """A future of this state with a replaced computation.
 
-        Persistent components are shared; the store and memo table are
-        copied so sibling futures cannot interfere.
+        Persistent components are shared; the store, the memo table and
+        their counters are copied so sibling futures cannot interfere.
         """
 
         st = MachineState(
@@ -611,8 +611,8 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 elif fcls is Const:
                     if fv.name == "memoise":
                         rule = "M-Memo"
-                        cell = st.memo_cells[0]
-                        st.memo_cells[0] = cell + 1
+                        cell = st.memo_cells
+                        st.memo_cells = cell + 1
                         val = VMemo(cell, interp(comp.arg, env, meter))
                         own = False
                     else:

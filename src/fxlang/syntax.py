@@ -289,7 +289,9 @@ EMPTY_SIG: Signature = {}
 
 
 # Shared literal pieces.  AST nodes are immutable by convention, so sharing
-# them across terms is safe.
+# them across terms is safe.  The one writer of a term field is the
+# elaborator's `parser._Elab._annotated`, which fills in a type annotation
+# before `parse_program` returns.
 UNIT_V = UnitVal()
 
 

@@ -38,10 +38,9 @@ def same(a, b) -> bool:
 
 
 def same_state(a, b) -> bool:
-    """Two stopped machine states hold the same configuration.  (The
-    memo-cell counter is left out: forks of one state share it.)"""
+    """Two stopped machine states hold the same configuration."""
 
     return same(
-        (a.comp, a.env, a.kont, a.store, a.locc, a.memo),
-        (b.comp, b.env, b.kont, b.store, b.locc, b.memo),
+        (a.comp, a.env, a.kont, a.store, a.locc, a.memo, a.memo_cells),
+        (b.comp, b.env, b.kont, b.store, b.locc, b.memo, b.memo_cells),
     )

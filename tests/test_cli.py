@@ -188,3 +188,40 @@ def test_check_deep_nesting(tmp_path):
     f = tmp_path / "deep.fx"
     f.write_text("return " + "(" * 3000 + "1" + ")" * 3000 + "\n")
     assert_one_line_error(*run_cli("check", str(f)), "deep.fx: nesting too deep")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--impl", "effcount_rep", "--pred", "odd", "-n", "-1"),
+    ("count", "--impl", "naivecount", "--pred", "T0", "-n", "-2"),
+    ("count", "--impl", "effcount", "--pred", "odd", "-n", "-1"),
+    ("tree", "--pred", "odd", "-n", "-1"),
+    ("tree", "--pred", "T1", "-n", "-1"),
+])
+def test_negative_size_is_one_line(argv):
+    assert_one_line_error(*run_cli(*argv), "at least 0, not -")
+
+
+@pytest.mark.parametrize("preds", ["odd", "I0"])  # I0 rows would all be skipped
+def test_bench_negative_nmin_is_one_line(preds):
+    argv = ("bench", "--impls", "effcount", "--preds", preds, "--nmin", "-1", "--nmax", "2")
+    assert_one_line_error(*run_cli(*argv), "nmin must be at least 0, not -1")
+
+
+def test_bench_trailing_commas_are_dropped(tmp_path):
+    spec = tmp_path / "trailing.spec"
+    spec.write_text("impls = effcount,\npreds = odd,\nnmin = 2\nnmax = 3\n")
+    code, from_file, err = run_cli("bench", "--spec", str(spec))
+    assert code == 0 and err == ""
+    code, from_flags, err = run_cli(
+        "bench", "--impls", "effcount,", "--preds", "odd,", "--nmin", "2", "--nmax", "3"
+    )
+    assert code == 0 and err == ""
+    assert from_flags == from_file and len(from_file.splitlines()) == 3
+
+
+def test_bench_empty_lists_are_one_line(tmp_path):
+    spec = tmp_path / "empty.spec"
+    spec.write_text("impls = ,\npreds = odd\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)), "empty.spec: `impls` and `preds`")
+    argv = ("bench", "--impls", "effcount", "--preds", " , ")
+    assert_one_line_error(*run_cli(*argv), "each need at least one name")

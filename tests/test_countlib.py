@@ -5,11 +5,12 @@ import pytest
 from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang import trees as tr
+from fxlang.acceptance import memoise_to_identity
 from fxlang.errors import FuelExhausted
 from fxlang.parser import parse_term
-from fxlang.pprint import render_mval
+from fxlang.pprint import render_mval, to_source
 from fxlang.smallstep import evaluate, NormalValue
-from fxlang.syntax import App
+from fxlang.syntax import App, Num, complete_handlers
 
 
 def mrun(term, sig=None, fuel=10**7):
@@ -19,8 +20,8 @@ def mrun(term, sig=None, fuel=10**7):
 def test_points_denote_their_vectors():
     from fxlang.syntax import Num
 
-    q0 = cl.as_value(cl.get("q0").term())
-    q1 = cl.as_value(cl.get("q1").term())
+    q0 = cl.as_value(cl.get("q0").build()[0])
+    q1 = cl.as_value(cl.get("q1").build()[0])
     for k in range(4):
         assert mc.mval_to_bool(mrun(App(q0, Num(k))).value)
     # q1 is <true, false, false, ...>
@@ -32,7 +33,7 @@ def test_points_denote_their_vectors():
 def test_q2_diverges_beyond_index_one():
     from fxlang.syntax import Num
 
-    q2 = cl.as_value(cl.get("q2").term())
+    q2 = cl.as_value(cl.get("q2").build()[0])
     assert mc.mval_to_bool(mrun(App(q2, Num(0))).value) is True
     assert mc.mval_to_bool(mrun(App(q2, Num(1))).value) is False
     with pytest.raises(FuelExhausted):
@@ -42,7 +43,7 @@ def test_q2_diverges_beyond_index_one():
 def test_odd_on_example_points():
     odd2, _ = cl.build_predicate("odd", 2)
     for point_name, want in (("q0", False), ("q1", True), ("q2", True)):
-        pt = cl.as_value(cl.get(point_name).term())
+        pt = cl.as_value(cl.get(point_name).build()[0])
         res = mrun(App(odd2, pt))
         assert mc.mval_to_bool(res.value) is want
 
@@ -90,7 +91,7 @@ def test_effcount_handler_shape_is_pinned():
     # that adds or removes a transition must show up here first.
     from fxlang.syntax import App, Case, Const, Do, Handle, Lam, Let, Pair, Return, Var
 
-    term = cl.as_value(cl.get("effcount").term())
+    term = cl.as_value(cl.get("effcount").build()[0])
     assert isinstance(term, Lam)
     body = term.body
     assert isinstance(body, Handle)
@@ -195,13 +196,13 @@ def test_queens_counts_match_between_variants():
 
 
 def test_lint_rejects_branch_handling_predicate():
-    sig = {"Branch": (cl.get("effcount").sig()["Branch"])}
+    sig = {"Branch": (cl.get("effcount").build()[1]["Branch"])}
     pred = parse_term(
         """
 fun (q : Nat -> Bool) ->
   handle q 0 with {val x -> return x; Branch () r -> r true}
 """,
-        cl.get("effcount").sig(),
+        cl.get("effcount").build()[1],
     )
     with pytest.raises(cl.LintError):
         cl.run_on_predicate("effcount", pred, 1)
@@ -237,3 +238,48 @@ def test_register_rejects_duplicate_names():
     with pytest.raises(ValueError, match="already registered"):
         cl._register(cl.get("effcount"))
     assert cl.catalog() == before
+
+
+def test_build_shares_one_term_per_size():
+    for name, desc in cl.catalog().items():
+        assert desc.build(2) is desc.build(2), name
+        if desc.takes_n:
+            # the cache is keyed on the source text, and the searchers'
+            # text does not depend on n
+            differ = desc.source(2) != desc.source(3)
+            assert (desc.build(2)[0] is not desc.build(3)[0]) == differ, name
+        else:
+            assert desc.build(2) is desc.build(None), name
+
+
+def test_build_rejects_negative_sizes():
+    for desc in cl.catalog().values():
+        with pytest.raises(ValueError, match="at least 0, not -1"):
+            desc.build(-1)
+
+
+def test_shared_terms_survive_every_consumer():
+    # Every consumer of a built term leaves the cached one as it was.
+    n = 2
+    programs = cl.catalog()
+    before = {name: to_source(d.build(n)[0]) for name, d in programs.items()}
+    tree_pred = tr.tree_to_predicate(tr.random_standard_tree(Random(5), n))
+    for name, desc in programs.items():
+        term, sig = desc.build(n)
+        complete_handlers(term, sig)
+        stripped = memoise_to_identity(term)
+        if desc.kind == "predicate":
+            pred, _ = cl.build_predicate(name, n)
+            tr.extract_tree(pred, fuel=10**7)
+            cl.run_report("effcount_rep", name, n)
+        elif name == "bestshot":  # returns a point, not a count
+            mrun(App(cl.as_value(stripped), cl.as_value(tree_pred)))
+        elif desc.kind in ("counter", "searcher"):
+            cl.run_report(name, "odd", n)
+            cl.run_on_predicate(name, tree_pred, n)
+            mrun(App(cl.as_value(stripped), cl.as_value(tree_pred)), sig)
+        elif desc.kind == "point":
+            mrun(App(cl.as_value(term), Num(0)))
+        elif name != "bottom":
+            mrun(term, sig)
+    assert {name: to_source(d.build(n)[0]) for name, d in programs.items()} == before

@@ -142,3 +142,15 @@ def test_fused_let_takes_one_loop_turn():
     st = mc.inject(term)
     assert loop_iterations(st, 3) == ("fuel", 3) and st.rule == steps[2][0]
     assert sum(rule == "M-Let" for rule, _, _ in steps) > fusable > 0
+
+
+def test_forks_leave_a_saved_states_memo_counter_alone():
+    st = mc.inject(CATALOG["memoise"]())
+    while True:
+        rule, nxt = mc.step(st)
+        if rule == "M-Memo":
+            break
+        st = nxt
+    assert (st.memo_cells, nxt.memo_cells) == (0, 1)
+    assert mc.drive(st.fork(st.comp), 10**6) == "answer"
+    assert st.memo_cells == 0

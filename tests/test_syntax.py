@@ -112,7 +112,7 @@ def test_traversal_tables_cover_every_term_form():
 
 def _traversal_corpus():
     for name, desc in sorted(cl.catalog().items()):
-        yield desc.build(3 if desc.takes_n else None)
+        yield desc.build(3)
     for seed in range(200):
         yield random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)
 
