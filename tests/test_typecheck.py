@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fxlang import countlib as cl
@@ -134,3 +136,84 @@ def test_catalog_typechecks_at_many_sizes():
     cl.validate_catalog(2)
     cl.validate_catalog(5)
     cl.validate_catalog(12)
+
+
+# Each unannotated introduction form with the type it is checked against,
+# and an annotated copy that infers that type.  Checking positions below
+# splice them into a program as {x}, {a} and {t}.
+CHECKED_FORMS = {
+    "inl": ("inl ()", "(inl () : Unit + Nat)", "Unit + Nat", Sum(UNIT, NAT)),
+    "inr": ("inr 3", "(inr 3 : Unit + Nat)", "Unit + Nat", Sum(UNIT, NAT)),
+    "nil": ("[]", "([] : List Nat)", "List Nat", ListType(NAT)),
+    "fun": ("fun x -> return x", "(fun (x : Nat) -> return x)", "Nat -> Nat", Arrow(NAT, NAT)),
+}
+
+_IN_REC = "(rec (f : Unit -> {t}) u -> {body}) ()"
+
+# position -> (program with {x} in a checking position, type of the whole
+# program as a function of the form's type)
+CHECKING_POSITIONS = {
+    "rec-body": (_IN_REC.format(t="{t}", body="return {x}"), lambda ty: ty),
+    "app-arg": ("(fun (g : {t}) -> return 0) ({x})", lambda ty: NAT),
+    "case-inl": (
+        _IN_REC.format(t="{t}", body="case true {{inl a -> return {x}; inr b -> return {a}}}"),
+        lambda ty: ty,
+    ),
+    "case-inr": (
+        _IN_REC.format(t="{t}", body="case true {{inl a -> return {a}; inr b -> return {x}}}"),
+        lambda ty: ty,
+    ),
+    "case-nil": (
+        _IN_REC.format(
+            t="{t}", body="case ([] : List Nat) {{[] -> return {x}; h :: tl -> return {a}}}"
+        ),
+        lambda ty: ty,
+    ),
+    "case-cons": (
+        _IN_REC.format(
+            t="{t}", body="case ([] : List Nat) {{[] -> return {a}; h :: tl -> return {x}}}"
+        ),
+        lambda ty: ty,
+    ),
+    "let-body": (_IN_REC.format(t="{t}", body="let y = 0 in return {x}"), lambda ty: ty),
+    "split-body": (
+        _IN_REC.format(t="{t}", body="let (p, q) = (1, 2) in return {x}"), lambda ty: ty
+    ),
+    "pair-fst": (
+        _IN_REC.format(t="({t}) * Nat", body="return ({x}, 1)"), lambda ty: Prod(ty, NAT)
+    ),
+    "pair-snd": (
+        _IN_REC.format(t="Nat * ({t})", body="return (1, {x})"), lambda ty: Prod(NAT, ty)
+    ),
+    "cons-head": (
+        _IN_REC.format(t="List ({t})", body="return ({x}) :: []"), lambda ty: ListType(ty)
+    ),
+    # The head infers, so the tail is checked against its list type.
+    "cons-tail": ("return {a} :: ({x}) :: []", lambda ty: ListType(ty)),
+    "do-arg": ("do Op ({x})", lambda ty: ty),
+    "op-clause": (
+        "handle return {a} with {{val v -> return v; Op p r -> return {x}}}",
+        lambda ty: ty,
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(CHECKED_FORMS))
+@pytest.mark.parametrize("position", sorted(CHECKING_POSITIONS))
+def test_unannotated_form_in_checking_position(position, form):
+    x, a, t, ty = CHECKED_FORMS[form]
+    template, result = CHECKING_POSITIONS[position]
+    body = template.format(x=x, a=a, t=t)
+    sig, term = parse_program(f"operation Op : ({t}) -> ({t})\n{body}")
+    assert typecheck_program(sig, term) == result(ty)
+
+
+@pytest.mark.parametrize("src, checked, expected, got", [
+    ("(inl 3 : Nat + Bool)", "Nat + Unit", "(Nat + Unit)", "(Nat + Bool)"),
+    ("(inr () : Nat + Bool)", "Nat + Unit", "(Nat + Unit)", "(Nat + Bool)"),
+    ("([] : List Bool)", "List Nat", "Nat", "Bool"),
+    ("(fun (x : Bool) -> return 3)", "Nat -> Nat", "Nat", "Bool"),
+])
+def test_annotation_disagreeing_with_checked_type(src, checked, expected, got):
+    with pytest.raises(TypeCheckError, match=f"expected {re.escape(expected)}, got {re.escape(got)}"):
+        ty_of(f"(rec (f : Unit -> {checked}) u -> return {src}) ()")
