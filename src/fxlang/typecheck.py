@@ -1,9 +1,18 @@
 """Bidirectional type checker for the core language.
 
-Most forms infer; introduction forms whose type is not determined by
-their parts (`inl`, `inr`, `[]`, unannotated `fun`) must either carry an
-annotation or sit in a checking position.  This keeps annotations where
-inference would be non-local and nowhere else.
+One judgement, `_tc(env, t, sig, path, want)`, types every term.  With
+`want=None` it infers the type of `t`; given a type `want`, it checks `t`
+against it and returns `want`.
+
+* Introduction forms (`fun`, `inl`/`inr`, `[]`, pairs, `::`) take their
+  parts' expected types from `want`.  `inl`, `inr`, `[]` and unannotated
+  `fun`, whose type their parts do not determine, therefore need an
+  annotation only where nothing is wanted.  This keeps annotations where
+  inference would be non-local and nowhere else.
+* Eliminators (`return`, `let`, `split`, `case`, list `case`) pass `want`
+  on to their bodies.
+* Every other form infers its type and compares it with `want` once, at
+  the end.
 
 `memoise` is a polymorphic primitive: applied to a thunk of type
 `Unit -> A` it yields a thunk of the same type.
@@ -72,232 +81,152 @@ def _mismatch(expected: Type, actual: Type, path) -> TypeCheckError:
 def typecheck(env: TypeEnv, term: Term, sig: Signature | None = None) -> Type:
     """Infer the unique type of a term, or raise `TypeCheckError`."""
 
-    return _infer(env, term, sig or {}, ())
-
-
-def check(env: TypeEnv, term: Term, expected: Type, sig: Signature | None = None) -> None:
-    _check(env, term, expected, sig or {}, ())
+    return _tc(env, term, sig or {}, (), None)
 
 
 def typecheck_program(sig: Signature, term: Term) -> Type:
     return typecheck({}, term, sig)
 
 
-def _infer(env: TypeEnv, t: Term, sig: Signature, path) -> Type:
+def _tc(env: TypeEnv, t: Term, sig: Signature, path, want: Type | None) -> Type:
     cls = t.__class__
     # values
     if cls is Var:
         ty = env.get(t.name)
         if ty is None:
             raise TypeCheckError(f"unbound variable {t.name!r}", path)
-        return ty
-    if cls is Num:
-        return NAT
-    if cls is UnitVal:
-        return UNIT
-    if cls is Const:
+    elif cls is Num:
+        ty = NAT
+    elif cls is UnitVal:
+        ty = UNIT
+    elif cls is Const:
         ty = sx.CONST_TYPES.get(t.name)
         if ty is None:
             raise TypeCheckError(
                 f"constant {t.name!r} has no standalone type; apply it", path
             )
-        return ty
-    if cls is Lam:
+    elif cls is Lam:
+        if isinstance(want, Arrow):
+            if t.param_type is not None and t.param_type != want.dom:
+                raise _mismatch(want.dom, t.param_type, path)
+            _tc({**env, t.param: want.dom}, t.body, sig, path + ("fun",), want.cod)
+            return want
         if t.param_type is None:
             raise TypeCheckError("parameter type annotation required here", path)
-        body = _infer({**env, t.param: t.param_type}, t.body, sig, path + ("fun",))
-        return Arrow(t.param_type, body)
-    if cls is Rec:
-        fty = t.fn_type
-        if not isinstance(fty, Arrow):
+        body = _tc({**env, t.param: t.param_type}, t.body, sig, path + ("fun",), None)
+        ty = Arrow(t.param_type, body)
+    elif cls is Rec:
+        ty = t.fn_type
+        if not isinstance(ty, Arrow):
             raise TypeCheckError("rec needs an arrow type annotation", path)
-        _check(
-            {**env, t.fname: fty, t.param: fty.dom},
-            t.body,
-            fty.cod,
-            sig,
-            path + ("rec",),
-        )
-        return fty
-    if cls is Pair:
-        return Prod(
-            _infer(env, t.fst, sig, path + ("fst",)),
-            _infer(env, t.snd, sig, path + ("snd",)),
-        )
-    if cls is Inl:
-        if not isinstance(t.ann, Sum):
-            raise TypeCheckError("inl needs a sum type annotation here", path)
-        _check(env, t.value, t.ann.left, sig, path + ("inl",))
-        return t.ann
-    if cls is Inr:
-        if not isinstance(t.ann, Sum):
-            raise TypeCheckError("inr needs a sum type annotation here", path)
-        _check(env, t.value, t.ann.right, sig, path + ("inr",))
-        return t.ann
-    if cls is Nil:
+        _tc({**env, t.fname: ty, t.param: ty.dom}, t.body, sig, path + ("rec",), ty.cod)
+    elif cls is Pair:
+        prod = want if isinstance(want, Prod) else None
+        fst = _tc(env, t.fst, sig, path + ("fst",), prod.fst if prod else None)
+        snd = _tc(env, t.snd, sig, path + ("snd",), prod.snd if prod else None)
+        ty = prod or Prod(fst, snd)
+    elif cls is Inl or cls is Inr:
+        side = "inl" if cls is Inl else "inr"
+        ty = t.ann
+        if isinstance(want, Sum):
+            if ty is not None and ty != want:
+                raise _mismatch(want, ty, path)
+            ty = want
+        elif not isinstance(ty, Sum):
+            raise TypeCheckError(f"{side} needs a sum type annotation here", path)
+        _tc(env, t.value, sig, path + (side,), ty.left if cls is Inl else ty.right)
+    elif cls is Nil:
+        if isinstance(want, ListType):
+            if t.ann is not None and t.ann != want.elem:
+                raise _mismatch(want.elem, t.ann, path)
+            return want
         if t.ann is None:
             raise TypeCheckError("[] needs a list type annotation here", path)
-        return ListType(t.ann)
-    if cls is Cons:
-        head = _infer(env, t.head, sig, path + ("cons-head",))
-        _check(env, t.tail, ListType(head), sig, path + ("cons-tail",))
-        return ListType(head)
-    if cls is Loc:
+        ty = ListType(t.ann)
+    elif cls is Cons:
+        lst = want if isinstance(want, ListType) else None
+        head = _tc(env, t.head, sig, path + ("cons-head",), lst.elem if lst else None)
+        ty = lst or ListType(head)
+        _tc(env, t.tail, sig, path + ("cons-tail",), ty)
+    elif cls is Loc:
         raise TypeCheckError("store locations cannot appear in source programs", path)
-    if cls is Quote:
+    elif cls is Quote:
         raise TypeCheckError("runtime values cannot appear in source programs", path)
 
     # computations
-    if cls is App:
+    elif cls is App:
         fn, arg = t.fn, t.arg
         if fn.__class__ is Const and fn.name == "memoise":
-            thunk = _infer(env, arg, sig, path + ("memoise",))
-            if not (isinstance(thunk, Arrow) and thunk.dom == UNIT):
+            ty = _tc(env, arg, sig, path + ("memoise",), None)
+            if not (isinstance(ty, Arrow) and ty.dom == UNIT):
                 raise TypeCheckError(
-                    f"memoise expects a thunk Unit -> A, got {type_to_source(thunk)}",
+                    f"memoise expects a thunk Unit -> A, got {type_to_source(ty)}",
                     path,
                 )
-            return thunk
-        fty = _infer(env, fn, sig, path + ("fn",))
-        if not isinstance(fty, Arrow):
-            raise _mismatch(Arrow(UNIT, UNIT), fty, path + ("fn",))
-        _check(env, arg, fty.dom, sig, path + ("arg",))
-        return fty.cod
-    if cls is Return:
-        return _infer(env, t.value, sig, path + ("return",))
-    if cls is Let:
-        bound = _infer(env, t.bound, sig, path + (f"let {t.name}",))
-        return _infer({**env, t.name: bound}, t.body, sig, path)
-    if cls is Split:
-        pty = _infer(env, t.pair, sig, path + ("split",))
+        else:
+            fty = _tc(env, fn, sig, path + ("fn",), None)
+            if not isinstance(fty, Arrow):
+                raise _mismatch(Arrow(UNIT, UNIT), fty, path + ("fn",))
+            _tc(env, arg, sig, path + ("arg",), fty.dom)
+            ty = fty.cod
+    elif cls is Return:
+        return _tc(env, t.value, sig, path + ("return",), want)
+    elif cls is Let:
+        bound = _tc(env, t.bound, sig, path + (f"let {t.name}",), None)
+        return _tc({**env, t.name: bound}, t.body, sig, path, want)
+    elif cls is Split:
+        pty = _tc(env, t.pair, sig, path + ("split",), None)
         if not isinstance(pty, Prod):
             raise _mismatch(Prod(UNIT, UNIT), pty, path + ("split",))
-        return _infer(
-            {**env, t.fst_name: pty.fst, t.snd_name: pty.snd}, t.body, sig, path
-        )
-    if cls is Case:
-        sty = _infer(env, t.scrutinee, sig, path + ("case",))
+        return _tc({**env, t.fst_name: pty.fst, t.snd_name: pty.snd}, t.body, sig, path, want)
+    elif cls is Case:
+        sty = _tc(env, t.scrutinee, sig, path + ("case",), None)
         if not isinstance(sty, Sum):
             raise _mismatch(BOOL, sty, path + ("case",))
-        lty = _infer({**env, t.left_name: sty.left}, t.left, sig, path + ("case-inl",))
-        _check({**env, t.right_name: sty.right}, t.right, lty, sig, path + ("case-inr",))
-        return lty
-    if cls is CaseList:
-        sty = _infer(env, t.scrutinee, sig, path + ("case",))
+        # The left arm decides the type when nothing is wanted.
+        ty = _tc({**env, t.left_name: sty.left}, t.left, sig, path + ("case-inl",), want)
+        _tc({**env, t.right_name: sty.right}, t.right, sig, path + ("case-inr",), ty)
+        return ty
+    elif cls is CaseList:
+        sty = _tc(env, t.scrutinee, sig, path + ("case",), None)
         if not isinstance(sty, ListType):
             raise _mismatch(ListType(UNIT), sty, path + ("case",))
-        nty = _infer(env, t.nil_body, sig, path + ("case-nil",))
-        _check(
-            {**env, t.head_name: sty.elem, t.tail_name: sty},
-            t.cons_body,
-            nty,
-            sig,
-            path + ("case-cons",),
-        )
-        return nty
-    if cls is Do:
+        ty = _tc(env, t.nil_body, sig, path + ("case-nil",), want)
+        env = {**env, t.head_name: sty.elem, t.tail_name: sty}
+        _tc(env, t.cons_body, sig, path + ("case-cons",), ty)
+        return ty
+    elif cls is Do:
         opty = sig.get(t.op)
         if opty is None:
             raise TypeCheckError(f"operation {t.op!r} not in the signature", path)
-        a, b = opty
-        _check(env, t.arg, a, sig, path + (f"do {t.op}",))
-        return b
-    if cls is Handle:
-        cty = _infer(env, t.body, sig, path + ("handle",))
+        a, ty = opty
+        _tc(env, t.arg, sig, path + (f"do {t.op}",), a)
+    elif cls is Handle:
+        cty = _tc(env, t.body, sig, path + ("handle",), None)
         h = t.handler
-        dty = _infer({**env, h.val_name: cty}, h.val_body, sig, path + ("val",))
+        ty = _tc({**env, h.val_name: cty}, h.val_body, sig, path + ("val",), None)
         for op, (p, r, body) in h.clauses.items():
             opty = sig.get(op)
             if opty is None:
                 raise TypeCheckError(f"clause for unknown operation {op!r}", path)
             a, b = opty
-            _check(
-                {**env, p: a, r: Arrow(b, dty)},
-                body,
-                dty,
-                sig,
-                path + (f"clause {op}",),
-            )
-        return dty
-    if cls is LetRef:
-        ity = _infer(env, t.init, sig, path + (f"letref {t.name}",))
-        return _infer({**env, t.name: RefType(ity)}, t.body, sig, path)
-    if cls is Deref:
-        rty = _infer(env, t.ref, sig, path + ("deref",))
+            _tc({**env, p: a, r: Arrow(b, ty)}, body, sig, path + (f"clause {op}",), ty)
+    elif cls is LetRef:
+        ity = _tc(env, t.init, sig, path + (f"letref {t.name}",), None)
+        ty = _tc({**env, t.name: RefType(ity)}, t.body, sig, path, None)
+    elif cls is Deref:
+        rty = _tc(env, t.ref, sig, path + ("deref",), None)
         if not isinstance(rty, RefType):
             raise _mismatch(RefType(UNIT), rty, path + ("deref",))
-        return rty.elem
-    if cls is Assign:
-        rty = _infer(env, t.ref, sig, path + ("assign",))
+        ty = rty.elem
+    elif cls is Assign:
+        rty = _tc(env, t.ref, sig, path + ("assign",), None)
         if not isinstance(rty, RefType):
             raise _mismatch(RefType(UNIT), rty, path + ("assign",))
-        _check(env, t.value, rty.elem, sig, path + ("assign",))
-        return UNIT
-    raise TypeCheckError(f"cannot type node {cls.__name__}", path)  # pragma: no cover
-
-
-def _check(env: TypeEnv, t: Term, expected: Type, sig: Signature, path) -> None:
-    cls = t.__class__
-    if cls is Lam and isinstance(expected, Arrow):
-        if t.param_type is not None and t.param_type != expected.dom:
-            raise _mismatch(expected.dom, t.param_type, path)
-        _check({**env, t.param: expected.dom}, t.body, expected.cod, sig, path + ("fun",))
-        return
-    if cls is Inl and isinstance(expected, Sum):
-        if t.ann is not None and t.ann != expected:
-            raise _mismatch(expected, t.ann, path)
-        _check(env, t.value, expected.left, sig, path + ("inl",))
-        return
-    if cls is Inr and isinstance(expected, Sum):
-        if t.ann is not None and t.ann != expected:
-            raise _mismatch(expected, t.ann, path)
-        _check(env, t.value, expected.right, sig, path + ("inr",))
-        return
-    if cls is Nil and isinstance(expected, ListType):
-        if t.ann is not None and t.ann != expected.elem:
-            raise _mismatch(expected.elem, t.ann, path)
-        return
-    if cls is Cons and isinstance(expected, ListType):
-        _check(env, t.head, expected.elem, sig, path + ("cons-head",))
-        _check(env, t.tail, expected, sig, path + ("cons-tail",))
-        return
-    if cls is Pair and isinstance(expected, Prod):
-        _check(env, t.fst, expected.fst, sig, path + ("fst",))
-        _check(env, t.snd, expected.snd, sig, path + ("snd",))
-        return
-    if cls is Return:
-        _check(env, t.value, expected, sig, path + ("return",))
-        return
-    if cls is Let:
-        bound = _infer(env, t.bound, sig, path + (f"let {t.name}",))
-        _check({**env, t.name: bound}, t.body, expected, sig, path)
-        return
-    if cls is Case:
-        sty = _infer(env, t.scrutinee, sig, path + ("case",))
-        if not isinstance(sty, Sum):
-            raise _mismatch(BOOL, sty, path + ("case",))
-        _check({**env, t.left_name: sty.left}, t.left, expected, sig, path + ("case-inl",))
-        _check({**env, t.right_name: sty.right}, t.right, expected, sig, path + ("case-inr",))
-        return
-    if cls is CaseList:
-        sty = _infer(env, t.scrutinee, sig, path + ("case",))
-        if not isinstance(sty, ListType):
-            raise _mismatch(ListType(UNIT), sty, path + ("case",))
-        _check(env, t.nil_body, expected, sig, path + ("case-nil",))
-        _check(
-            {**env, t.head_name: sty.elem, t.tail_name: sty},
-            t.cons_body,
-            expected,
-            sig,
-            path + ("case-cons",),
-        )
-        return
-    if cls is Split:
-        pty = _infer(env, t.pair, sig, path + ("split",))
-        if not isinstance(pty, Prod):
-            raise _mismatch(Prod(UNIT, UNIT), pty, path + ("split",))
-        _check({**env, t.fst_name: pty.fst, t.snd_name: pty.snd}, t.body, expected, sig, path)
-        return
-    actual = _infer(env, t, sig, path)
-    if actual != expected:
-        raise _mismatch(expected, actual, path)
+        _tc(env, t.value, sig, path + ("assign",), rty.elem)
+        ty = UNIT
+    else:  # pragma: no cover
+        raise TypeCheckError(f"cannot type node {cls.__name__}", path)
+    if want is not None and ty != want:
+        raise _mismatch(want, ty, path)
+    return ty
