@@ -10,7 +10,8 @@ against it and returns `want`.
   annotation only where nothing is wanted.  This keeps annotations where
   inference would be non-local and nowhere else.
 * Eliminators (`return`, `let`, `split`, `case`, list `case`) pass `want`
-  on to their bodies.
+  on to their bodies, and so do `letref` to its body and `handle` to its
+  `val` clause, whose type every operation clause must then have.
 * Every other form infers its type and compares it with `want` once, at
   the end.
 
@@ -204,16 +205,17 @@ def _tc(env: TypeEnv, t: Term, sig: Signature, path, want: Type | None) -> Type:
     elif cls is Handle:
         cty = _tc(env, t.body, sig, path + ("handle",), None)
         h = t.handler
-        ty = _tc({**env, h.val_name: cty}, h.val_body, sig, path + ("val",), None)
+        ty = _tc({**env, h.val_name: cty}, h.val_body, sig, path + ("val",), want)
         for op, (p, r, body) in h.clauses.items():
             opty = sig.get(op)
             if opty is None:
                 raise TypeCheckError(f"clause for unknown operation {op!r}", path)
             a, b = opty
             _tc({**env, p: a, r: Arrow(b, ty)}, body, sig, path + (f"clause {op}",), ty)
+        return ty
     elif cls is LetRef:
         ity = _tc(env, t.init, sig, path + (f"letref {t.name}",), None)
-        ty = _tc({**env, t.name: RefType(ity)}, t.body, sig, path, None)
+        return _tc({**env, t.name: RefType(ity)}, t.body, sig, path, want)
     elif cls is Deref:
         rty = _tc(env, t.ref, sig, path + ("deref",), None)
         if not isinstance(rty, RefType):

@@ -217,3 +217,11 @@ def test_unannotated_form_in_checking_position(position, form):
 def test_annotation_disagreeing_with_checked_type(src, checked, expected, got):
     with pytest.raises(TypeCheckError, match=f"expected {re.escape(expected)}, got {re.escape(got)}"):
         ty_of(f"(rec (f : Unit -> {checked}) u -> return {src}) ()")
+
+
+@pytest.mark.parametrize("body", [
+    "letref r = 0 in return []",
+    "handle return () with {val x -> return []}",
+])
+def test_letref_body_and_val_clause_are_checking_positions(body):
+    assert ty_of(f"(rec (f : Unit -> List Nat) u -> {body}) ()") == ListType(NAT)
