@@ -331,18 +331,23 @@ _register(ProgramDescriptor(
 ))
 
 
-def _bestshot_src(n: int) -> str:
-    # Returns a point immediately; all searching happens when the point
-    # is sampled.  If some point satisfies the predicate, the first such
-    # point (in counter order) is returned; otherwise point 0.
-    return f"""
-fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
-  return (fun (i : Nat) ->
+def _bestshot_point(n: int, pred: str) -> str:
+    # The deferred point shared by bestshot (standalone) and lazycount.
+    # It is returned immediately; all searching happens when the point is
+    # sampled.  If some point satisfies pred, the first such point (in
+    # counter order) is returned; otherwise point 0.
+    return f"""return (fun (i : Nat) ->
     (rec (find : Nat -> Bool) c ->
         if c = {2 ** n} then testbit ((pows, 0), (0, i))
         else
-          let b <- pred {_point_of("c")} in
-          if b then testbit ((pows, c), (0, i)) else find (c + 1)) 0)
+          let b <- {pred} {_point_of("c")} in
+          if b then testbit ((pows, c), (0, i)) else find (c + 1)) 0)"""
+
+
+def _bestshot_src(n: int) -> str:
+    return f"""
+fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
+  {_bestshot_point(n, "pred")}
 """
 
 
@@ -359,12 +364,7 @@ def _lazycount_src(n: int) -> str:
     return f"""
 fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
   let bestshot = (fun (p : (Nat -> Bool) -> Bool) ->
-    return (fun (i : Nat) ->
-      (rec (find : Nat -> Bool) c ->
-          if c = {2 ** n} then testbit ((pows, 0), (0, i))
-          else
-            let b <- p {_point_of("c")} in
-            if b then testbit ((pows, c), (0, i)) else find (c + 1)) 0)) in
+    {_bestshot_point(n, "p")}) in
   let witness <- bestshot pred in
   let any <- pred witness in
   if any then{_naive_body(n)}
