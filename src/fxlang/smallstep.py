@@ -50,6 +50,7 @@ from fxlang.syntax import (
     UnitVal,
     Var,
     bool_,
+    complete_handlers,
 )
 
 
@@ -333,8 +334,6 @@ def evaluate(
     shows up in practice.  Handlers are completed against the signature
     before stepping starts.
     """
-
-    from fxlang.syntax import complete_handlers
 
     if sig:
         term = complete_handlers(term, sig)

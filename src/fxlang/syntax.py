@@ -285,8 +285,6 @@ class Handler:
 # An effect signature maps operation symbols to (argument, result) types.
 Signature = dict[str, tuple[Type, Type]]
 
-EMPTY_SIG: Signature = {}
-
 
 # Shared literal pieces.  AST nodes are immutable by convention, so sharing
 # them across terms is safe.  The one writer of a term field is the

@@ -27,9 +27,12 @@ from fxlang import machine as mc
 from fxlang.errors import StuckError
 from fxlang.syntax import (
     App,
+    Arrow,
+    BOOL,
     Case,
     Lam,
     Let,
+    NAT,
     NameSupply,
     Num,
     Return,
@@ -285,12 +288,11 @@ def extract_tree(
             k = st.out_query
             if k.__class__ is not int:
                 raise StuckError(f"query index is not a numeral: {k!r}")
+            tree.nodes[addr] = TreeNode(Query(k), st.ticks, _snapshot(st))
             if depth_bound is not None and len(addr) >= depth_bound:
-                tree.nodes[addr] = TreeNode(Query(k), st.ticks, _snapshot(st))
                 tree.partial[addr + (True,)] = "depth"
                 tree.partial[addr + (False,)] = "depth"
                 continue
-            tree.nodes[addr] = TreeNode(Query(k), st.ticks, _snapshot(st))
             for b in (True, False):
                 stack.append((addr + (b,), st.fork(Return(bool_(b)))))
         elif kind == "answer":
@@ -340,8 +342,6 @@ def tree_to_predicate(tree: DecisionTree) -> Term:
                 emit(addr + (False,)),
             ),
         )
-
-    from fxlang.syntax import Arrow, BOOL, NAT
 
     return Lam(qv, emit(()), Arrow(NAT, BOOL))
 
