@@ -215,7 +215,8 @@ def test_unannotated_form_in_checking_position(position, form):
     ("(fun (x : Bool) -> return 3)", "Nat -> Nat", "Nat", "Bool"),
 ])
 def test_annotation_disagreeing_with_checked_type(src, checked, expected, got):
-    with pytest.raises(TypeCheckError, match=f"expected {re.escape(expected)}, got {re.escape(got)}"):
+    message = f"expected {re.escape(expected)}, got {re.escape(got)}"
+    with pytest.raises(TypeCheckError, match=message):
         ty_of(f"(rec (f : Unit -> {checked}) u -> return {src}) ()")
 
 
