@@ -138,74 +138,45 @@ def test_catalog_typechecks_at_many_sizes():
     cl.validate_catalog(12)
 
 
-# Each unannotated introduction form with the type it is checked against,
-# and an annotated copy that infers that type.  Checking positions below
-# splice them into a program as {x}, {a} and {t}.
+# Each unannotated introduction form {x}, an annotated copy {a} that
+# infers, and the type {t} they have.
 CHECKED_FORMS = {
-    "inl": ("inl ()", "(inl () : Unit + Nat)", "Unit + Nat", Sum(UNIT, NAT)),
-    "inr": ("inr 3", "(inr 3 : Unit + Nat)", "Unit + Nat", Sum(UNIT, NAT)),
-    "nil": ("[]", "([] : List Nat)", "List Nat", ListType(NAT)),
-    "fun": ("fun x -> return x", "(fun (x : Nat) -> return x)", "Nat -> Nat", Arrow(NAT, NAT)),
+    "inl": ("inl ()", "(inl () : Unit + Nat)", "Unit + Nat"),
+    "inr": ("inr 3", "(inr 3 : Unit + Nat)", "Unit + Nat"),
+    "nil": ("[]", "([] : List Nat)", "List Nat"),
+    "fun": ("fun x -> return x", "(fun (x : Nat) -> return x)", "Nat -> Nat"),
 }
 
-_IN_REC = "(rec (f : Unit -> {t}) u -> {body}) ()"
-
-# position -> (program with {x} in a checking position, type of the whole
-# program as a function of the form's type)
+# Programs with {x} in a checking position; Op : {t} -> {t}.
 CHECKING_POSITIONS = {
-    "rec-body": (_IN_REC.format(t="{t}", body="return {x}"), lambda ty: ty),
-    "app-arg": ("(fun (g : {t}) -> return 0) ({x})", lambda ty: NAT),
-    "case-inl": (
-        _IN_REC.format(t="{t}", body="case true {{inl a -> return {x}; inr b -> return {a}}}"),
-        lambda ty: ty,
-    ),
-    "case-inr": (
-        _IN_REC.format(t="{t}", body="case true {{inl a -> return {a}; inr b -> return {x}}}"),
-        lambda ty: ty,
-    ),
-    "case-nil": (
-        _IN_REC.format(
-            t="{t}", body="case ([] : List Nat) {{[] -> return {x}; h :: tl -> return {a}}}"
-        ),
-        lambda ty: ty,
-    ),
-    "case-cons": (
-        _IN_REC.format(
-            t="{t}", body="case ([] : List Nat) {{[] -> return {a}; h :: tl -> return {x}}}"
-        ),
-        lambda ty: ty,
-    ),
-    "let-body": (_IN_REC.format(t="{t}", body="let y = 0 in return {x}"), lambda ty: ty),
-    "split-body": (
-        _IN_REC.format(t="{t}", body="let (p, q) = (1, 2) in return {x}"), lambda ty: ty
-    ),
-    "pair-fst": (
-        _IN_REC.format(t="({t}) * Nat", body="return ({x}, 1)"), lambda ty: Prod(ty, NAT)
-    ),
-    "pair-snd": (
-        _IN_REC.format(t="Nat * ({t})", body="return (1, {x})"), lambda ty: Prod(NAT, ty)
-    ),
-    "cons-head": (
-        _IN_REC.format(t="List ({t})", body="return ({x}) :: []"), lambda ty: ListType(ty)
-    ),
+    "rec-body": "(rec (f : Unit -> {t}) u -> return {x}) ()",
+    "app-arg": "(fun (g : {t}) -> return 0) ({x})",
+    "case-inl": "(rec (f : Unit -> {t}) u -> case true {{inl a -> return {x}; inr b -> return {a}}}) ()",
+    "case-inr": "(rec (f : Unit -> {t}) u -> case true {{inl a -> return {a}; inr b -> return {x}}}) ()",
+    "case-nil": "(rec (f : Unit -> {t}) u -> case ([] : List Nat) {{[] -> return {x}; h :: tl -> return {a}}}) ()",
+    "case-cons": "(rec (f : Unit -> {t}) u -> case ([] : List Nat) {{[] -> return {a}; h :: tl -> return {x}}}) ()",
+    "let-body": "(rec (f : Unit -> {t}) u -> let y = 0 in return {x}) ()",
+    "split-body": "(rec (f : Unit -> {t}) u -> let (p, q) = (1, 2) in return {x}) ()",
+    "pair-fst": "(rec (f : Unit -> ({t}) * Nat) u -> return ({x}, 1)) ()",
+    "pair-snd": "(rec (f : Unit -> Nat * ({t})) u -> return (1, {x})) ()",
+    "cons-head": "(rec (f : Unit -> List ({t})) u -> return ({x}) :: []) ()",
     # The head infers, so the tail is checked against its list type.
-    "cons-tail": ("return {a} :: ({x}) :: []", lambda ty: ListType(ty)),
-    "do-arg": ("do Op ({x})", lambda ty: ty),
-    "op-clause": (
-        "handle return {a} with {{val v -> return v; Op p r -> return {x}}}",
-        lambda ty: ty,
-    ),
+    "cons-tail": "return {a} :: ({x}) :: []",
+    "do-arg": "do Op ({x})",
+    "op-clause": "handle return {a} with {{val v -> return v; Op p r -> return {x}}}",
 }
 
 
 @pytest.mark.parametrize("form", sorted(CHECKED_FORMS))
 @pytest.mark.parametrize("position", sorted(CHECKING_POSITIONS))
 def test_unannotated_form_in_checking_position(position, form):
-    x, a, t, ty = CHECKED_FORMS[form]
-    template, result = CHECKING_POSITIONS[position]
-    body = template.format(x=x, a=a, t=t)
-    sig, term = parse_program(f"operation Op : ({t}) -> ({t})\n{body}")
-    assert typecheck_program(sig, term) == result(ty)
+    x, a, t = CHECKED_FORMS[form]
+
+    def type_with(v):
+        body = CHECKING_POSITIONS[position].format(x=v, a=a, t=t)
+        return typecheck_program(*parse_program(f"operation Op : ({t}) -> ({t})\n{body}"))
+
+    assert type_with(x) == type_with(a)
 
 
 @pytest.mark.parametrize("src, checked, expected, got", [
