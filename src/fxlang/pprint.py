@@ -53,10 +53,18 @@ def type_to_source(ty: sx.Type) -> str:
     if cls is sx.Sum:
         return f"({_operand(ty.left)} + {_operand(ty.right)})"
     if cls is sx.RefType:
-        return f"Ref ({type_to_source(ty.elem)})"
+        return f"Ref {_argument(ty.elem)}"
     if cls is sx.ListType:
-        return f"List ({type_to_source(ty.elem)})"
+        return f"List {_argument(ty.elem)}"
     raise TypeError(f"unknown type {ty!r}")
+
+
+def _argument(ty: sx.Type) -> str:
+    """The element type of ``Ref`` or ``List``, in parentheses unless a
+    product or a sum already printed its own."""
+
+    s = type_to_source(ty)
+    return s if ty.__class__ in (sx.Prod, sx.Sum) and ty != sx.BOOL else f"({s})"
 
 
 def _operand(ty: sx.Type) -> str:

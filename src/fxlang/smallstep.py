@@ -13,6 +13,13 @@ selection innermost-first and deterministic.
 Configurations carry a location counter and a store so the reference
 cells of the stateful language fit the same interface; pure programs
 simply never touch them.
+
+:func:`subst` returns every subterm in which no substituted variable
+occurs free as the same object, without walking it.  Most of what a step
+substitutes into is closed values that earlier steps substituted in (the
+predicate, the loop closures), so a reduct shares them with its redex
+instead of copying them again at every step.  Each node's free variables
+come from :func:`fxlang.syntax.free_vars`, which caches them on the node.
 """
 
 from __future__ import annotations
@@ -40,17 +47,16 @@ from fxlang.syntax import (
     Nil,
     Num,
     Pair,
-    Quote,
     Rec,
     Return,
     Signature,
     Split,
     Term,
     UNIT_V,
-    UnitVal,
     Var,
     bool_,
     complete_handlers,
+    free_vars,
 )
 
 
@@ -88,22 +94,30 @@ Normal = NormalValue | NormalOp
 
 
 # Hand-written on purpose: the oracle's hot path; on `map_children`, `evaluate` ran 1.5x slower.
+# A subterm whose free variables miss every key of m comes back unwalked.
+# On the four small-step rows of the benchmark's `oracle` workload, 9 in
+# 10 of the nodes a full walk visits are in such subterms.
 def subst(t: Term, m: dict[str, Term]) -> Term:
-    """Simultaneous substitution of closed values for free variables."""
+    """Simultaneous substitution of values for free variables.
+
+    Binders are not renamed, so the values are meant to be closed; the one
+    open value is the probe variable `decompile.reify` makes of the
+    machine's sentinel.
+    """
 
     if not m:
         return t
     cls = t.__class__
     if cls is Var:
         return m.get(t.name, t)
-    if cls in (Num, Const, UnitVal, Nil, Loc, Quote):
+    if free_vars(t).isdisjoint(m):
         return t
     if cls is Lam:
         m2 = {k: v for k, v in m.items() if k != t.param}
-        return Lam(t.param, subst(t.body, m2), t.param_type) if m2 else t
+        return Lam(t.param, subst(t.body, m2), t.param_type)
     if cls is Rec:
         m2 = {k: v for k, v in m.items() if k != t.fname and k != t.param}
-        return Rec(t.fname, t.param, subst(t.body, m2), t.fn_type) if m2 else t
+        return Rec(t.fname, t.param, subst(t.body, m2), t.fn_type)
     if cls is Pair:
         return Pair(subst(t.fst, m), subst(t.snd, m))
     if cls is Inl:
@@ -118,21 +132,19 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
         return Return(subst(t.value, m))
     if cls is Let:
         m2 = {k: v for k, v in m.items() if k != t.name}
-        return Let(t.name, subst(t.bound, m), subst(t.body, m2) if m2 else t.body)
+        return Let(t.name, subst(t.bound, m), subst(t.body, m2))
     if cls is Split:
         m2 = {k: v for k, v in m.items() if k != t.fst_name and k != t.snd_name}
-        return Split(
-            subst(t.pair, m), t.fst_name, t.snd_name, subst(t.body, m2) if m2 else t.body
-        )
+        return Split(subst(t.pair, m), t.fst_name, t.snd_name, subst(t.body, m2))
     if cls is Case:
         ml = {k: v for k, v in m.items() if k != t.left_name}
         mr = {k: v for k, v in m.items() if k != t.right_name}
         return Case(
             subst(t.scrutinee, m),
             t.left_name,
-            subst(t.left, ml) if ml else t.left,
+            subst(t.left, ml),
             t.right_name,
-            subst(t.right, mr) if mr else t.right,
+            subst(t.right, mr),
         )
     if cls is CaseList:
         mc = {k: v for k, v in m.items() if k != t.head_name and k != t.tail_name}
@@ -141,7 +153,7 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
             subst(t.nil_body, m),
             t.head_name,
             t.tail_name,
-            subst(t.cons_body, mc) if mc else t.cons_body,
+            subst(t.cons_body, mc),
         )
     if cls is Do:
         return Do(t.op, subst(t.arg, m))
@@ -151,14 +163,11 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
         clauses = {}
         for op, (p, r, b) in h.clauses.items():
             mb = {k: v for k, v in m.items() if k != p and k != r}
-            clauses[op] = (p, r, subst(b, mb) if mb else b)
-        return Handle(
-            subst(t.body, m),
-            Handler(h.val_name, subst(h.val_body, mv) if mv else h.val_body, clauses),
-        )
+            clauses[op] = (p, r, subst(b, mb))
+        return Handle(subst(t.body, m), Handler(h.val_name, subst(h.val_body, mv), clauses))
     if cls is LetRef:
         m2 = {k: v for k, v in m.items() if k != t.name}
-        return LetRef(t.name, subst(t.init, m), subst(t.body, m2) if m2 else t.body)
+        return LetRef(t.name, subst(t.init, m), subst(t.body, m2))
     if cls is Deref:
         return Deref(subst(t.ref, m))
     if cls is Assign:

@@ -20,6 +20,12 @@ are built on :func:`children` and :func:`map_children`, so a new term
 form needs one entry in each of their two tables, plus its arms in the
 evaluators, the type checker and the printer.  ``alpha_eq`` and
 ``smallstep.subst`` are hand-written for speed and need an arm too.
+
+Terms are never written after construction, except that the parser's
+elaborator (``parser._Elab._annotated``) fills in type annotations before
+``parse_program`` returns.  No subterm field is ever reassigned, so a
+node's free variables never change: :func:`free_vars` computes them once
+per node and caches them on it, in a slot declared on :class:`Term` only.
 """
 
 from __future__ import annotations
@@ -101,7 +107,9 @@ CONST_TYPES: dict[str, Type] = {
 
 
 class Term:
-    __slots__ = ()
+    # `free_vars` caches a node's free variables here on first call.  The
+    # slot is declared on the base class only, so it is no subclass's field.
+    __slots__ = ("_fv",)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from fxlang import pprint
@@ -286,10 +294,8 @@ class Handler:
 Signature = dict[str, tuple[Type, Type]]
 
 
-# Shared literal pieces.  AST nodes are immutable by convention, so sharing
-# them across terms is safe.  The one writer of a term field is the
-# elaborator's `parser._Elab._annotated`, which fills in a type annotation
-# before `parse_program` returns.
+# Shared literal pieces.  AST nodes are immutable by convention (see the
+# module docstring), so sharing them across terms is safe.
 UNIT_V = UnitVal()
 
 
@@ -329,7 +335,7 @@ def as_value(t: Term) -> Term:
 # each of them.  Every generic walker reads them, through `children` and
 # `map_children` or, in the loops of this module, directly.
 
-_LEAVES = (Var, Num, Const, UnitVal, Nil, Loc, Quote)
+_LEAVES = frozenset((Var, Num, Const, UnitVal, Nil, Loc, Quote))
 
 
 def _handle_children(t: Handle) -> tuple:
@@ -430,18 +436,64 @@ def map_children(t: Term, f) -> Term:
     return _MAP_CHILDREN[t.__class__](t, f)
 
 
-def free_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    stack = [(t, frozenset())]
-    while stack:
-        s, bound = stack.pop()
-        if s.__class__ is Var:
-            if s.name not in bound:
-                out.add(s.name)
+_NO_FREE: frozenset[str] = frozenset()
+_SINGLETONS: dict[str, frozenset[str]] = {}  # one set per variable name, shared by all terms
+
+
+def _single(name: str) -> frozenset[str]:
+    fv = _SINGLETONS.get(name)
+    if fv is None:
+        fv = _SINGLETONS[name] = frozenset((name,))
+    return fv
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    """The variables that occur free in t.
+
+    Each node's set is computed once, from its children's sets, and kept
+    in the node's `_fv` slot; leaves are not cached.  A parent whose set
+    equals a child's shares that child's set object.  No recursion, so
+    deep terms do not hit Python's limit.
+    """
+
+    cls = t.__class__
+    if cls is Var:
+        return _single(t.name)
+    if cls in _LEAVES:
+        return _NO_FREE
+    try:
+        return t._fv
+    except AttributeError:
+        pass
+    stack = [t]
+    while stack:  # post-order: a node is done once its children are
+        s = stack[-1]
+        kids = _CHILDREN[s.__class__](s)
+        n = len(stack)
+        for c, _ in kids:
+            if c.__class__ not in _LEAVES and not hasattr(c, "_fv"):
+                stack.append(c)
+        if len(stack) > n:
             continue
-        for c, names in _CHILDREN[s.__class__](s):
-            stack.append((c, bound.union(names) if names else bound))
-    return out
+        stack.pop()
+        out = _NO_FREE
+        for c, names in kids:
+            cc = c.__class__
+            if cc is Var:
+                fv = _single(c.name)
+            elif cc in _LEAVES:
+                continue
+            else:
+                fv = c._fv
+            if names and not fv.isdisjoint(names):
+                fv = fv.difference(names)
+                if len(fv) == 1:
+                    fv = _single(next(iter(fv)))
+            if not fv or fv <= out:
+                continue
+            out = fv if out <= fv else out | fv
+        s._fv = out
+    return t._fv
 
 
 def rewrite(t: Term, cls: type, g) -> Term:

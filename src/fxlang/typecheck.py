@@ -27,7 +27,6 @@ from fxlang.syntax import (
     App,
     Arrow,
     Assign,
-    BOOL,
     Case,
     CaseList,
     Cons,
@@ -72,11 +71,12 @@ class TypeCheckError(Exception):
         self.path = path
 
 
-def _mismatch(expected: Type, actual: Type, path) -> TypeCheckError:
-    return TypeCheckError(
-        f"type mismatch: expected {type_to_source(expected)}, got {type_to_source(actual)}",
-        path,
-    )
+def _mismatch(expected: Type | str, actual: Type, path) -> TypeCheckError:
+    """`expected` is a type, or where no one type is wanted, the kind of
+    type that is ("a pair type")."""
+
+    want = expected if isinstance(expected, str) else type_to_source(expected)
+    return TypeCheckError(f"type mismatch: expected {want}, got {type_to_source(actual)}", path)
 
 
 def typecheck(env: TypeEnv, term: Term, sig: Signature | None = None) -> Type:
@@ -167,7 +167,7 @@ def _tc(env: TypeEnv, t: Term, sig: Signature, path, want: Type | None) -> Type:
         else:
             fty = _tc(env, fn, sig, path + ("fn",), None)
             if not isinstance(fty, Arrow):
-                raise _mismatch(Arrow(UNIT, UNIT), fty, path + ("fn",))
+                raise _mismatch("a function type", fty, path + ("fn",))
             _tc(env, arg, sig, path + ("arg",), fty.dom)
             ty = fty.cod
     elif cls is Return:
@@ -178,12 +178,12 @@ def _tc(env: TypeEnv, t: Term, sig: Signature, path, want: Type | None) -> Type:
     elif cls is Split:
         pty = _tc(env, t.pair, sig, path + ("split",), None)
         if not isinstance(pty, Prod):
-            raise _mismatch(Prod(UNIT, UNIT), pty, path + ("split",))
+            raise _mismatch("a pair type", pty, path + ("split",))
         return _tc({**env, t.fst_name: pty.fst, t.snd_name: pty.snd}, t.body, sig, path, want)
     elif cls is Case:
         sty = _tc(env, t.scrutinee, sig, path + ("case",), None)
         if not isinstance(sty, Sum):
-            raise _mismatch(BOOL, sty, path + ("case",))
+            raise _mismatch("a sum type", sty, path + ("case",))
         # The left arm decides the type when nothing is wanted.
         ty = _tc({**env, t.left_name: sty.left}, t.left, sig, path + ("case-inl",), want)
         _tc({**env, t.right_name: sty.right}, t.right, sig, path + ("case-inr",), ty)
@@ -191,7 +191,7 @@ def _tc(env: TypeEnv, t: Term, sig: Signature, path, want: Type | None) -> Type:
     elif cls is CaseList:
         sty = _tc(env, t.scrutinee, sig, path + ("case",), None)
         if not isinstance(sty, ListType):
-            raise _mismatch(ListType(UNIT), sty, path + ("case",))
+            raise _mismatch("a list type", sty, path + ("case",))
         ty = _tc(env, t.nil_body, sig, path + ("case-nil",), want)
         env = {**env, t.head_name: sty.elem, t.tail_name: sty}
         _tc(env, t.cons_body, sig, path + ("case-cons",), ty)
@@ -219,12 +219,12 @@ def _tc(env: TypeEnv, t: Term, sig: Signature, path, want: Type | None) -> Type:
     elif cls is Deref:
         rty = _tc(env, t.ref, sig, path + ("deref",), None)
         if not isinstance(rty, RefType):
-            raise _mismatch(RefType(UNIT), rty, path + ("deref",))
+            raise _mismatch("a reference type", rty, path + ("deref",))
         ty = rty.elem
     elif cls is Assign:
         rty = _tc(env, t.ref, sig, path + ("assign",), None)
         if not isinstance(rty, RefType):
-            raise _mismatch(RefType(UNIT), rty, path + ("assign",))
+            raise _mismatch("a reference type", rty, path + ("assign",))
         _tc(env, t.value, sig, path + ("assign",), rty.elem)
         ty = UNIT
     else:  # pragma: no cover

@@ -2,9 +2,17 @@ import pytest
 
 from fxlang.gen import random_program
 from fxlang.parser import ParseError, parse_program, parse_term
-from fxlang.pprint import program_to_source, to_source
+from fxlang.pprint import program_to_source, to_source, type_to_source
 from fxlang.syntax import (
     App,
+    Arrow,
+    BOOL,
+    ListType,
+    NAT,
+    Prod,
+    RefType,
+    Sum,
+    UNIT,
     Case,
     Const,
     Inl,
@@ -120,6 +128,22 @@ def test_printed_annotations_typecheck(src):
     term = parse_term(src)
     typecheck_program({}, term)
     retypecheck({}, term)
+
+
+@pytest.mark.parametrize("elem, text", [
+    (Sum(NAT, UNIT), "(Nat + Unit)"),
+    (Prod(NAT, BOOL), "(Nat * Bool)"),
+    (Arrow(NAT, BOOL), "(Nat -> Bool)"),
+    (BOOL, "(Bool)"),
+    (ListType(NAT), "(List (Nat))"),
+])
+@pytest.mark.parametrize("wrap", [ListType, RefType])
+def test_list_and_ref_types_print_once_parenthesised(wrap, elem, text):
+    ty = wrap(elem)
+    printed = type_to_source(ty)
+    assert printed == f"{'List' if wrap is ListType else 'Ref'} {text}"
+    sig, _ = parse_program(f"operation Op : ({printed}) -> Unit\nreturn ()")
+    assert sig["Op"][0] == ty
 
 
 def test_generated_programs_retypecheck():

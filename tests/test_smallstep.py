@@ -12,15 +12,27 @@ from fxlang.smallstep import (
     eval_value,
     evaluate,
     step,
+    subst,
 )
 from fxlang.syntax import (
     BOOL,
+    Cons,
+    Lam,
+    Nil,
     Num,
+    Return,
     UNIT,
+    UNIT_V,
+    Var,
     alpha_eq,
+    children,
     complete_handlers,
+    free_vars,
+    map_children,
+    subterms,
 )
 from fxlang.typecheck import typecheck_program
+from termeq import same
 
 BRANCH_SIG = {"Branch": (UNIT, BOOL)}
 
@@ -171,3 +183,90 @@ def test_store_discipline_on_random_corpus():
             assert set(out.store) == set(range(out.loc_counter))
             last_counter = out.loc_counter
             cfg = out
+
+
+def _reference_subst(t, m):
+    """Substitution written plainly on `map_children`: every node rebuilt,
+    no free-variable sets consulted."""
+
+    if t.__class__ is Var:
+        return m.get(t.name, t)
+    return map_children(
+        t, lambda c, names: _reference_subst(c, {k: v for k, v in m.items() if k not in names})
+    )
+
+
+def _copy(t, _names=()):
+    """A copy of t made of new nodes, so no free-variable set is cached on it."""
+
+    return map_children(t, _copy)
+
+
+def _subst_corpus():
+    for name, desc in sorted(cl.catalog().items()):
+        yield _copy(desc.build(3)[0])
+    for seed in range(500):
+        yield random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)[0]
+
+
+def _maps(s):
+    """Maps over a subterm's names: its variables (free ones and bound
+    ones), its binders, a name that does not occur, and open values."""
+
+    occurring = sorted({u.name for u in subterms(s) if u.__class__ is Var})
+    binders = sorted({x for u in subterms(s) for _, names in children(u) for x in names})
+    values = [Num(7), UNIT_V, Var("probe"), Lam("z", Return(Var("z")))]
+    yield {x: values[i % len(values)] for i, x in enumerate(occurring)}
+    yield {x: Num(1) for x in binders}
+    yield {"nowhere": Num(0)}
+    if occurring:
+        yield {occurring[-1]: Var("probe"), "nowhere": UNIT_V}
+
+
+def test_subst_matches_reference_substitution():
+    checked = 0
+    for term in _subst_corpus():
+        for s in subterms(term):
+            if not children(s):
+                continue
+            for m in _maps(s):
+                want = _reference_subst(s, m)
+                # the first call may find the sets uncached, the second finds them cached
+                assert same(subst(s, m), want), m
+                assert same(subst(s, m), want), m
+                checked += 1
+    assert checked > 20_000
+
+
+def test_subst_returns_a_subterm_without_substituted_variables_unwalked():
+    t = Cons(Lam("x", Return(Var("x"))), Cons(Var("y"), Nil()))
+    out = subst(t, {"x": Num(1), "y": Num(2)})
+    assert out.head is t.head and out.tail.tail is t.tail.tail
+    assert out.tail.head.value == 2
+    assert free_vars(t) == {"y"} and free_vars(t.head) == set()
+
+
+def test_subst_on_a_deep_term_that_does_not_mention_the_variable():
+    lst = Nil()
+    for i in range(5_000):
+        lst = Cons(Num(i), lst)
+    t = Lam("y", Return(lst))
+    assert free_vars(t) == frozenset()
+    assert subst(t, {"x": Num(1)}) is t
+
+
+def _evaluate_corpus():
+    for impl in ("naivecount", "lazycount", "effcount", "effsearch"):
+        yield cl.compose(impl, "odd", 2)[:2]
+    for seed in range(100):
+        yield random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)
+
+
+def test_evaluate_is_the_same_with_the_cache_cold_and_warm():
+    for term, sig in _evaluate_corpus():
+        term = _copy(term)
+        cold = evaluate(term, sig)
+        warm = evaluate(term, sig)
+        assert cold[1] == warm[1]
+        assert same(cold[0], warm[0])
+        assert same(cold[2].store, warm[2].store)

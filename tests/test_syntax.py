@@ -40,6 +40,14 @@ def test_free_vars():
     assert free_vars(t) == {"y"}
 
 
+def test_free_vars_are_cached_on_the_node_in_no_subclass_field():
+    t = parse_term("fun (x : Nat) -> y + z")
+    assert free_vars(t) == {"y", "z"}
+    assert free_vars(t) is free_vars(t)
+    forms = [c for c in sx._CHILDREN if "_fv" in c.__slots__]
+    assert forms == []
+
+
 def test_complete_handler_inserts_forwarding():
     sig = {"Branch": (UNIT, BOOL), "Ask": (UNIT, NAT)}
     h = Handler("x", Return(Var("x")), {})

@@ -197,3 +197,19 @@ def test_annotation_disagreeing_with_checked_type(src, checked, expected, got):
 ])
 def test_letref_body_and_val_clause_are_checking_positions(body):
     assert ty_of(f"(rec (f : Unit -> List Nat) u -> {body}) ()") == ListType(NAT)
+
+
+@pytest.mark.parametrize("src, shape, path", [
+    ("let n = 3 in n ()", "a function type", "fn"),
+    ("let (p, q) = 3 in return p", "a pair type", "split"),
+    ("case 3 {inl a -> return a; inr b -> return b}", "a sum type", "case"),
+    ("case 3 {[] -> return 0; h :: tl -> return h}", "a list type", "case"),
+    ("!3", "a reference type", "deref"),
+    ("3 := 4", "a reference type", "assign"),
+])
+def test_wrong_shaped_operand_names_the_kind_of_type(src, shape, path):
+    # no stand-in type such as Unit -> Unit or Bool that the program never wrote
+    with pytest.raises(TypeCheckError) as err:
+        ty_of(src)
+    assert err.value.msg == f"type mismatch: expected {shape}, got Nat"
+    assert err.value.path[-1] == path
