@@ -93,9 +93,9 @@ def tokenize(src: str) -> tuple[list[Token], set[str]]:
             while i < n and src[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # not str.isdigit, which takes '²' and '٣' too
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             toks.append(Token("NUM", src[i:j], line, col))
             col += j - i

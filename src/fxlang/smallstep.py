@@ -14,8 +14,9 @@ Configurations carry a location counter and a store so the reference
 cells of the stateful language fit the same interface; pure programs
 simply never touch them.
 
-:func:`subst` returns every subterm in which no substituted variable
-occurs free as the same object, without walking it.  Most of what a step
+:func:`subst` rebuilds a node through :func:`fxlang.syntax.map_children`
+and returns every subterm in which no substituted variable occurs free
+as the same object, without walking it.  Most of what a step
 substitutes into is closed values that earlier steps substituted in (the
 predicate, the loop closures), so a reduct shares them with its redex
 instead of copying them again at every step.  Each node's free variables
@@ -57,6 +58,7 @@ from fxlang.syntax import (
     bool_,
     complete_handlers,
     free_vars,
+    map_children,
 )
 
 
@@ -93,10 +95,6 @@ Normal = NormalValue | NormalOp
 # ---------------------------------------------------------------------------
 
 
-# Hand-written on purpose: the oracle's hot path; on `map_children`, `evaluate` ran 1.5x slower.
-# A subterm whose free variables miss every key of m comes back unwalked.
-# On the four small-step rows of the benchmark's `oracle` workload, 9 in
-# 10 of the nodes a full walk visits are in such subterms.
 def subst(t: Term, m: dict[str, Term]) -> Term:
     """Simultaneous substitution of values for free variables.
 
@@ -107,72 +105,17 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
 
     if not m:
         return t
-    cls = t.__class__
-    if cls is Var:
+    if t.__class__ is Var:
         return m.get(t.name, t)
     if free_vars(t).isdisjoint(m):
         return t
-    if cls is Lam:
-        m2 = {k: v for k, v in m.items() if k != t.param}
-        return Lam(t.param, subst(t.body, m2), t.param_type)
-    if cls is Rec:
-        m2 = {k: v for k, v in m.items() if k != t.fname and k != t.param}
-        return Rec(t.fname, t.param, subst(t.body, m2), t.fn_type)
-    if cls is Pair:
-        return Pair(subst(t.fst, m), subst(t.snd, m))
-    if cls is Inl:
-        return Inl(subst(t.value, m), t.ann)
-    if cls is Inr:
-        return Inr(subst(t.value, m), t.ann)
-    if cls is Cons:
-        return Cons(subst(t.head, m), subst(t.tail, m))
-    if cls is App:
-        return App(subst(t.fn, m), subst(t.arg, m))
-    if cls is Return:
-        return Return(subst(t.value, m))
-    if cls is Let:
-        m2 = {k: v for k, v in m.items() if k != t.name}
-        return Let(t.name, subst(t.bound, m), subst(t.body, m2))
-    if cls is Split:
-        m2 = {k: v for k, v in m.items() if k != t.fst_name and k != t.snd_name}
-        return Split(subst(t.pair, m), t.fst_name, t.snd_name, subst(t.body, m2))
-    if cls is Case:
-        ml = {k: v for k, v in m.items() if k != t.left_name}
-        mr = {k: v for k, v in m.items() if k != t.right_name}
-        return Case(
-            subst(t.scrutinee, m),
-            t.left_name,
-            subst(t.left, ml),
-            t.right_name,
-            subst(t.right, mr),
-        )
-    if cls is CaseList:
-        mc = {k: v for k, v in m.items() if k != t.head_name and k != t.tail_name}
-        return CaseList(
-            subst(t.scrutinee, m),
-            subst(t.nil_body, m),
-            t.head_name,
-            t.tail_name,
-            subst(t.cons_body, mc),
-        )
-    if cls is Do:
-        return Do(t.op, subst(t.arg, m))
-    if cls is Handle:
-        h = t.handler
-        mv = {k: v for k, v in m.items() if k != h.val_name}
-        clauses = {}
-        for op, (p, r, b) in h.clauses.items():
-            mb = {k: v for k, v in m.items() if k != p and k != r}
-            clauses[op] = (p, r, subst(b, mb))
-        return Handle(subst(t.body, m), Handler(h.val_name, subst(h.val_body, mv), clauses))
-    if cls is LetRef:
-        m2 = {k: v for k, v in m.items() if k != t.name}
-        return LetRef(t.name, subst(t.init, m), subst(t.body, m2))
-    if cls is Deref:
-        return Deref(subst(t.ref, m))
-    if cls is Assign:
-        return Assign(subst(t.ref, m), subst(t.value, m))
-    raise TypeError(f"unknown term node {cls.__name__}")  # pragma: no cover
+
+    def under(c: Term, names: tuple) -> Term:
+        if names and not m.keys().isdisjoint(names):
+            return subst(c, {k: v for k, v in m.items() if k not in names})
+        return subst(c, m)
+
+    return map_children(t, under)
 
 
 def delta(c: str, v: Term) -> Term:

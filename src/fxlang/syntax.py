@@ -15,11 +15,12 @@ shape; the evaluators rely on it.
 Booleans are not primitive.  ``Bool`` abbreviates ``Unit + Unit`` with
 ``true = inl ()`` and ``false = inr ()``; ``if`` is a case split.
 
-Generic walkers (free variables, subterm iteration, handler completion)
-are built on :func:`children` and :func:`map_children`, so a new term
-form needs one entry in each of their two tables, plus its arms in the
-evaluators, the type checker and the printer.  ``alpha_eq`` and
-``smallstep.subst`` are hand-written for speed and need an arm too.
+Every generic walker (free variables, subterm iteration, handler
+completion, alpha-equivalence and ``smallstep.subst``) is built on
+:func:`children` and :func:`map_children`, so a new term form needs its
+entry in each of their two tables plus its arms in the evaluators, the
+type checker and the printer.  A new leaf that carries data also names
+that field in ``_LEAF_DATA``, which :func:`alpha_eq` compares.
 
 Terms are never written after construction, except that the parser's
 elaborator (``parser._Elab._annotated``) fills in type annotations before
@@ -524,117 +525,54 @@ def rewrite(t: Term, cls: type, g) -> Term:
     return new.get(0, t)
 
 
+# The data a leaf carries besides its class; annotations are not data.
+_LEAF_DATA = {Num: "value", Const: "name", Loc: "index", Quote: "mval"}
+
+
 def alpha_eq(a: Term, b: Term) -> bool:
     """Structural equality up to renaming of bound variables.
 
-    Type annotations are ignored: the surface syntax only records them
-    where the checker needs help, so two pipelines may legitimately place
-    them differently.
+    A bound variable stands for its binder's position: the number of
+    binding nodes above it and its index among the names that node binds
+    there, so a shadowing binder never shares a label with the one it
+    hides.  Type annotations are ignored: the surface syntax only records
+    them where the checker needs help, so two pipelines may legitimately
+    place them differently.  No recursion, so deep terms do not hit
+    Python's limit.
     """
 
-    return _aeq(a, b, {}, {})
-
-
-# Hand-written on purpose: written on `children` it ran 2-3x slower.
-def _aeq(a: Term, b: Term, ra: dict[str, str], rb: dict[str, str]) -> bool:
-    ca, cb = a.__class__, b.__class__
-    if ca is not cb:
-        return False
-    if ca is Var:
-        return ra.get(a.name, a.name) == rb.get(b.name, b.name)
-    if ca is Num:
-        return a.value == b.value
-    if ca is Const:
-        return a.name == b.name
-    if ca is UnitVal or ca is Nil:
-        return True
-    if ca is Loc:
-        return a.index == b.index
-    if ca is Quote:
-        return a.mval == b.mval
-    if ca is Lam:
-        n = f"#{len(ra)}"
-        return _aeq(a.body, b.body, {**ra, a.param: n}, {**rb, b.param: n})
-    if ca is Rec:
-        n1, n2 = f"#{len(ra)}", f"#{len(ra)}'"
-        return _aeq(
-            a.body,
-            b.body,
-            {**ra, a.fname: n1, a.param: n2},
-            {**rb, b.fname: n1, b.param: n2},
-        )
-    if ca is Pair:
-        return _aeq(a.fst, b.fst, ra, rb) and _aeq(a.snd, b.snd, ra, rb)
-    if ca in (Inl, Inr):
-        return _aeq(a.value, b.value, ra, rb)
-    if ca is Cons:
-        return _aeq(a.head, b.head, ra, rb) and _aeq(a.tail, b.tail, ra, rb)
-    if ca is App:
-        return _aeq(a.fn, b.fn, ra, rb) and _aeq(a.arg, b.arg, ra, rb)
-    if ca is Return:
-        return _aeq(a.value, b.value, ra, rb)
-    if ca is Let:
-        if not _aeq(a.bound, b.bound, ra, rb):
+    stack = [(a, b, {}, {}, 0)]
+    while stack:
+        a, b, ra, rb, depth = stack.pop()
+        cls = a.__class__
+        if cls is not b.__class__:
             return False
-        n = f"#{len(ra)}"
-        return _aeq(a.body, b.body, {**ra, a.name: n}, {**rb, b.name: n})
-    if ca is Split:
-        if not _aeq(a.pair, b.pair, ra, rb):
-            return False
-        n1, n2 = f"#{len(ra)}", f"#{len(ra)}'"
-        return _aeq(
-            a.body,
-            b.body,
-            {**ra, a.fst_name: n1, a.snd_name: n2},
-            {**rb, b.fst_name: n1, b.snd_name: n2},
-        )
-    if ca is Case:
-        if not _aeq(a.scrutinee, b.scrutinee, ra, rb):
-            return False
-        n = f"#{len(ra)}"
-        return _aeq(a.left, b.left, {**ra, a.left_name: n}, {**rb, b.left_name: n}) and _aeq(
-            a.right, b.right, {**ra, a.right_name: n}, {**rb, b.right_name: n}
-        )
-    if ca is CaseList:
-        if not _aeq(a.scrutinee, b.scrutinee, ra, rb):
-            return False
-        if not _aeq(a.nil_body, b.nil_body, ra, rb):
-            return False
-        n1, n2 = f"#{len(ra)}", f"#{len(ra)}'"
-        return _aeq(
-            a.cons_body,
-            b.cons_body,
-            {**ra, a.head_name: n1, a.tail_name: n2},
-            {**rb, b.head_name: n1, b.tail_name: n2},
-        )
-    if ca is Do:
-        return a.op == b.op and _aeq(a.arg, b.arg, ra, rb)
-    if ca is Handle:
-        if not _aeq(a.body, b.body, ra, rb):
-            return False
-        ha, hb = a.handler, b.handler
-        if set(ha.clauses) != set(hb.clauses):
-            return False
-        n = f"#{len(ra)}"
-        if not _aeq(ha.val_body, hb.val_body, {**ra, ha.val_name: n}, {**rb, hb.val_name: n}):
-            return False
-        for op in ha.clauses:
-            pa, qa, ba = ha.clauses[op]
-            pb, qb, bb = hb.clauses[op]
-            n1, n2 = f"#{len(ra)}", f"#{len(ra)}'"
-            if not _aeq(ba, bb, {**ra, pa: n1, qa: n2}, {**rb, pb: n1, qb: n2}):
+        if cls is Var:
+            if ra.get(a.name, a.name) != rb.get(b.name, b.name):
                 return False
-        return True
-    if ca is LetRef:
-        if not _aeq(a.init, b.init, ra, rb):
+            continue
+        if cls in _LEAVES:
+            f = _LEAF_DATA.get(cls)
+            if f is not None and getattr(a, f) != getattr(b, f):
+                return False
+            continue
+        if cls is Do and a.op != b.op:
             return False
-        n = f"#{len(ra)}"
-        return _aeq(a.body, b.body, {**ra, a.name: n}, {**rb, b.name: n})
-    if ca is Deref:
-        return _aeq(a.ref, b.ref, ra, rb)
-    if ca is Assign:
-        return _aeq(a.ref, b.ref, ra, rb) and _aeq(a.value, b.value, ra, rb)
-    raise TypeError(f"unknown term node {ca.__name__}")  # pragma: no cover
+        if cls is Handle:  # pair clauses by operation, not by position
+            ca, h = a.handler.clauses, b.handler
+            if ca.keys() != h.clauses.keys():
+                return False
+            b = Handle(b.body, Handler(h.val_name, h.val_body, {op: h.clauses[op] for op in ca}))
+        kids = _CHILDREN[cls]
+        for (sa, na), (sb, nb) in zip(kids(a), kids(b)):
+            if na:
+                la, lb = dict(ra), dict(rb)
+                for i, (x, y) in enumerate(zip(na, nb)):
+                    la[x] = lb[y] = (depth, i)
+                stack.append((sa, sb, la, lb, depth + 1))
+            else:
+                stack.append((sa, sb, ra, rb, depth))
+    return True
 
 
 class NameSupply:

@@ -30,7 +30,7 @@ def same(a, b) -> bool:
             if a.keys() != b.keys():
                 return False
             todo.extend((a[k], b[k]) for k in a)
-        elif getattr(cls, "__slots__", None):
+        elif hasattr(cls, "__slots__"):  # empty slots too: `UnitVal() != UnitVal()`
             todo.extend((getattr(a, f), getattr(b, f)) for f in cls.__slots__)
         elif a != b:
             return False

@@ -190,6 +190,12 @@ def test_check_deep_nesting(tmp_path):
     assert_one_line_error(*run_cli("check", str(f)), "deep.fx: nesting too deep")
 
 
+def test_run_non_ascii_digit(tmp_path):
+    f = tmp_path / "digit.fx"
+    f.write_text("return 1 + \u00b2\n", encoding="utf-8")
+    assert_one_line_error(*run_cli("run", str(f)), "digit.fx: 1:12: unexpected character")
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--impl", "effcount_rep", "--pred", "odd", "-n", "-1"),
     ("count", "--impl", "naivecount", "--pred", "T0", "-n", "-2"),

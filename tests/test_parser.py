@@ -191,6 +191,17 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"]
+)
+def test_numerals_are_ascii_digits(digit):
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_term(f"return 1 +\n  {digit}")
+    assert (exc.value.line, exc.value.col) == (2, 3)
+    with pytest.raises(ParseError):
+        parse_term(f"return 1{digit}")
+
+
 def test_unknown_operation_rejected():
     with pytest.raises(ParseError, match="unknown operation"):
         parse_term("do Branch ()")  # no signature in scope
