@@ -14,9 +14,9 @@ Configurations carry a location counter and a store so the reference
 cells of the stateful language fit the same interface; pure programs
 simply never touch them.
 
-:func:`subst` rebuilds a node through :func:`fxlang.syntax.map_children`
-and returns every subterm in which no substituted variable occurs free
-as the same object, without walking it.  Most of what a step
+:func:`subst` rebuilds only the nodes in which a substituted variable
+occurs free, through :func:`fxlang.syntax.map_children`, and returns any
+other subterm as the same object, unwalked.  Most of what a step
 substitutes into is closed values that earlier steps substituted in (the
 predicate, the loop closures), so a reduct shares them with its redex
 instead of copying them again at every step.  Each node's free variables
@@ -56,6 +56,7 @@ from fxlang.syntax import (
     UNIT_V,
     Var,
     bool_,
+    children,
     complete_handlers,
     free_vars,
     map_children,
@@ -100,7 +101,8 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
 
     Binders are not renamed, so the values are meant to be closed; the one
     open value is the probe variable `decompile.reify` makes of the
-    machine's sentinel.
+    machine's sentinel.  No recursion, so deep terms do not hit Python's
+    limit.
     """
 
     if not m:
@@ -109,13 +111,26 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
         return m.get(t.name, t)
     if free_vars(t).isdisjoint(m):
         return t
-
-    def under(c: Term, names: tuple) -> Term:
-        if names and not m.keys().isdisjoint(names):
-            return subst(c, {k: v for k, v in m.items() if k not in names})
-        return subst(c, m)
-
-    return map_children(t, under)
+    # Breadth-first over the nodes a substituted variable occurs free in,
+    # then rebuilt children first.  `kids` holds their new children, each
+    # node's reversed, so rebuilding a node pops its own in constructor
+    # order; a rebuilt node is written into its slot among its parent's.
+    todo, slots, kids = [(t, m)], [-1], []
+    for s, ms in todo:  # todo grows while read
+        for c, names in reversed(children(s)):
+            mc = ms
+            if names and not ms.keys().isdisjoint(names):
+                mc = {k: v for k, v in ms.items() if k not in names}
+            if c.__class__ is Var:
+                c = mc.get(c.name, c)
+            elif mc and not free_vars(c).isdisjoint(mc):
+                slots.append(len(kids))
+                todo.append((c, mc))
+            kids.append(c)
+    pop = kids.pop
+    for i in range(len(todo) - 1, 0, -1):  # children before parents
+        kids[slots[i]] = map_children(todo[i][0], lambda c, _: pop())
+    return map_children(t, lambda c, _: pop())
 
 
 def delta(c: str, v: Term) -> Term:

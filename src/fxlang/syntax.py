@@ -558,13 +558,13 @@ def alpha_eq(a: Term, b: Term) -> bool:
             continue
         if cls is Do and a.op != b.op:
             return False
+        ka, kb = _CHILDREN[cls](a), _CHILDREN[cls](b)
         if cls is Handle:  # pair clauses by operation, not by position
-            ca, h = a.handler.clauses, b.handler
-            if ca.keys() != h.clauses.keys():
+            ca, cb = a.handler.clauses, b.handler.clauses
+            if ca.keys() != cb.keys():
                 return False
-            b = Handle(b.body, Handler(h.val_name, h.val_body, {op: h.clauses[op] for op in ca}))
-        kids = _CHILDREN[cls]
-        for (sa, na), (sb, nb) in zip(kids(a), kids(b)):
+            kb = kb[:2] + tuple((cb[op][2], cb[op][:2]) for op in ca)
+        for (sa, na), (sb, nb) in zip(ka, kb):
             if na:
                 la, lb = dict(ra), dict(rb)
                 for i, (x, y) in enumerate(zip(na, nb)):

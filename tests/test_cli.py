@@ -56,6 +56,14 @@ def test_semantics_agree(tmp_path):
     assert out1.splitlines()[0] == "7" and out2.splitlines()[0] == "7"
 
 
+def test_smallstep_runs_a_long_list_that_mentions_a_variable_at_its_end(tmp_path):
+    f = tmp_path / "long.fx"
+    f.write_text("let x <- return 7 in return [" + "0, " * 899 + "x]\n")
+    code, out, _ = run_cli("run", str(f), "--semantics", "smallstep")
+    assert code == 0
+    assert out.splitlines()[0] == "0 :: " * 899 + "7 :: []"
+
+
 def test_tree_command():
     code, out, _ = run_cli("tree", "--pred", "I0", "-n", "1")
     assert code == 0

@@ -18,6 +18,7 @@ from fxlang.syntax import (
     BOOL,
     Cons,
     Lam,
+    Let,
     Nil,
     Num,
     Return,
@@ -253,6 +254,25 @@ def test_subst_on_a_deep_term_that_does_not_mention_the_variable():
     t = Lam("y", Return(lst))
     assert free_vars(t) == frozenset()
     assert subst(t, {"x": Num(1)}) is t
+
+
+def test_subst_on_a_deep_term_that_mentions_the_variable_at_its_end():
+    lst = Cons(Var("x"), Nil())
+    for i in range(5_000):
+        lst = Cons(Num(i), lst)
+    out = subst(Lam("y", Return(lst)), {"x": Num(7)})
+    cell, old = out.body.value, lst
+    for _ in range(5_000):
+        assert cell.head is old.head
+        cell, old = cell.tail, old.tail
+    assert cell.head.value == 7 and cell.tail is old.tail
+    chain = Return(Var("x"))
+    for i in range(5_000):
+        chain = Let(f"z{i}", Return(Num(i)), chain)
+    out = subst(chain, {"x": Num(7)})
+    for _ in range(5_000):
+        out = out.body
+    assert out.value.value == 7
 
 
 def _evaluate_corpus():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -249,13 +250,12 @@ def _renamed(t, env, fresh):
     new = map_children(
         t, lambda c, names: _renamed(c, {**env, **{x: ren[x] for x in names}}, fresh)
     )
-    for f in _BINDER_FIELDS.get(new.__class__, ()):
-        setattr(new, f, ren[getattr(new, f)])
     if new.__class__ is Handle:
         h = new.handler
         clauses = {op: (ren[p], ren[r], b) for op, (p, r, b) in h.clauses.items()}
-        new.handler = Handler(ren[h.val_name], h.val_body, clauses)
-    return new
+        return Handle(new.body, Handler(ren[h.val_name], h.val_body, clauses))
+    fields = _BINDER_FIELDS.get(new.__class__, ())
+    return dataclasses.replace(new, **{f: ren[getattr(new, f)] for f in fields})
 
 
 def _changed(leaf, scope):
