@@ -92,12 +92,15 @@ def parse_spec_file(text: str) -> BenchSpec:
     if "impls" not in kv or "preds" not in kv:
         raise ValueError("spec needs both `impls` and `preds`")
     impls, preds = parse_lists(kv["impls"], kv["preds"])
+    fuel = int(kv.get("fuel", DEFAULT_FUEL))
+    if fuel < 1:
+        raise ValueError(f"fuel must be at least 1, not {fuel}")
     return BenchSpec(
         impls=impls,
         preds=preds,
         n_min=int(kv.get("nmin", 2)),
         n_max=int(kv.get("nmax", 8)),
-        fuel=int(kv.get("fuel", DEFAULT_FUEL)),
+        fuel=fuel,
         reps=int(kv.get("reps", 1)),
         out=kv.get("out"),
     )

@@ -2,8 +2,11 @@
 
 Subcommands: check, run, tree, count, bench, list, selftest.  Exit codes
 for `run`: 0 on a value, 1 on parse/type errors, 2 on an unhandled
-operation, 3 on fuel exhaustion.  `main` is the one error boundary: bad
-input in any subcommand becomes a one-line message and exit 1.
+operation, 3 on fuel exhaustion.  `--fuel N` allows at most N
+transitions (or reductions), and N must be at least 1.  `main` is the
+one error boundary: bad input in any subcommand, a program or a result
+nested too deeply for Python's stack included, becomes a one-line
+message and exit 1.
 """
 
 from __future__ import annotations
@@ -28,12 +31,8 @@ def _load(path: str):
 
     with open(path, "r", encoding="utf-8") as fh:
         src = fh.read()
-    try:
-        sig, term = parse_program(src)
-        ty = typecheck_program(sig, term)
-    except RecursionError:
-        raise ValueError("nesting too deep") from None
-    return sig, term, ty
+    sig, term = parse_program(src)
+    return sig, term, typecheck_program(sig, term)
 
 
 def cmd_check(args) -> int:
@@ -230,14 +229,19 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "fuel", 1) < 1:
+            raise ValueError(f"--fuel must be at least 1, not {args.fuel}")
         return args.fn(args)
     except OSError as exc:
         msg = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
     except KeyError as exc:  # str() of a KeyError quotes its message
         msg = str(exc.args[0]) if exc.args else "KeyError"
-    except (ParseError, TypeCheckError, cl.LintError, ValueError) as exc:
+    except (ParseError, TypeCheckError, cl.LintError, ValueError, RecursionError) as exc:
+        # The parser, the type checker, the printers and `interp` recurse
+        # once per nesting level of a program or of its result.
+        what = "nesting too deep" if exc.__class__ is RecursionError else exc
         where = getattr(args, "file", None) or getattr(args, "spec", None)
-        msg = f"{where}: {exc}" if where else str(exc)
+        msg = f"{where}: {what}" if where else str(what)
     print(msg, file=sys.stderr)
     return 1
 

@@ -28,12 +28,12 @@ from fxlang.syntax import (
     Inl,
     Inr,
     Quote,
-    Rec,
     Return,
     Term,
     UNIT_V,
     Var,
     free_vars,
+    map_children,
 )
 
 def reify(v, names=None) -> Term:
@@ -68,17 +68,8 @@ def reify(v, names=None) -> Term:
         for h in reversed(heads):
             out = Cons(h, out)
         return out
-    if cls is mc.VClosure:
-        lam: Lam = v.term
-        return Lam(lam.param, open_term(lam.body, v.env, {lam.param}, names), lam.param_type)
-    if cls is mc.VRecClosure:
-        rec: Rec = v.term
-        return Rec(
-            rec.fname,
-            rec.param,
-            open_term(rec.body, v.env, {rec.fname, rec.param}, names),
-            rec.fn_type,
-        )
+    if cls is mc.VClosure:  # the shape table knows what a Lam or a Rec binds
+        return map_children(v.term, lambda body, bound: open_term(body, v.env, set(bound), names))
     if cls is Const:
         return v
     if cls is mc.VLoc:

@@ -59,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from fxlang.errors import FuelExhausted, StuckError
+from fxlang.pprint import render_mval
 from fxlang.syntax import (
     App,
     Assign,
@@ -109,17 +110,23 @@ DEFAULT_FUEL = 10**8
 # None | (resumption, rest).
 
 
-class VUnit:
+class _Value:
+    """The machine values' one printer: `repr` is the `fx run` format."""
+
     __slots__ = ()
 
     def __repr__(self):
-        return "()"
+        return render_mval(self)
+
+
+class VUnit(_Value):
+    __slots__ = ()
 
 
 VUNIT = VUnit()
 
 
-class VPair:
+class VPair(_Value):
     __slots__ = ("fst", "snd")
 
     def __init__(self, fst, snd):
@@ -129,11 +136,8 @@ class VPair:
     def __eq__(self, other):
         return other.__class__ is VPair and self.fst == other.fst and self.snd == other.snd
 
-    def __repr__(self):
-        return f"({self.fst!r}, {self.snd!r})"
 
-
-class VInl:
+class VInl(_Value):
     __slots__ = ("value",)
 
     def __init__(self, value):
@@ -142,11 +146,8 @@ class VInl:
     def __eq__(self, other):
         return other.__class__ is VInl and self.value == other.value
 
-    def __repr__(self):
-        return "true" if self.value is VUNIT else f"inl {self.value!r}"
 
-
-class VInr:
+class VInr(_Value):
     __slots__ = ("value",)
 
     def __init__(self, value):
@@ -155,24 +156,18 @@ class VInr:
     def __eq__(self, other):
         return other.__class__ is VInr and self.value == other.value
 
-    def __repr__(self):
-        return "false" if self.value is VUNIT else f"inr {self.value!r}"
 
-
-class VNil:
+class VNil(_Value):
     __slots__ = ()
 
     def __eq__(self, other):
         return other.__class__ is VNil
 
-    def __repr__(self):
-        return "[]"
-
 
 VNIL = VNil()
 
 
-class VCons:
+class VCons(_Value):
     __slots__ = ("head", "tail")
 
     def __init__(self, head, tail):
@@ -188,39 +183,19 @@ class VCons:
             a, b = a.tail, b.tail
         return a == b
 
-    def __repr__(self):
-        parts = []
-        v = self
-        while v.__class__ is VCons:
-            parts.append(repr(v.head))
-            v = v.tail
-        parts.append(repr(v))
-        return " :: ".join(parts)
 
+class VClosure(_Value):
+    """A `Lam` or a `Rec` with its environment; applying a `Rec` binds
+    its own name as well (M-Rec)."""
 
-class VClosure:
     __slots__ = ("env", "term")
 
     def __init__(self, env, term):
         self.env = env
         self.term = term
 
-    def __repr__(self):
-        return "<fun>"
 
-
-class VRecClosure:
-    __slots__ = ("env", "term")
-
-    def __init__(self, env, term):
-        self.env = env
-        self.term = term
-
-    def __repr__(self):
-        return "<rec fun>"
-
-
-class VLoc:
+class VLoc(_Value):
     __slots__ = ("index",)
 
     def __init__(self, index):
@@ -229,11 +204,8 @@ class VLoc:
     def __eq__(self, other):
         return other.__class__ is VLoc and self.index == other.index
 
-    def __repr__(self):
-        return f"<loc {self.index}>"
 
-
-class VMemo:
+class VMemo(_Value):
     """A memoised thunk: a closure plus a cell in the run's memo table."""
 
     __slots__ = ("cell", "thunk")
@@ -242,11 +214,8 @@ class VMemo:
         self.cell = cell
         self.thunk = thunk
 
-    def __repr__(self):
-        return f"<memo {self.cell}>"
 
-
-class VSentinel:
+class VSentinel(_Value):
     """The probe value: a stand-in for a free variable of function type.
 
     It is never applicable; the machine stopping on an application of it
@@ -257,9 +226,6 @@ class VSentinel:
 
     def __init__(self, name="q"):
         self.name = name
-
-    def __repr__(self):
-        return f"<probe {self.name}>"
 
 
 VTRUE = VInl(VUNIT)
@@ -307,15 +273,8 @@ def answer_cont():
 
 
 # ---------------------------------------------------------------------------
-# Meters and results
+# Results
 # ---------------------------------------------------------------------------
-
-
-class Meter:
-    __slots__ = ("envops",)
-
-    def __init__(self):
-        self.envops = 0
 
 
 @dataclass(slots=True)
@@ -347,10 +306,10 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def interp(v: Term, env: dict, meter: Meter):
+def interp(v: Term, env: dict, st: MachineState):
     cls = v.__class__
     if cls is Var:
-        meter.envops += 1
+        st.envops += 1
         try:
             return env[v.name]
         except KeyError:
@@ -359,24 +318,22 @@ def interp(v: Term, env: dict, meter: Meter):
         return v.value
     if cls is Quote:
         return v.mval
-    if cls is Lam:
+    if cls is Lam or cls is Rec:
         return VClosure(env, v)
     if cls is UnitVal:
         return VUNIT
     if cls is Inl:
-        return VInl(interp(v.value, env, meter))
+        return VInl(interp(v.value, env, st))
     if cls is Inr:
-        return VInr(interp(v.value, env, meter))
+        return VInr(interp(v.value, env, st))
     if cls is Pair:
-        return VPair(interp(v.fst, env, meter), interp(v.snd, env, meter))
-    if cls is Rec:
-        return VRecClosure(env, v)
+        return VPair(interp(v.fst, env, st), interp(v.snd, env, st))
     if cls is Const:
         return v
     if cls is Nil:
         return VNIL
     if cls is Cons:
-        return VCons(interp(v.head, env, meter), interp(v.tail, env, meter))
+        return VCons(interp(v.head, env, st), interp(v.tail, env, st))
     if cls is Loc:
         return VLoc(v.index)
     raise StuckError(f"not a value term: {v!r}")
@@ -396,7 +353,7 @@ def delta_m(name: str, a, b):
     raise StuckError(f"unknown constant {name!r}")
 
 
-def _apply_const(name: str, arg: Term, env: dict, meter: Meter):
+def _apply_const(name: str, arg: Term, env: dict, st: MachineState):
     """M-Const's result: constant ``name`` applied to the value term
     ``arg``.  A literal pair's components are read directly, with no
     `VPair` built; an operand bound to a pair goes through `interp`."""
@@ -404,22 +361,22 @@ def _apply_const(name: str, arg: Term, env: dict, meter: Meter):
     if arg.__class__ is Pair:
         a = arg.fst
         if a.__class__ is Var:
-            meter.envops += 1
+            st.envops += 1
             a = env[a.name]
         elif a.__class__ is Num:
             a = a.value
         else:
-            a = interp(a, env, meter)
+            a = interp(a, env, st)
         b = arg.snd
         if b.__class__ is Var:
-            meter.envops += 1
+            st.envops += 1
             b = env[b.name]
         elif b.__class__ is Num:
             b = b.value
         else:
-            b = interp(b, env, meter)
+            b = interp(b, env, st)
         return delta_m(name, a, b)
-    pv = interp(arg, env, meter)
+    pv = interp(arg, env, st)
     if pv.__class__ is not VPair:
         raise StuckError(f"constant {name!r} applied to a non-numeric pair")
     return delta_m(name, pv.fst, pv.snd)
@@ -440,8 +397,7 @@ class MachineState:
 
     __slots__ = (
         "comp", "env", "kont", "store", "locc", "memo",
-        "ticks", "meter", "memo_cells",
-        "rule", "out_value", "out_op", "out_arg", "out_query",
+        "ticks", "envops", "memo_cells", "rule", "out",
     )
 
     def __init__(self, comp, env, kont, store=None, locc=0, memo=None, memo_cells=0):
@@ -453,12 +409,9 @@ class MachineState:
         self.memo = {} if memo is None else memo
         self.memo_cells = memo_cells
         self.ticks = 0
-        self.meter = Meter()
+        self.envops = 0
         self.rule = None
-        self.out_value = None
-        self.out_op = None
-        self.out_arg = None
-        self.out_query = None
+        self.out = None
 
     def fork(self, comp):
         """A future of this state with a replaced computation.
@@ -479,9 +432,12 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     probe) a query on the probe value.
 
     Returns the outcome kind: 'value', 'answer', 'op', 'query' or
-    'fuel', with details left on the state.  'answer' is the final state
-    of a run over `answer_cont`; 'op' means an operation reached the
-    bottom identity handler: the unhandled-operation final state.
+    'fuel'.  'answer' is the final state of a run over `answer_cont`;
+    'op' means an operation reached the bottom identity handler: the
+    unhandled-operation final state.  The kind says how to read
+    ``st.out``: the result value after 'value' and 'answer', the queried
+    index after 'query', a `FinalUnhandledOp` after 'op'; a 'fuel' stop
+    leaves it as it was.
 
     Each branch that fires a transition names its rule in ``rule``; a
     'fuel' stop leaves the last rule fired on ``st.rule``.
@@ -509,7 +465,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     it.  A let-frame push, M-Handle and an `interp` call whose result may
     close over ``env`` capture it, and so does parking it on ``st``; at
     entry ``env`` is the state's, so ``own`` starts false.  envOps are
-    counted in a local and added to ``st.meter`` on every exit.
+    counted in a local and added to ``st.envops`` on every exit.
     """
 
     comp = st.comp
@@ -528,7 +484,6 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     store = st.store
     memo = st.memo
     ticks = st.ticks
-    meter = st.meter
     envops = 0
     val = None
 
@@ -543,7 +498,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         envops += 1
                         val = env[x.name]
                     else:
-                        val = interp(x, env, meter)
+                        val = interp(x, env, st)
                         own = False
                 if sigma is not None:
                     # a memo-record frame's None body is "return val"
@@ -559,7 +514,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         own = True
                     ticks += 1
                 elif chi is None:
-                    st.out_value = val
+                    st.out = val
                     return _park(st, "value", comp, val, env, sigma, chi, rest, ticks)
                 else:
                     rule = "M-RetHandler"
@@ -568,7 +523,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         if h is ANSWER_HANDLER:
                             # The answer stop: a pure term's result, or a
                             # probed predicate's answer leaf.
-                            st.out_value = val
+                            st.out = val
                             return _park(st, "answer", comp, val, env, sigma, chi, rest, ticks)
                         chi = None
                     else:
@@ -586,19 +541,19 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     envops += 1
                     fv = env[x.name]
                 else:
-                    fv = interp(x, env, meter)
+                    fv = interp(x, env, st)
                 fcls = fv.__class__
-                if fcls is VClosure or fcls is VRecClosure:
+                if fcls is VClosure:
                     x = comp.arg
                     if x.__class__ is Var:
                         envops += 1
                         av = env[x.name]
                     else:
-                        av = interp(x, env, meter)
+                        av = interp(x, env, st)
                     fn = fv.term
                     env = dict(fv.env)
                     own = True
-                    if fcls is VRecClosure:
+                    if fn.__class__ is Rec:
                         rule = "M-Rec"
                         env[fn.fname] = fv
                         envops += 1
@@ -613,11 +568,11 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         rule = "M-Memo"
                         cell = st.memo_cells
                         st.memo_cells = cell + 1
-                        val = VMemo(cell, interp(comp.arg, env, meter))
+                        val = VMemo(cell, interp(comp.arg, env, st))
                         own = False
                     else:
                         rule = "M-Const"
-                        val = _apply_const(fv.name, comp.arg, env, meter)
+                        val = _apply_const(fv.name, comp.arg, env, st)
                     comp = None
                     ticks += 1
                 elif fcls is tuple:
@@ -634,21 +589,24 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         comp = None
                     else:
                         rule = "M-Memo-Force"
-                        av = interp(comp.arg, env, meter)
+                        av = interp(comp.arg, env, st)
                         thunk = fv.thunk
                         if thunk.__class__ is not VClosure:
                             raise StuckError("memoised value is not a closure")
                         sigma = (fv.cell, None, None, sigma)
-                        lam = thunk.term
+                        fn = thunk.term
                         env = dict(thunk.env)
                         own = True
-                        env[lam.param] = av
+                        if fn.__class__ is Rec:
+                            env[fn.fname] = thunk
+                            envops += 1
+                        env[fn.param] = av
                         envops += 1
-                        comp = lam.body
+                        comp = fn.body
                     ticks += 1
                 elif fcls is VSentinel:
                     if probe is not None and fv is probe:
-                        st.out_query = interp(comp.arg, env, meter)
+                        st.out = interp(comp.arg, env, st)
                         return _park(st, "query", comp, val, env, sigma, chi, rest, ticks)
                     raise StuckError("application of the probe value outside extraction")
                 else:
@@ -664,7 +622,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     # M-Let, M-Const, M-RetCont.  The result is a natural
                     # or a boolean, so nothing captures ``env`` here.
                     rule = "M-RetCont"
-                    val = _apply_const(x.fn.name, x.arg, env, meter)
+                    val = _apply_const(x.fn.name, x.arg, env, st)
                     if not own:
                         env = dict(env)
                         own = True
@@ -685,7 +643,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     envops += 1
                     sv = env[x.name]
                 else:
-                    sv = interp(x, env, meter)
+                    sv = interp(x, env, st)
                     own = False
                 scls = sv.__class__
                 if scls is VInl:
@@ -711,8 +669,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     if rest is None:
                         # Fell through to the identity handler: the
                         # unhandled-operation final state.
-                        st.out_op = comp.op
-                        st.out_arg = interp(comp.arg, env, meter)
+                        st.out = FinalUnhandledOp(comp.op, interp(comp.arg, env, st))
                         return _park(st, "op", comp, val, env, sigma, chi, rest, ticks)
                     raise StuckError(
                         f"mid-stack handler lacks a clause for {comp.op!r}; "
@@ -720,7 +677,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     )
                 rule = "M-Handle-Op"
                 p, r, body = clause
-                av = interp(comp.arg, env, meter)
+                av = interp(comp.arg, env, st)
                 env = dict(chi[0])
                 own = True
                 env[p] = av
@@ -736,7 +693,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     envops += 1
                     pv = env[x.name]
                 else:
-                    pv = interp(x, env, meter)
+                    pv = interp(x, env, st)
                     own = False
                 if pv.__class__ is not VPair:
                     raise StuckError("split of a non-pair")
@@ -756,7 +713,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                     envops += 1
                     sv = env[x.name]
                 else:
-                    sv = interp(x, env, meter)
+                    sv = interp(x, env, st)
                     own = False
                 scls = sv.__class__
                 if scls is VNil:
@@ -787,7 +744,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
             elif cls is LetRef:
                 rule = "M-Alloc"
                 # the initial value may close over ``env``
-                store[st.locc] = interp(comp.init, env, meter)
+                store[st.locc] = interp(comp.init, env, st)
                 env = dict(env)
                 own = True
                 env[comp.name] = VLoc(st.locc)
@@ -797,7 +754,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 ticks += 1
 
             elif cls is Deref:
-                rv = interp(comp.ref, env, meter)
+                rv = interp(comp.ref, env, st)
                 if rv.__class__ is not VLoc:
                     raise StuckError("dereference of a non-location")
                 rule = "M-Deref"
@@ -806,11 +763,11 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 ticks += 1
 
             elif cls is Assign:
-                rv = interp(comp.ref, env, meter)
+                rv = interp(comp.ref, env, st)
                 if rv.__class__ is not VLoc:
                     raise StuckError("assignment to a non-location")
                 rule = "M-Assign"
-                store[rv.index] = interp(comp.value, env, meter)
+                store[rv.index] = interp(comp.value, env, st)
                 own = False
                 comp = _RET_UNIT
                 ticks += 1
@@ -827,7 +784,7 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
         what = "variable" if key.__class__ is str else "location"
         raise StuckError(f"unbound {what} {key!r}") from None
     finally:
-        meter.envops += envops
+        st.envops += envops
 
 
 def _park(st, kind, comp, val, env, sigma, chi, rest, ticks):
@@ -846,9 +803,7 @@ def _park(st, kind, comp, val, env, sigma, chi, rest, ticks):
 def _outcome(st, kind):
     """The final state a stopped run reached, from its stop kind."""
 
-    if kind == "op":
-        return FinalUnhandledOp(st.out_op, st.out_arg)
-    return FinalValue(st.out_value)
+    return st.out if kind == "op" else FinalValue(st.out)
 
 
 _ABSENT = object()
@@ -882,7 +837,7 @@ def run_machine(term: Term, sig: Signature | None = None, fuel: int = DEFAULT_FU
     kind = drive(st, fuel)
     if kind == "fuel":
         raise FuelExhausted(st.ticks)
-    return RunResult(_outcome(st, kind), st.ticks, st.meter.envops)
+    return RunResult(_outcome(st, kind), st.ticks, st.envops)
 
 
 # ---------------------------------------------------------------------------

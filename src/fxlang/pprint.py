@@ -198,7 +198,8 @@ def program_to_source(sig: sx.Signature, term: Term) -> str:
 
 
 def render_mval(v: object) -> str:
-    """Render a machine value for CLI output.
+    """Render a machine value for CLI output; it is also every machine
+    value's `repr`.
 
     Sums over unit render as the booleans they encode; object-level cons
     lists render in bracket notation.
@@ -227,7 +228,7 @@ def render_mval(v: object) -> str:
             items.append(render_mval(v.head))
             v = v.tail
         return "[" + ", ".join(items) + "]"
-    if cls is mc.VClosure or cls is mc.VRecClosure:
+    if cls is mc.VClosure:
         return "<fun>"
     if cls is mc.VLoc:
         return f"<loc {v.index}>"
@@ -239,4 +240,5 @@ def render_mval(v: object) -> str:
         return f"({v.name})" if v.name != "memoise" else "memoise"
     if cls is mc.VSentinel:
         return "<probe>"
-    return repr(v)
+    # not repr(v): a machine value's repr is this function
+    raise TypeError(f"cannot render a {cls.__name__}")

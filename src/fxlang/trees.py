@@ -258,7 +258,6 @@ def extract_tree(
     sig: Signature | None = None,
     fuel: int = 1_000_000,
     depth_bound: Optional[int] = None,
-    probe_name: str = "q",
 ) -> DecisionTree:
     """Run the probe on a predicate and materialise its decision tree.
 
@@ -276,16 +275,16 @@ def extract_tree(
     if sig:
         pred = complete_handlers(pred, sig)
     pred = as_value(pred)
-    probe = mc.VSentinel(probe_name)
-    root = App(pred, Var(probe_name)) if is_value(pred) else pred
-    st0 = mc.MachineState(root, {probe_name: probe}, mc.answer_cont())
+    probe = mc.VSentinel()
+    root = App(pred, Var(probe.name)) if is_value(pred) else pred
+    st0 = mc.MachineState(root, {probe.name: probe}, mc.answer_cont())
     tree = DecisionTree()
     stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
     while stack:
         addr, st = stack.pop()
         kind = mc.drive(st, fuel, probe=probe)
         if kind == "query":
-            k = st.out_query
+            k = st.out
             if k.__class__ is not int:
                 raise StuckError(f"query index is not a numeral: {k!r}")
             tree.nodes[addr] = TreeNode(Query(k), st.ticks, _snapshot(st))
@@ -297,7 +296,7 @@ def extract_tree(
                 stack.append((addr + (b,), st.fork(Return(bool_(b)))))
         elif kind == "answer":
             tree.nodes[addr] = TreeNode(
-                Answer(mc.mval_to_bool(st.out_value)), st.ticks, _snapshot(st)
+                Answer(mc.mval_to_bool(st.out)), st.ticks, _snapshot(st)
             )
         elif kind == "op":
             tree.partial[addr] = "unhandled"
@@ -371,35 +370,21 @@ def random_standard_tree(rng: Random, n: int) -> DecisionTree:
     return tree
 
 
-def random_predicate_tree(
-    rng: Random,
-    n: int,
-    p_answer: float = 0.25,
-    allow_repeats: bool = True,
-    max_depth: Optional[int] = None,
-) -> DecisionTree:
+def random_predicate_tree(rng: Random, n: int) -> DecisionTree:
     """A random total n-predicate tree, possibly with repeated and
-    missing queries (the general class)."""
+    missing queries (the general class).  Each node above depth n + 2 is
+    an answer leaf with probability 1/4; every node at that depth is
+    one."""
 
-    cap = max_depth if max_depth is not None else n + 2
     tree = DecisionTree()
 
-    def go(addr: Addr, seen: frozenset):
-        deep = len(addr) >= cap
-        if deep or rng.random() < p_answer:
+    def go(addr: Addr):
+        if len(addr) >= n + 2 or rng.random() < 0.25:
             tree.nodes[addr] = TreeNode(Answer(rng.random() < 0.5))
             return
-        if allow_repeats:
-            k = rng.randrange(n)
-        else:
-            avail = [i for i in range(n) if i not in seen]
-            if not avail:
-                tree.nodes[addr] = TreeNode(Answer(rng.random() < 0.5))
-                return
-            k = avail[rng.randrange(len(avail))]
-        tree.nodes[addr] = TreeNode(Query(k))
-        go(addr + (True,), seen | {k})
-        go(addr + (False,), seen | {k})
+        tree.nodes[addr] = TreeNode(Query(rng.randrange(n)))
+        go(addr + (True,))
+        go(addr + (False,))
 
-    go((), frozenset())
+    go(())
     return tree

@@ -64,6 +64,14 @@ def test_smallstep_runs_a_long_list_that_mentions_a_variable_at_its_end(tmp_path
     assert out.splitlines()[0] == "0 :: " * 899 + "7 :: []"
 
 
+def test_run_memoised_rec_thunk(tmp_path):
+    f = tmp_path / "memo.fx"
+    f.write_text("let f = memoise (rec (g : Unit -> Nat) u -> return 7) in f ()\n")
+    for semantics in ("machine", "smallstep"):
+        code, out, _ = run_cli("run", str(f), "--semantics", semantics)
+        assert code == 0 and out.splitlines()[0] == "7"
+
+
 def test_tree_command():
     code, out, _ = run_cli("tree", "--pred", "I0", "-n", "1")
     assert code == 0
@@ -213,6 +221,39 @@ def test_run_non_ascii_digit(tmp_path):
 ])
 def test_negative_size_is_one_line(argv):
     assert_one_line_error(*run_cli(*argv), "at least 0, not -")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", str(PROGRAMS / "toss.fx"), "--fuel", "0"),
+    ("run", str(PROGRAMS / "toss.fx"), "--fuel", "-5", "--semantics", "smallstep"),
+    ("count", "--impl", "naivecount", "--pred", "odd", "-n", "2", "--fuel", "0"),
+    ("tree", "--pred", "odd", "-n", "2", "--fuel", "-1"),
+    ("bench", "--impls", "effcount", "--preds", "odd", "--nmax", "2", "--fuel", "0"),
+])
+def test_fuel_below_one_is_one_line(argv):
+    assert_one_line_error(*run_cli(*argv), "--fuel must be at least 1, not ")
+
+
+def test_bench_spec_fuel_below_one_is_one_line(tmp_path):
+    spec = tmp_path / "nofuel.spec"
+    spec.write_text("impls = effcount\npreds = odd\nnmax = 2\nfuel = 0\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
+                          "nofuel.spec: fuel must be at least 1, not 0")
+
+
+def test_smallstep_result_nested_too_deep_is_one_line(tmp_path):
+    # the machine prints this 1,500-element list; the term printer that
+    # small-step results go through recurses once per cell
+    f = tmp_path / "build.fx"
+    f.write_text(
+        "let go = (rec (go : List Nat -> Nat -> List Nat) acc -> fun (n : Nat) ->\n"
+        "  if n = 0 then return acc else go (n :: acc) (n - 1)) in\n"
+        "go [] 1500\n"
+    )
+    code, out, _ = run_cli("run", str(f))
+    assert code == 0 and out.startswith("[1, 2, 3, ")
+    assert_one_line_error(*run_cli("run", str(f), "--semantics", "smallstep"),
+                          "build.fx: nesting too deep")
 
 
 @pytest.mark.parametrize("preds", ["odd", "I0"])  # I0 rows would all be skipped

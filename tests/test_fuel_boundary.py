@@ -72,7 +72,7 @@ def single_steps(term):
             return out, fusable
         if rule == "M-Let" and _fusable(st.comp):
             fusable += 1
-        envops += nxt.meter.envops
+        envops += nxt.envops
         out.append((rule, envops, nxt))
         st = nxt
 
@@ -86,7 +86,7 @@ def check_every_fuel_stop(term, decompile_every=1):
     for k, (rule, envops, st_k) in enumerate(steps, 1):
         st = mc.inject(term)
         assert mc.drive(st, k) == "fuel"
-        assert (st.ticks, st.rule, st.meter.envops) == (k, rule, envops), k
+        assert (st.ticks, st.rule, st.envops) == (k, rule, envops), k
         assert same_state(st, st_k), k
         if k % decompile_every == 0 or k == len(steps):
             assert same(decompile(st), decompile(st_k)), k

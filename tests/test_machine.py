@@ -9,6 +9,7 @@ from fxlang.errors import FuelExhausted, StuckError
 from fxlang.gen import random_program
 from fxlang.parser import parse_program, parse_term
 from fxlang.pprint import render_mval
+from fxlang.smallstep import evaluate
 from fxlang.syntax import (
     BOOL,
     UNIT,
@@ -77,8 +78,8 @@ def test_pure_run_stops_before_bottom_handler():
     term, _, _ = cl.compose("naivecount", "odd", 3)
     res = mc.run_machine(term)
     st = mc.MachineState(term, {}, mc.identity_cont())
-    assert mc.drive(st, fuel=10**7) == "value" and st.out_value == res.value
-    assert st.ticks == res.ticks + 1 and st.meter.envops == res.envops + 2
+    assert mc.drive(st, fuel=10**7) == "value" and st.out == res.value
+    assert st.ticks == res.ticks + 1 and st.envops == res.envops + 2
 
 
 def test_let_and_retcont_transitions():
@@ -190,11 +191,11 @@ handle ({lets} do Branch ()) with {{
         from fxlang.syntax import Do
 
         while st.comp.__class__ is not Do:
-            before = st.meter.envops
+            before = st.envops
             mc.drive(st, fuel=st.ticks + 1)
-        before = st.meter.envops
+        before = st.envops
         mc.drive(st, fuel=st.ticks + 1)
-        return st.meter.envops - before
+        return st.envops - before
 
     assert handle_op_envops(2) == handle_op_envops(40)
 
@@ -228,6 +229,45 @@ def test_memoise_behaves_as_identity_wrap():
     plain = run("let f = (fun (_ : Unit) -> return []) in f ()")
     wrapped = run("let f = memoise (fun (_ : Unit) -> return ([] : List Bool)) in f ()")
     assert render_mval(plain.value) == render_mval(wrapped.value) == "[]"
+
+
+# A memoised `rec` thunk that calls itself through its own name until a
+# counter reaches 3; the second force is a memo hit despite the reset.
+MEMO_REC_SRC = """
+letref c = 0 in
+let f = memoise (rec (g : Unit -> Nat) u ->
+  let n <- !c in
+  if n = 3 then return n else let _ <- (c := n + 1) in g ()) in
+let a <- f () in
+let _ <- (c := 0) in
+let b <- f () in
+return (a, b)
+"""
+
+
+def test_memoised_rec_thunk_binds_its_name_when_forced():
+    # M-Memo-Force enters a rec closure as M-Rec does, binding its name
+    term = parse_term(MEMO_REC_SRC)
+    res = mc.run_machine(term)
+    assert render_mval(res.value) == "(3, 3)"
+    assert alpha_eq(evaluate(term)[0].value, reify(res.value))
+    bare = parse_term("let f = memoise (rec (g : Unit -> Nat) u -> return 7) in f ()")
+    res = mc.run_machine(bare)
+    assert (res.value, res.ticks, res.envops) == (7, 7, 6)
+    assert alpha_eq(evaluate(bare)[0].value, Num(7))
+
+
+def test_repr_of_every_machine_value_is_render_mval():
+    closure = mc.VClosure({}, Lam("x", Return(Var("x"))))
+    values = [
+        mc.VUNIT, mc.VPair(1, mc.VTRUE), mc.VInl(2), mc.VInr(mc.VUNIT), mc.VNIL,
+        mc.VCons(1, mc.VCons(2, mc.VNIL)), closure, mc.VLoc(3), mc.VMemo(0, closure),
+        mc.VSentinel(),
+    ]
+    assert {v.__class__ for v in values} == set(mc._Value.__subclasses__())
+    for v in values:
+        assert repr(v) == render_mval(v)
+    assert repr(values[5]) == "[1, 2]" and repr(values[1]) == "(1, true)"
 
 
 def test_unhandled_operation_final_state():
@@ -341,7 +381,7 @@ def test_composed_pure_counter_runs_on_base_machine():
     term, sig, _ = cl.compose("naivecount", "odd", 2)
     st = mc.inject(term)  # a pure program: ends at the answer stop
     assert mc.drive(st, fuel=10**6) == "answer"
-    assert st.out_value == 2
+    assert st.out == 2
 
 
 def test_long_list_value_no_recursion_cliff():
@@ -351,7 +391,7 @@ def test_long_list_value_no_recursion_cliff():
     for i in range(5000):
         a, b = mc.VCons(i, a), mc.VCons(i, b)
     assert a == b and not a == mc.VCons(-1, b.tail)
-    assert repr(a).count(" :: ") == 5000 and repr(a).endswith("0 :: []")
+    assert repr(a) == "[" + ", ".join(map(str, range(4999, -1, -1))) + "]"
     t, n = reify(a), 5000
     while t.__class__ is Cons:
         n -= 1
