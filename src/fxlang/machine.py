@@ -566,9 +566,10 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 elif fcls is Const:
                     if fv.name == "memoise":
                         rule = "M-Memo"
-                        cell = st.memo_cells
-                        st.memo_cells = cell + 1
-                        val = VMemo(cell, interp(comp.arg, env, st))
+                        val = interp(comp.arg, env, st)
+                        if val.__class__ is not VMemo:  # a memoised thunk stays as it is
+                            val = VMemo(st.memo_cells, val)
+                            st.memo_cells += 1
                         own = False
                     else:
                         rule = "M-Const"
@@ -589,20 +590,26 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                         comp = None
                     else:
                         rule = "M-Memo-Force"
-                        av = interp(comp.arg, env, st)
                         thunk = fv.thunk
-                        if thunk.__class__ is not VClosure:
-                            raise StuckError("memoised value is not a closure")
                         sigma = (fv.cell, None, None, sigma)
-                        fn = thunk.term
-                        env = dict(thunk.env)
-                        own = True
-                        if fn.__class__ is Rec:
-                            env[fn.fname] = thunk
+                        if thunk.__class__ is tuple:
+                            # A memoised resumption resumes as M-Resume does.
+                            comp = Return(comp.arg)
+                            rest = ((sigma, chi), rest)
+                            sigma, chi = thunk
+                        elif thunk.__class__ is VClosure:
+                            av = interp(comp.arg, env, st)
+                            fn = thunk.term
+                            env = dict(thunk.env)
+                            own = True
+                            if fn.__class__ is Rec:
+                                env[fn.fname] = thunk
+                                envops += 1
+                            env[fn.param] = av
                             envops += 1
-                        env[fn.param] = av
-                        envops += 1
-                        comp = fn.body
+                            comp = fn.body
+                        else:
+                            raise StuckError("memoised value is not a closure")
                     ticks += 1
                 elif fcls is VSentinel:
                     if probe is not None and fv is probe:

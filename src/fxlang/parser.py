@@ -13,7 +13,7 @@ followed by a single computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from fxlang import syntax as sx
 from fxlang.syntax import (
@@ -47,10 +47,12 @@ from fxlang.syntax import (
 
 
 class ParseError(Exception):
-    def __init__(self, msg: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {msg}")
-        self.line = line
-        self.col = col
+    """A syntax error at ``offset`` in ``src``, reported as line:column."""
+
+    def __init__(self, msg: str, src: str, offset: int):
+        self.line = src.count("\n", 0, offset) + 1
+        self.col = offset - src.rfind("\n", 0, offset)
+        super().__init__(f"{self.line}:{self.col}: {msg}")
 
 
 KEYWORDS = {
@@ -59,71 +61,61 @@ KEYWORDS = {
     "operation", "val", "memoise",
 }
 
-_SYMBOLS = [
-    ":=", "<-", "->", "::", "&&", "||",
-    "(", ")", "{", "}", "[", "]", ",", ";", ":", "=", "+", "-", "!", "*",
-]
+# A token is its text: a symbol, an ASCII numeral, a keyword, an
+# identifier (a letter or `_`, then letters, digits, `_` and `'`), or ''
+# at the end of the input.  Whitespace is exactly space, tab, CR and LF,
+# and `#` comments run to the end of the line.  The first group takes the
+# tokens led by an ASCII character.  The second takes a word led by any
+# other character, an identifier only if that character is a letter
+# (`\w` is `str.isalnum` plus `_`, so `²x` is a word too), or else one
+# character that starts no token.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(:=|<-|->|::|&&|\|\||[-(){}\[\],;:=+!*]|[0-9]+|[A-Za-z_][\w']*|\Z)"
+    r"|([^\W\d][\w']*|.))",
+    re.S,
+)
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # NUM | IDENT | KW | SYM | EOF
-    text: str
-    line: int
-    col: int
+def tokenize(src: str) -> tuple[list[str], list[int]]:
+    """The tokens of ``src`` and their offsets, ending with ''."""
+
+    toks: list[str] = []
+    offs: list[int] = []
+    for m in _TOKEN.finditer(src):
+        t = m[1]
+        if t is None:
+            t = m[2]
+            if not t[0].isalpha():
+                raise ParseError(f"unexpected character {t[0]!r}", src, m.start(2))
+        toks.append(t)
+        offs.append(m.end() - len(t))
+        if not t:
+            break
+    return toks, offs
 
 
-def tokenize(src: str) -> tuple[list[Token], set[str]]:
-    toks: list[Token] = []
-    idents: set[str] = set()
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if "0" <= c <= "9":  # not str.isdigit, which takes '²' and '٣' too
-            j = i
-            while j < n and "0" <= src[j] <= "9":
-                j += 1
-            toks.append(Token("NUM", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            if word in KEYWORDS:
-                toks.append(Token("KW", word, line, col))
-            else:
-                toks.append(Token("IDENT", word, line, col))
-                idents.add(word)
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token("SYM", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
-    return toks, idents
+# Infix operators, loosest first: op -> (precedence, associativity, node).
+# `=` does not chain: `a = b = c` is a syntax error.
+_EXPR_OPS = {
+    "||": (1, "left", lambda l, r: ("or", l, r)),
+    "&&": (2, "left", lambda l, r: ("and", l, r)),
+    "=": (3, "none", lambda l, r: ("prim", "=", l, r)),
+    "::": (4, "right", lambda l, r: ("cons", l, r)),
+    "+": (5, "left", lambda l, r: ("prim", "+", l, r)),
+    "-": (5, "left", lambda l, r: ("prim", "-", l, r)),
+}
+
+_TYPE_OPS = {
+    "->": (1, "right", sx.Arrow),
+    "+": (2, "left", sx.Sum),
+    "*": (3, "left", sx.Prod),
+}
+
+_TYPE_NAMES = {"Nat": sx.NAT, "Unit": sx.UNIT, "Bool": sx.BOOL}
+
+# The tokens that start an atom, besides numerals and identifiers.
+_ATOM_STARTS = {"true", "false", "fun", "rec", "inl", "inr", "do", "memoise", "(", "["}
 
 
 # ---------------------------------------------------------------------------
@@ -136,112 +128,100 @@ def tokenize(src: str) -> tuple[list[Token], set[str]]:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
+    def __init__(self, src: str):
+        self.src = src
+        self.toks, self.offs = tokenize(src)
+        self.idents = {t for t in set(self.toks) if t[:1].isalpha() or t[:1] == "_"} - KEYWORDS
         self.pos = 0
 
     # -- token plumbing
 
-    def peek(self, k: int = 0) -> Token:
+    def error(self, msg: str, i: int | None = None) -> ParseError:
+        """A ParseError at token ``i``, by default the next one."""
+
+        return ParseError(msg, self.src, self.offs[self.pos if i is None else i])
+
+    def peek(self, k: int = 0) -> str:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
 
-    def next(self) -> Token:
+    def at(self, s: str, k: int = 0) -> bool:
+        return self.peek(k) == s
+
+    def expect(self, s: str) -> None:
         t = self.toks[self.pos]
+        if t != s:
+            raise self.error(f"expected {s!r}, found {t!r}")
+        self.pos += 1
+
+    def expect_end(self, what: str) -> None:
+        t = self.toks[self.pos]
+        if t:
+            raise self.error(f"unexpected {t!r} after {what}")
+
+    def ident(self) -> str:
+        t = self.toks[self.pos]
+        if t not in self.idents:
+            raise self.error(f"expected identifier, found {t!r}")
         self.pos += 1
         return t
 
-    def at_sym(self, s: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.kind == "SYM" and t.text == s
+    def infix(self, ops: dict, operand, floor: int = 0):
+        """Precedence climbing (Pratt, POPL 1973): an operand, then each
+        operator of ``ops`` of precedence ``floor`` or more with its right
+        operand.  A left-associative chain is a loop; only a
+        right-associative one recurses per operator."""
 
-    def at_kw(self, s: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.kind == "KW" and t.text == s
-
-    def expect_sym(self, s: str) -> Token:
-        t = self.next()
-        if t.kind != "SYM" or t.text != s:
-            raise ParseError(f"expected {s!r}, found {t.text!r}", t.line, t.col)
-        return t
-
-    def expect_kw(self, s: str) -> Token:
-        t = self.next()
-        if t.kind != "KW" or t.text != s:
-            raise ParseError(f"expected {s!r}, found {t.text!r}", t.line, t.col)
-        return t
-
-    def expect_ident(self) -> Token:
-        t = self.next()
-        if t.kind != "IDENT":
-            raise ParseError(f"expected identifier, found {t.text!r}", t.line, t.col)
-        return t
+        left = operand()
+        stop = None  # the precedence of a non-chaining operator just applied
+        while True:
+            op = ops.get(self.toks[self.pos])
+            if op is None or op[0] < floor or op[0] == stop:
+                return left
+            prec, assoc, node = op
+            self.pos += 1
+            left = node(left, self.infix(ops, operand, prec if assoc == "right" else prec + 1))
+            stop = prec if assoc == "none" else None
 
     # -- types
 
     def parse_type(self) -> sx.Type:
-        left = self._type_sum()
-        if self.at_sym("->"):
-            self.next()
-            return sx.Arrow(left, self.parse_type())
-        return left
-
-    def _type_sum(self) -> sx.Type:
-        left = self._type_prod()
-        while self.at_sym("+"):
-            self.next()
-            left = sx.Sum(left, self._type_prod())
-        return left
-
-    def _type_prod(self) -> sx.Type:
-        left = self._type_atom()
-        while self.at_sym("*"):
-            self.next()
-            left = sx.Prod(left, self._type_atom())
-        return left
+        return self.infix(_TYPE_OPS, self._type_atom)
 
     def _type_atom(self) -> sx.Type:
-        t = self.next()
-        if t.kind == "IDENT":
-            if t.text == "Nat":
-                return sx.NAT
-            if t.text == "Unit":
-                return sx.UNIT
-            if t.text == "Bool":
-                return sx.BOOL
-            if t.text == "Ref":
-                return sx.RefType(self._type_atom())
-            if t.text == "List":
-                return sx.ListType(self._type_atom())
-            raise ParseError(f"unknown type name {t.text!r}", t.line, t.col)
-        if t.kind == "SYM" and t.text == "(":
+        t = self.toks[self.pos]
+        if t == "(":
+            self.pos += 1
             ty = self.parse_type()
-            self.expect_sym(")")
+            self.expect(")")
             return ty
-        raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
+        if t in ("Ref", "List"):
+            self.pos += 1
+            elem = self._type_atom()
+            return sx.RefType(elem) if t == "Ref" else sx.ListType(elem)
+        if t not in _TYPE_NAMES:
+            if t in self.idents:
+                raise self.error(f"unknown type name {t!r}")
+            raise self.error(f"expected a type, found {t!r}")
+        self.pos += 1
+        return _TYPE_NAMES[t]
 
     # -- programs
 
     def parse_program(self) -> tuple[Signature, tuple]:
         sig: Signature = {}
-        while self.at_kw("operation"):
-            self.next()
-            name = self.expect_ident()
-            self.expect_sym(":")
+        while self.at("operation"):
+            self.pos += 1
+            at = self.pos
+            name = self.ident()
+            self.expect(":")
             ty = self.parse_type()
             if not isinstance(ty, sx.Arrow):
-                raise ParseError(
-                    f"operation {name.text!r} needs an arrow type", name.line, name.col
-                )
-            a, b = ty.dom, ty.cod
-            if name.text in sig:
-                raise ParseError(
-                    f"operation {name.text!r} declared twice", name.line, name.col
-                )
-            sig[name.text] = (a, b)
+                raise self.error(f"operation {name!r} needs an arrow type", at)
+            if name in sig:
+                raise self.error(f"operation {name!r} declared twice", at)
+            sig[name] = (ty.dom, ty.cod)
         body = self.parse_comp()
-        t = self.peek()
-        if t.kind != "EOF":
-            raise ParseError(f"unexpected {t.text!r} after program", t.line, t.col)
+        self.expect_end("program")
         return sig, body
 
     # -- computations
@@ -254,31 +234,32 @@ class _Parser:
         `->`, so the patterns below are unambiguous.
         """
 
-        if self.at_kw("val", k):
+        if self.at("val", k):
             return True
-        if self.at_kw("inr", k):
+        ids = self.idents
+        if self.at("inr", k):
             # the right arm of a sum case
-            if self.at_sym("(", k + 1) and self.at_sym(")", k + 2):
-                return self.at_sym("->", k + 3)
-            return self.peek(k + 1).kind == "IDENT" and self.at_sym("->", k + 2)
-        if self.peek(k).kind != "IDENT":
+            if self.at("(", k + 1) and self.at(")", k + 2):
+                return self.at("->", k + 3)
+            return self.peek(k + 1) in ids and self.at("->", k + 2)
+        if self.peek(k) not in ids:
             return False
-        if self.at_sym("::", k + 1):
+        if self.at("::", k + 1):
             # the cons arm of a list case
-            return self.peek(k + 2).kind == "IDENT" and self.at_sym("->", k + 3)
-        if self.at_sym("(", k + 1) and self.at_sym(")", k + 2):
-            return self.peek(k + 3).kind == "IDENT" and self.at_sym("->", k + 4)
-        if self.peek(k + 1).kind == "IDENT" and self.peek(k + 2).kind == "IDENT":
-            return self.at_sym("->", k + 3)
+            return self.peek(k + 2) in ids and self.at("->", k + 3)
+        if self.at("(", k + 1) and self.at(")", k + 2):
+            return self.peek(k + 3) in ids and self.at("->", k + 4)
+        if self.peek(k + 1) in ids and self.peek(k + 2) in ids:
+            return self.at("->", k + 3)
         return False
 
     def parse_comp(self) -> tuple:
         first = self.parse_stmt()
-        if not self.at_sym(";"):
+        if not self.at(";"):
             return first
         parts = [first]
-        while self.at_sym(";") and not self._clause_head_at(1):
-            self.next()
+        while self.at(";") and not self._clause_head_at(1):
+            self.pos += 1
             parts.append(self.parse_stmt())
         out = parts[-1]
         for p in reversed(parts[:-1]):
@@ -286,304 +267,245 @@ class _Parser:
         return out
 
     def parse_stmt(self) -> tuple:
-        t = self.peek()
-        if t.kind == "KW":
-            if t.text == "return":
-                self.next()
-                return ("return", self.parse_expr())
-            if t.text == "let":
-                return self._parse_let()
-            if t.text == "letref":
-                self.next()
-                x = self.expect_ident().text
-                self.expect_sym("=")
-                e = self.parse_expr()
-                self.expect_kw("in")
-                return ("letref", x, e, self.parse_comp())
-            if t.text == "case":
-                return self._parse_case()
-            if t.text == "if":
-                self.next()
-                c = self.parse_expr()
-                self.expect_kw("then")
-                th = self.parse_comp()
-                self.expect_kw("else")
-                el = self.parse_comp()
-                return ("if", c, th, el)
-            if t.text == "handle":
-                return self._parse_handle()
+        t = self.toks[self.pos]
+        if t == "return":
+            self.pos += 1
+            return ("return", self.parse_expr())
+        if t == "let":
+            return self._parse_let()
+        if t == "letref":
+            self.pos += 1
+            x = self.ident()
+            self.expect("=")
+            e = self.parse_expr()
+            self.expect("in")
+            return ("letref", x, e, self.parse_comp())
+        if t == "case":
+            return self._parse_case()
+        if t == "if":
+            self.pos += 1
+            c = self.parse_expr()
+            self.expect("then")
+            th = self.parse_comp()
+            self.expect("else")
+            el = self.parse_comp()
+            return ("if", c, th, el)
+        if t == "handle":
+            return self._parse_handle()
         e = self.parse_expr()
-        if self.at_sym(":="):
-            self.next()
+        if self.at(":="):
+            self.pos += 1
             return ("assign", e, self.parse_expr())
         return e
 
     def _parse_let(self) -> tuple:
-        self.expect_kw("let")
-        if self.at_sym("("):
-            self.next()
-            x = self.expect_ident().text
-            self.expect_sym(",")
-            y = self.expect_ident().text
-            self.expect_sym(")")
-            self.expect_sym("=")
+        self.expect("let")
+        if self.at("("):
+            self.pos += 1
+            x = self.ident()
+            self.expect(",")
+            y = self.ident()
+            self.expect(")")
+            self.expect("=")
             e = self.parse_expr()
-            self.expect_kw("in")
+            self.expect("in")
             return ("split", x, y, e, self.parse_comp())
-        x = self.expect_ident().text
-        if self.at_sym("<-"):
-            self.next()
+        x = self.ident()
+        if self.at("<-"):
+            self.pos += 1
             m = self.parse_comp()
-            self.expect_kw("in")
+            self.expect("in")
             return ("bind", x, m, self.parse_comp())
-        self.expect_sym("=")
+        self.expect("=")
         e = self.parse_expr()
-        self.expect_kw("in")
+        self.expect("in")
         return ("bindv", x, e, self.parse_comp())
 
     def _parse_pat(self) -> str | None:
         """A clause binder: an identifier, `_`, or the unit pattern `()`.
         Returns None for patterns that bind nothing."""
 
-        if self.at_sym("("):
-            self.next()
-            self.expect_sym(")")
+        if self.at("("):
+            self.pos += 1
+            self.expect(")")
             return None
-        t = self.next()
-        if t.kind != "IDENT":
-            raise ParseError(f"expected a binder, found {t.text!r}", t.line, t.col)
-        return None if t.text == "_" else t.text
+        t = self.toks[self.pos]
+        if t not in self.idents:
+            raise self.error(f"expected a binder, found {t!r}")
+        self.pos += 1
+        return None if t == "_" else t
 
     def _parse_case(self) -> tuple:
-        self.expect_kw("case")
+        self.expect("case")
         scrut = self.parse_expr()
-        self.expect_sym("{")
-        if self.at_sym("["):
-            self.next()
-            self.expect_sym("]")
-            self.expect_sym("->")
+        self.expect("{")
+        if self.at("["):
+            self.pos += 1
+            self.expect("]")
+            self.expect("->")
             nil_body = self.parse_comp()
-            self.expect_sym(";")
-            h = self.expect_ident().text
-            self.expect_sym("::")
-            tl = self.expect_ident().text
-            self.expect_sym("->")
+            self.expect(";")
+            h = self.ident()
+            self.expect("::")
+            tl = self.ident()
+            self.expect("->")
             cons_body = self.parse_comp()
-            self.expect_sym("}")
+            self.expect("}")
             return ("caselist", scrut, nil_body, h, tl, cons_body)
-        self.expect_kw("inl")
+        self.expect("inl")
         xl = self._parse_pat()
-        self.expect_sym("->")
+        self.expect("->")
         left = self.parse_comp()
-        self.expect_sym(";")
-        self.expect_kw("inr")
+        self.expect(";")
+        self.expect("inr")
         xr = self._parse_pat()
-        self.expect_sym("->")
+        self.expect("->")
         right = self.parse_comp()
-        self.expect_sym("}")
+        self.expect("}")
         return ("case", scrut, xl, left, xr, right)
 
     def _parse_handle(self) -> tuple:
-        self.expect_kw("handle")
+        self.expect("handle")
         body = self.parse_comp()
-        self.expect_kw("with")
-        self.expect_sym("{")
+        self.expect("with")
+        self.expect("{")
         val_clause = None
-        op_clauses: list[tuple[str, str | None, str, tuple, Token]] = []
+        op_clauses: list[tuple[str, str | None, str, tuple, int]] = []
         while True:
-            if self.at_kw("val"):
-                tok = self.next()
+            if self.at("val"):
+                at = self.pos
+                self.pos += 1
                 x = self._parse_pat()
-                self.expect_sym("->")
+                self.expect("->")
                 b = self.parse_comp()
                 if val_clause is not None:
-                    raise ParseError("duplicate val clause", tok.line, tok.col)
+                    raise self.error("duplicate val clause", at)
                 val_clause = (x, b)
             else:
-                op = self.expect_ident()
+                off = self.offs[self.pos]
+                op = self.ident()
                 p = self._parse_pat()
-                r = self.expect_ident().text
-                self.expect_sym("->")
+                r = self.ident()
+                self.expect("->")
                 b = self.parse_comp()
-                op_clauses.append((op.text, p, r, b, op))
-            if self.at_sym(";"):
-                self.next()
+                op_clauses.append((op, p, r, b, off))
+            if self.at(";"):
+                self.pos += 1
                 continue
             break
-        self.expect_sym("}")
+        self.expect("}")
         if val_clause is None:
-            raise ParseError("handler needs a val clause", self.peek().line, self.peek().col)
+            raise self.error("handler needs a val clause")
         return ("handle", body, val_clause, op_clauses)
 
     # -- expressions
 
     def parse_expr(self) -> tuple:
-        return self._or()
-
-    def _or(self) -> tuple:
-        left = self._and()
-        while self.at_sym("||"):
-            self.next()
-            left = ("or", left, self._and())
-        return left
-
-    def _and(self) -> tuple:
-        left = self._eq()
-        while self.at_sym("&&"):
-            self.next()
-            left = ("and", left, self._eq())
-        return left
-
-    def _eq(self) -> tuple:
-        left = self._cons()
-        if self.at_sym("="):
-            self.next()
-            return ("prim", "=", left, self._cons())
-        return left
-
-    def _cons(self) -> tuple:
-        left = self._add()
-        if self.at_sym("::"):
-            self.next()
-            return ("cons", left, self._cons())
-        return left
-
-    def _add(self) -> tuple:
-        left = self._unary()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().text
-            left = ("prim", op, left, self._unary())
-        return left
-
-    def _unary(self) -> tuple:
-        if self.at_sym("!"):
-            self.next()
-            return ("deref", self._atom())
-        return self._app()
-
-    def _starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("NUM", "IDENT"):
-            return True
-        if t.kind == "KW" and t.text in ("true", "false", "fun", "rec", "inl", "inr", "do", "memoise"):
-            return True
-        if t.kind == "SYM" and t.text in ("(", "["):
-            return True
-        return False
+        return self.infix(_EXPR_OPS, self._app)
 
     def _app(self) -> tuple:
+        if self.at("!"):
+            self.pos += 1
+            return ("deref", self._atom())
         left = self._atom()
-        while self._starts_atom():
+        while True:
+            t = self.toks[self.pos]
+            if not (t in _ATOM_STARTS or t in self.idents or t.isdigit()):
+                return left
             left = ("app", left, self._atom())
-        return left
 
     def _atom(self) -> tuple:
-        t = self.peek()
-        if t.kind == "NUM":
-            self.next()
-            return ("num", int(t.text))
-        if t.kind == "IDENT":
-            self.next()
-            return ("var", t.text, t)
-        if t.kind == "KW":
-            if t.text == "true":
-                self.next()
-                return ("true",)
-            if t.text == "false":
-                self.next()
-                return ("false",)
-            if t.text == "memoise":
-                self.next()
-                return ("memoise",)
-            if t.text in ("inl", "inr"):
-                self.next()
-                return (t.text, self._atom())
-            if t.text == "do":
-                self.next()
-                op = self.expect_ident()
-                return ("do", op.text, self._atom(), op)
-            if t.text == "fun":
-                return self._parse_fun()
-            if t.text == "rec":
-                return self._parse_rec()
-        if t.kind == "SYM" and t.text == "(":
-            self.next()
-            if self.at_sym(")"):
-                self.next()
+        t = self.toks[self.pos]
+        self.pos += 1
+        if t.isdigit():
+            return ("num", int(t))
+        if t in self.idents:
+            return ("var", t)
+        if t in ("true", "false", "memoise"):
+            return (t,)
+        if t in ("inl", "inr"):
+            return (t, self._atom())
+        if t == "do":
+            off = self.offs[self.pos]
+            op = self.ident()
+            return ("do", op, self._atom(), off)
+        if t == "fun":
+            return self._parse_fun()
+        if t == "rec":
+            return self._parse_rec()
+        if t == "(":
+            if self.at(")"):
+                self.pos += 1
                 return ("unit",)
             # (+) / (-) / (=) as first-class constants
-            if self.peek().kind == "SYM" and self.peek().text in ("+", "-", "=") and self.at_sym(")", 1):
-                op = self.next().text
-                self.next()
+            if self.peek() in ("+", "-", "=") and self.at(")", 1):
+                op = self.toks[self.pos]
+                self.pos += 2
                 return ("const", op)
             inner = self.parse_comp()
-            if self.at_sym(","):
-                self.next()
+            if self.at(","):
+                self.pos += 1
                 snd = self.parse_comp()
-                self.expect_sym(")")
+                self.expect(")")
                 return ("pair", inner, snd)
-            if self.at_sym(":"):
-                self.next()
+            if self.at(":"):
+                self.pos += 1
                 ty = self.parse_type()
-                self.expect_sym(")")
+                self.expect(")")
                 return ("ann", inner, ty)
-            self.expect_sym(")")
+            self.expect(")")
             return inner
-        if t.kind == "SYM" and t.text == "[":
-            self.next()
-            if self.at_sym("]"):
-                self.next()
+        if t == "[":
+            if self.at("]"):
+                self.pos += 1
                 return ("nil",)
             items = [self.parse_comp()]
-            while self.at_sym(","):
-                self.next()
+            while self.at(","):
+                self.pos += 1
                 items.append(self.parse_comp())
-            self.expect_sym("]")
+            self.expect("]")
             return ("list", items)
-        raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
+        raise self.error(f"unexpected {t!r}", self.pos - 1)
 
     def _parse_fun(self) -> tuple:
-        self.expect_kw("fun")
         params: list[tuple[str | None, sx.Type | None]] = []
         while True:
-            if self.at_sym("("):
+            if self.at("("):
                 # () unit pattern, or (x : T)
-                if self.at_sym(")", 1):
-                    self.next()
-                    self.next()
+                if self.at(")", 1):
+                    self.pos += 2
                     params.append((None, sx.UNIT))
                     continue
-                self.next()
-                x = self.expect_ident().text
-                self.expect_sym(":")
+                self.pos += 1
+                x = self.ident()
+                self.expect(":")
                 ty = self.parse_type()
-                self.expect_sym(")")
+                self.expect(")")
                 params.append((None if x == "_" else x, ty))
                 continue
-            if self.peek().kind == "IDENT":
-                x = self.next().text
+            x = self.toks[self.pos]
+            if x in self.idents:
+                self.pos += 1
                 params.append((None if x == "_" else x, None))
                 continue
             break
         if not params:
-            t = self.peek()
-            raise ParseError("fun needs at least one parameter", t.line, t.col)
-        self.expect_sym("->")
+            raise self.error("fun needs at least one parameter")
+        self.expect("->")
         return ("fun", params, self.parse_comp())
 
     def _parse_rec(self) -> tuple:
-        self.expect_kw("rec")
         fty = None
-        if self.at_sym("("):
-            self.next()
-            f = self.expect_ident().text
-            self.expect_sym(":")
+        if self.at("("):
+            self.pos += 1
+            f = self.ident()
+            self.expect(":")
             fty = self.parse_type()
-            self.expect_sym(")")
+            self.expect(")")
         else:
-            f = self.expect_ident().text
+            f = self.ident()
         p = self._parse_pat()
-        self.expect_sym("->")
+        self.expect("->")
         return ("rec", f, fty, p, self.parse_comp())
 
 
@@ -593,9 +515,10 @@ class _Parser:
 
 
 class _Elab:
-    def __init__(self, sig: Signature, supply: NameSupply):
+    def __init__(self, sig: Signature, supply: NameSupply, src: str):
         self.sig = sig
         self.ns = supply
+        self.src = src  # for the position of an error
 
     def run(self, s: tuple) -> Term:
         return self.comp(s, {})
@@ -666,11 +589,11 @@ class _Elab:
             vx2 = self.ns.fresh(vx if vx else "_")
             scv = {**sc, vx: vx2} if vx else sc
             clauses: dict[str, tuple[str, str, Term]] = {}
-            for op, p, r, b, tok in op_clauses:
+            for op, p, r, b, off in op_clauses:
                 if op not in self.sig:
-                    raise ParseError(f"unknown operation symbol {op!r}", tok.line, tok.col)
+                    raise ParseError(f"unknown operation symbol {op!r}", self.src, off)
                 if op in clauses:
-                    raise ParseError(f"duplicate clause for {op!r}", tok.line, tok.col)
+                    raise ParseError(f"duplicate clause for {op!r}", self.src, off)
                 p2 = self.ns.fresh(p if p else "_")
                 r2 = self.ns.fresh(r)
                 scb = {**sc, r: r2}
@@ -679,9 +602,9 @@ class _Elab:
                 clauses[op] = (p2, r2, self.comp(b, scb))
             return Handle(self.comp(body, sc), Handler(vx2, self.comp(vbody, scv), clauses))
         if tag == "do":
-            _, op, arg, tok = s
+            _, op, arg, off = s
             if op not in self.sig:
-                raise ParseError(f"unknown operation symbol {op!r}", tok.line, tok.col)
+                raise ParseError(f"unknown operation symbol {op!r}", self.src, off)
             return Do(op, self.value(arg, sc, binds))
         if tag == "assign":
             _, lhs, rhs = s
@@ -804,20 +727,15 @@ def parse_program(src: str) -> tuple[Signature, Term]:
     """Parse a full `.fx` program: operation declarations plus one
     computation.  Returns the declared signature and the core term."""
 
-    toks, idents = tokenize(src)
-    p = _Parser(toks)
+    p = _Parser(src)
     sig, surface = p.parse_program()
-    term = _Elab(sig, NameSupply(idents)).run(surface)
-    return sig, term
+    return sig, _Elab(sig, NameSupply(p.idents), src).run(surface)
 
 
 def parse_term(src: str, sig: Signature | None = None) -> Term:
     """Parse a single computation against an ambient signature."""
 
-    toks, idents = tokenize(src)
-    p = _Parser(toks)
+    p = _Parser(src)
     surface = p.parse_comp()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected {t.text!r} after term", t.line, t.col)
-    return _Elab(sig or {}, NameSupply(idents)).run(surface)
+    p.expect_end("term")
+    return _Elab(sig or {}, NameSupply(p.idents), src).run(surface)

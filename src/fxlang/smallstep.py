@@ -85,7 +85,6 @@ class NormalOp:
 
     op: str
     arg: Term
-    residual: Term  # the whole normal form E[do op arg]
 
 
 Normal = NormalValue | NormalOp
@@ -228,8 +227,7 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             resumption = Lam(y, Handle(resumed, h), result_ty)
             contractum = subst(body, {p: m.arg, r: resumption})
             return StateConfig(_rebuild(frames, i, contractum), cfg.loc_counter, cfg.store, resumes)
-        residual = _rebuild(frames, len(frames), m)
-        return NormalOp(m.op, m.arg, residual)
+        return NormalOp(m.op, m.arg)
 
     # Beta-style redexes and the store rules.
     loc, store = cfg.loc_counter, cfg.store

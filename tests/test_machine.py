@@ -257,6 +257,26 @@ def test_memoised_rec_thunk_binds_its_name_when_forced():
     assert alpha_eq(evaluate(bare)[0].value, Num(7))
 
 
+@pytest.mark.parametrize(
+    "src, ticks",
+    [
+        # memoise of a memoised thunk is that thunk
+        ("let f = memoise (memoise (fun (u : Unit) -> return 7)) in f ()", 10),
+        # forcing a memoised resumption resumes it and records its answer
+        ("operation Go : Unit -> Unit\n"
+         "handle (let x <- do Go () in return 5) with "
+         "{val v -> return v; Go p r -> let m = memoise r in m ()}", 13),
+    ],
+    ids=["memoised-memo", "memoised-resumption"],
+)
+def test_memoise_of_a_non_closure_runs(src, ticks):
+    sig, term = parse_program(src)
+    res = mc.run_machine(term, sig)
+    out, _, _ = evaluate(term, sig)
+    assert alpha_eq(reify(res.value), out.value)
+    assert res.ticks == ticks
+
+
 def test_repr_of_every_machine_value_is_render_mval():
     closure = mc.VClosure({}, Lam("x", Return(Var("x"))))
     values = [

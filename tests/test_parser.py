@@ -223,3 +223,49 @@ def test_shadowing_resolved():
         inner = inner.body
     final = inner.body
     assert final.arg.fst.name == final.arg.snd.name
+
+
+_OP_A = "operation A : Unit -> Unit\n"
+
+
+@pytest.mark.parametrize(
+    "parse, src, msg, line, col",
+    [
+        (parse_term, "return 1 +\n  $", "unexpected character '$'", 2, 3),
+        (parse_term, "let x = 1 return x", "expected 'in', found 'return'", 1, 11),
+        (parse_term, "return (1, 2", "expected ')', found ''", 1, 13),
+        (parse_term, "let 1 = 2 in return 1", "expected identifier, found '1'", 1, 5),
+        (parse_term, "let", "expected identifier, found ''", 1, 4),
+        (parse_term, "handle return 1 with {val 1 -> return 1}",
+         "expected a binder, found '1'", 1, 27),
+        (parse_term, "return (1 : Foo)", "unknown type name 'Foo'", 1, 13),
+        (parse_program, "operation A : -> Nat\nreturn 0", "expected a type, found '->'", 1, 15),
+        (parse_program, "operation A :", "expected a type, found ''", 1, 14),
+        (parse_program, "operation A : Nat\nreturn 0", "operation 'A' needs an arrow type", 1, 11),
+        (parse_program, _OP_A + "operation A : Nat -> Nat\nreturn 0",
+         "operation 'A' declared twice", 2, 11),
+        (parse_program, "return 1 )", "unexpected ')' after program", 1, 10),
+        (parse_term, "return 1 )", "unexpected ')' after term", 1, 10),
+        (parse_term, "handle return 1 with {val x -> return x; val y -> return y}",
+         "duplicate val clause", 1, 42),
+        (parse_program, _OP_A + "handle return 1 with {A p r -> r p}",
+         "handler needs a val clause", 2, 36),
+        (parse_term, "return )", "unexpected ')'", 1, 8),
+        (parse_term, "return", "unexpected ''", 1, 7),
+        (parse_term, "let x = 1 in\n\treturn x +", "unexpected ''", 2, 12),
+        (parse_term, "return fun -> return 1", "fun needs at least one parameter", 1, 12),
+        (parse_term, "do Branch ()", "unknown operation symbol 'Branch'", 1, 4),
+        (parse_program, _OP_A + "handle return 1 with {val x -> return x; B p r -> r p}",
+         "unknown operation symbol 'B'", 2, 42),
+        (parse_program,
+         _OP_A + "handle return 1 with {val x -> return x;\n  A p r -> r p;\n  A q s -> s q}",
+         "duplicate clause for 'A'", 4, 3),
+        # The end of the input lies one past a trailing comment.
+        (parse_term, "return 1 +  # to be continued", "unexpected ''", 1, 30),
+        (parse_term, "return 1 +  # to be continued\n", "unexpected ''", 2, 1),
+    ],
+)
+def test_parse_error_message_and_position(parse, src, msg, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"{line}:{col}: {msg}", line, col)

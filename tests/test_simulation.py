@@ -39,6 +39,15 @@ def test_lemma_shape_on_multi_shot_handler_run():
     assert ac.lemma_shape(term, sig, cap=800) is None
 
 
+def test_lemma_shape_on_memo_programs():
+    # M-Memo-Record is administrative; each M-Memo-Hit tracks the
+    # reductions with which small-step computes the recorded value again
+    t = parse_term("let f = memoise (fun (u : Unit) -> return 7) in let a <- f () in f ()")
+    assert ac.lemma_shape(t, {}) is None
+    term, sig, _ = cl.compose("bergercount", "odd", 2)  # 5 hits in 1,626 transitions
+    assert ac.lemma_shape(term, sig, cap=5_000) is None
+
+
 PLANTED_VIOLATION = """
 import sys
 from fxlang import acceptance as ac
