@@ -143,6 +143,10 @@ def _cap_for(impl: str, pred: str, default: int) -> int:
 def run_grid(spec: BenchSpec) -> list[GridRow]:
     if spec.n_min < 0:
         raise ValueError(f"nmin must be at least 0, not {spec.n_min}")
+    if spec.n_max < spec.n_min:
+        raise ValueError(f"nmax must be at least nmin ({spec.n_min}), not {spec.n_max}")
+    if spec.reps < 1:
+        raise ValueError(f"reps must be at least 1, not {spec.reps}")
     rows: list[GridRow] = []
     for impl_name in spec.impls:
         impl = cl.get(impl_name)

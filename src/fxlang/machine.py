@@ -37,14 +37,16 @@ at once; a run that stops there parks that term, so the register is
 never visible on a stopped `MachineState`.  A constant applied to a
 literal pair, as in ``x + 1``, reads the two components directly and
 builds no `VPair`; `delta_m` takes the two naturals and is still the one
-definition of ``+``, ``-`` and ``=``.  ``let x <- c (v, w) in N`` with an
-arithmetic constant ``c`` is one superoperator (Proebsting, POPL 1995):
-M-Let, M-Const and M-RetCont in one loop iteration, three ticks, no
-frame pushed; it fires only when the fuel covers all three, so every
-stop still lands on a tick boundary and a one-transition run still sees
-each rule.  And an environment that the running `drive` copied and that
-nothing has captured since is extended in place: it is copied on its
-first binding, not on every one.
+definition of ``+``, ``-`` and ``=``.  Two lets are superoperators
+(Proebsting, POPL 1995), three rules in one loop iteration with three
+ticks and no frame pushed: ``let x <- c (v, w) in N`` with an arithmetic
+constant ``c`` (M-Let, M-Const, M-RetCont), and the leaf call
+``let x <- f a in N`` where ``f`` is bound to a closure whose body is
+``return V`` (M-Let, M-App or M-Rec, M-RetCont).  Each fires only when
+the fuel covers all three, so every stop still lands on a tick boundary
+and a one-transition run still sees each rule.  And an environment that
+the running `drive` copied and that nothing has captured since is
+extended in place: it is copied on its first binding, not on every one.
 
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
@@ -451,21 +453,32 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
     ``Return(Quote(v))`` being built; `_park` builds that term only when a
     run stops there, so a stopped state never holds the register.
 
-    ``let x <- c V in N`` with ``c`` an arithmetic constant and ``V`` a
-    literal pair is a superoperator: when ``ticks + 3 <= fuel`` one
-    iteration reads the operands as M-Const does (`_apply_const`), binds
-    the result and adds 3 ticks for M-Let, M-Const and M-RetCont, with
-    no frame pushed and ``rule`` left at "M-RetCont".  With less fuel it
-    takes the ordinary M-Let, so a run never stops inside the three, and
-    a one-transition run (`step`, `trace_run`) never fuses.
+    Two lets are superoperators.  When ``ticks + 3 <= fuel`` one
+    iteration fires three rules, adds 3 ticks and the envOps the three
+    count, binds the result with no frame pushed and leaves ``rule`` at
+    "M-RetCont":
+
+    - ``let x <- c V in N``, ``c`` an arithmetic constant and ``V`` a
+      literal pair: M-Let, M-Const (operands read by `_apply_const`) and
+      M-RetCont;
+    - the leaf call ``let x <- f a in N``, ``f`` bound to a closure
+      whose body is ``return V``: M-Let, M-App or M-Rec and M-RetCont.
+      The argument is read as M-App reads it, ``V`` in the callee's
+      environment.  The callee is peeked at with ``env.get``, so a call
+      that does not fuse counts its lookup once, at its M-App.
+
+    With less fuel the let takes the ordinary M-Let, so a run never
+    stops inside the three, and a one-transition run (`step`,
+    `trace_run`) never fuses.
 
     ``own`` is true only while ``env`` is a dict that this call copied
     and nothing has captured since; then M-Split, M-CaseL, M-CaseR,
-    M-CaseCons and the fused let extend it in place instead of copying
+    M-CaseCons and the fused lets extend it in place instead of copying
     it.  A let-frame push, M-Handle and an `interp` call whose result may
-    close over ``env`` capture it, and so does parking it on ``st``; at
-    entry ``env`` is the state's, so ``own`` starts false.  envOps are
-    counted in a local and added to ``st.envops`` on every exit.
+    close over ``env`` capture it (a leaf call's argument among them),
+    and so does parking it on ``st``; at entry ``env`` is the state's, so
+    ``own`` starts false.  envOps are counted in a local and added to
+    ``st.envops`` on every exit.
     """
 
     comp = st.comp
@@ -621,15 +634,44 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
 
             elif cls is Let:
                 x = comp.bound
-                if (
-                    x.__class__ is App and ticks + 3 <= fuel
-                    and x.fn.__class__ is Const and x.fn.name != "memoise"
+                # The callee of a leaf call is peeked at with ``env.get``;
+                # its lookup is counted only if the fusion fires.
+                if x.__class__ is App and ticks + 3 <= fuel and (
+                    (fv := x.fn).__class__ is Const and fv.name != "memoise"
                     and x.arg.__class__ is Pair
+                    or fv.__class__ is Var
+                    and (fv := env.get(fv.name)).__class__ is VClosure
+                    and fv.term.body.__class__ is Return
                 ):
-                    # M-Let, M-Const, M-RetCont.  The result is a natural
-                    # or a boolean, so nothing captures ``env`` here.
                     rule = "M-RetCont"
-                    val = _apply_const(x.fn.name, x.arg, env, st)
+                    if fv.__class__ is Const:
+                        # M-Let, M-Const, M-RetCont.  The result is a
+                        # natural or a boolean, so nothing captures ``env``.
+                        val = _apply_const(fv.name, x.arg, env, st)
+                    else:
+                        # M-Let, M-App or M-Rec, M-RetCont.  Besides the
+                        # final bind, every leaf call counts the callee
+                        # lookup and the parameter binding.
+                        envops += 2
+                        x = x.arg
+                        if x.__class__ is Var:
+                            envops += 1
+                            av = env[x.name]
+                        else:
+                            av = interp(x, env, st)
+                            own = False  # the argument may close over env
+                        fn = fv.term
+                        cenv = dict(fv.env)
+                        if fn.__class__ is Rec:
+                            cenv[fn.fname] = fv
+                            envops += 1
+                        cenv[fn.param] = av
+                        x = fn.body.value
+                        if x.__class__ is Var:
+                            envops += 1
+                            val = cenv[x.name]
+                        else:
+                            val = interp(x, cenv, st)
                     if not own:
                         env = dict(env)
                         own = True

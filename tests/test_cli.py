@@ -262,6 +262,20 @@ def test_bench_negative_nmin_is_one_line(preds):
     assert_one_line_error(*run_cli(*argv), "nmin must be at least 0, not -1")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--nmin", "3", "--nmax", "1"), "nmax must be at least nmin (3), not 1"),
+    (("--nmax", "2", "--reps", "0"), "reps must be at least 1, not 0"),
+    (("--nmax", "2", "--reps", "-2"), "reps must be at least 1, not -2"),
+])
+def test_bench_bad_range_is_one_line(tmp_path, flags, message):
+    assert_one_line_error(*run_cli("bench", "--impls", "effcount", "--preds", "odd", *flags),
+                          message)
+    spec = tmp_path / "range.spec"
+    spec.write_text("impls = effcount\npreds = odd\n"
+                    + "".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)), f"range.spec: {message}")
+
+
 def test_bench_trailing_commas_are_dropped(tmp_path):
     spec = tmp_path / "trailing.spec"
     spec.write_text("impls = effcount,\npreds = odd,\nnmin = 2\nnmax = 3\n")

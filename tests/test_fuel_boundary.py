@@ -1,13 +1,16 @@
 """Every fuel stop of `drive` lands on a tick boundary.
 
-`drive` takes ``let x <- c (v, w) in N`` (c an arithmetic constant) as one
-superoperator worth three ticks when the fuel covers all three.  A run
-cut at any k ticks must still be the run of k single steps: the same
-ticks, the same last rule, the same envOps and the same decompiled term.
+`drive` takes two lets as superoperators worth three ticks each when the
+fuel covers all three: ``let x <- c (v, w) in N`` (c an arithmetic
+constant) and a leaf call ``let x <- f a in N`` whose callee's body is
+``return V``.  A run cut at any k ticks must still be the run of k single
+steps: the same ticks, the same last rule, the same envOps and the same
+decompiled term.
 """
 
 import inspect
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +19,7 @@ from fxlang import machine as mc
 from fxlang.decompile import decompile
 from fxlang.gen import random_program
 from fxlang.parser import parse_term
-from fxlang.syntax import App, Const, Pair, complete_handlers
+from fxlang.syntax import App, Const, Pair, Var, complete_handlers
 from termeq import same, same_state
 
 MEMO_SRC = """
@@ -48,11 +51,12 @@ CATALOG = {
     "lazycount-odd-2": lambda: _catalog("lazycount", "odd", 2),
     "bergercount-queens-2": lambda: _catalog("bergercount", "queens", 2),
     "effcount-odd-2": lambda: _catalog("effcount", "odd", 2),
+    "effsearch-odd-2": lambda: _catalog("effsearch", "odd", 2),
     "memoise": lambda: parse_term(MEMO_SRC),
 }
 
 
-def _fusable(t):
+def _constant_let(t):
     b = t.bound
     return (
         b.__class__ is App and b.fn.__class__ is Const
@@ -62,19 +66,33 @@ def _fusable(t):
 
 def single_steps(term):
     """Per tick k: (rule, envOps so far, state) after k forked `step`s,
-    and how many M-Let transitions fired on a fusable let."""
+    and a count of the lets that `drive` fuses.  A constant let is read
+    off its syntax, under 'const'.  A leaf call is read off the callee's
+    value: an M-Let on ``f a`` whose next two rules are M-App or M-Rec
+    and then M-RetCont, under the callee's rule."""
 
     st = mc.inject(term)
-    out, envops, fusable = [], 0, 0
+    out, envops, lets = [], 0, []
     while True:
         rule, nxt = mc.step(st)
         if rule == "final":
-            return out, fusable
-        if rule == "M-Let" and _fusable(st.comp):
-            fusable += 1
+            break
+        if rule == "M-Let":
+            lets.append((len(out), st.comp))
         envops += nxt.envops
         out.append((rule, envops, nxt))
         st = nxt
+    rules = [rule for rule, _, _ in out]
+    fused = Counter()
+    for k, let in lets:
+        call = rules[k + 1:k + 3]
+        if _constant_let(let):
+            fused["const"] += 1
+        elif let.bound.__class__ is App and let.bound.fn.__class__ is Var and call in (
+            ["M-App", "M-RetCont"], ["M-Rec", "M-RetCont"]
+        ):
+            fused[call[0]] += 1
+    return out, fused
 
 
 def check_every_fuel_stop(term, decompile_every=1):
@@ -82,7 +100,7 @@ def check_every_fuel_stop(term, decompile_every=1):
     slot; their decompilations are compared every ``decompile_every``
     ticks and at the last."""
 
-    steps, fusable = single_steps(term)
+    steps, fused = single_steps(term)
     for k, (rule, envops, st_k) in enumerate(steps, 1):
         st = mc.inject(term)
         assert mc.drive(st, k) == "fuel"
@@ -90,17 +108,17 @@ def check_every_fuel_stop(term, decompile_every=1):
         assert same_state(st, st_k), k
         if k % decompile_every == 0 or k == len(steps):
             assert same(decompile(st), decompile(st_k)), k
-    return len(steps), fusable
+    return len(steps), fused
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_every_fuel_stop_matches_single_steps(name):
     # bergercount's states decompile to terms of thousands of nodes
     every = 20 if name.startswith("bergercount") else 1
-    ticks, fusable = check_every_fuel_stop(CATALOG[name](), every)
-    assert ticks > 0
-    if name != "effcount-odd-2":  # effcount adds in tail position only
-        assert fusable > 0
+    ticks, fused = check_every_fuel_stop(CATALOG[name](), every)
+    assert ticks > 0 and sum(fused.values()) > 0
+    if name != "memoise":  # leaf calls fire through both kinds of callee
+        assert fused["M-App"] > 0 and fused["M-Rec"] > 0
 
 
 def test_every_fuel_stop_matches_single_steps_on_random_programs():
@@ -132,16 +150,21 @@ def loop_iterations(st, fuel):
 
 
 def test_fused_let_takes_one_loop_turn():
-    # Each fusable let saves two turns, and the answer stop takes one.
-    term = CATALOG["naivecount-odd-2"]()
-    steps, fusable = single_steps(term)
-    kind, turns = loop_iterations(mc.inject(term), 10**6)
-    assert kind == "answer"
-    assert turns == len(steps) - 2 * fusable + 1
-    # one transition at a time, nothing fuses
-    st = mc.inject(term)
-    assert loop_iterations(st, 3) == ("fuel", 3) and st.rule == steps[2][0]
-    assert sum(rule == "M-Let" for rule, _, _ in steps) > fusable > 0
+    # Each fused let saves two turns, and the final stop takes one.
+    for name, forms in [
+        ("naivecount-odd-2", ("const", "M-App", "M-Rec")),
+        ("effcount-odd-2", ("M-App", "M-Rec")),  # effcount adds in tail position only
+    ]:
+        term = CATALOG[name]()
+        steps, fused = single_steps(term)
+        kind, turns = loop_iterations(mc.inject(term), 10**6)
+        assert kind in ("answer", "value"), name
+        assert turns == len(steps) - 2 * sum(fused.values()) + 1, name
+        # one transition at a time, nothing fuses
+        st = mc.inject(term)
+        assert loop_iterations(st, 3) == ("fuel", 3) and st.rule == steps[2][0], name
+        assert sum(rule == "M-Let" for rule, _, _ in steps) > sum(fused.values()), name
+        assert all(fused[form] > 0 for form in forms), name
 
 
 def test_forks_leave_a_saved_states_memo_counter_alone():

@@ -29,6 +29,7 @@ from fxlang.syntax import (
     Quote,
     Rec,
     Return,
+    Split,
     Var,
     alpha_eq,
     complete_handlers,
@@ -275,6 +276,35 @@ def test_memoise_of_a_non_closure_runs(src, ticks):
     out, _, _ = evaluate(term, sig)
     assert alpha_eq(reify(res.value), out.value)
     assert res.ticks == ticks
+
+
+def _shadow_after_leaf_call(rebind_x):
+    """let id <- return (fun f -> return f) in let p <- return (2, 3) in
+    let x <- 1 + 0 in let g <- id (fun u -> return x) in <rebind x> (g 0).
+
+    Built from the constructors: the parser renames every binder apart,
+    and only a shadowing ``x`` shows whether the closure's environment
+    was extended in place."""
+
+    return Let("id", Return(Lam("f", Return(Var("f")))),
+               Let("p", Return(Pair(Num(2), Num(3))),
+                   Let("x", App(Const("+"), Pair(Num(1), Num(0))),
+                       Let("g", App(Var("id"), Lam("u", Return(Var("x")))),
+                           rebind_x(App(Var("g"), Num(0)))))))
+
+
+@pytest.mark.parametrize("rebind_x", [
+    lambda body: Let("x", App(Const("+"), Pair(Num(1), Num(1))), body),
+    lambda body: Split(Var("p"), "x", "y", body),
+], ids=["const-let", "split"])
+def test_leaf_call_argument_closure_keeps_its_environment(rebind_x):
+    # ``let g <- id V in N`` is a fused leaf call; V closes over the
+    # caller's environment, so the next binding must copy it
+    term = _shadow_after_leaf_call(rebind_x)
+    assert fired(term)[7:10] == ["M-Let", "M-App", "M-RetCont"]
+    res = mc.run_machine(term)
+    assert res.value == 1
+    assert alpha_eq(evaluate(term)[0].value, reify(res.value))
 
 
 def test_repr_of_every_machine_value_is_render_mval():
