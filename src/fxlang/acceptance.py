@@ -237,7 +237,7 @@ def lemma_shape(term, sig, cap=400) -> Optional[str]:
                 if rule == "M-Memo-Hit":
                     return "M-Memo-Hit is not matched within the cap"
                 return f"{rule} is not one reduction"
-            scfg = StateConfig(dec, out.loc_counter, out.store, out.resume_counter)
+            scfg = StateConfig(dec, out.store, out.resume_counter)
         cur, st = dec, nxt
     return None
 

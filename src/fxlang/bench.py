@@ -48,12 +48,17 @@ class BenchSpec:
 
 
 def resolve_pred(name: str, variant: str) -> str:
+    """The catalog name of predicate ``name`` in ``variant``."""
+
     if variant in ("", "default"):
         return name
-    combined = f"{name}_{variant}"
     if name == "queens" and variant == "failfast":
         return "queens"
-    cl.get(combined)
+    combined = f"{name}_{variant}"
+    if combined not in cl.catalog():
+        cl.get(name)  # an unknown predicate is reported as such
+        raise KeyError(f"unknown variant {variant!r} of predicate {name!r}; "
+                       "see `fx list` for the catalog")
     return combined
 
 

@@ -142,14 +142,16 @@ def cmd_bench(args) -> int:
             reps=args.reps,
             out=args.out,
         )
-    rows = bn.run_grid(spec)
-    csv_text = bn.grid_csv(rows)
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(f"wrote {len(rows)} rows to {spec.out}")
-    else:
-        sys.stdout.write(csv_text)
+    if not spec.out:
+        sys.stdout.write(bn.grid_csv(bn.run_grid(spec)))
+        return 0
+    # Opened before the grid runs, so a bad path fails at once; opened for
+    # appending, so a grid that fails leaves an old file as it was.
+    with open(spec.out, "a", encoding="utf-8") as fh:
+        rows = bn.run_grid(spec)
+        fh.truncate(0)
+        fh.write(bn.grid_csv(rows))
+    print(f"wrote {len(rows)} rows to {spec.out}")
     return 0
 
 

@@ -6,11 +6,15 @@ function that restarts its captured continuation.  The map is invariant
 under the administrative transitions (M-Let, M-Handle) and follows each
 beta-like transition by exactly one small-step reduction; the simulation
 tests lean on both facts.
+
+Every reified resumption binds the one name ``resume.y``.  No binder
+can capture it: a reified resumption is closed but for that binder, and
+its hole ``resume.y`` lies under no other binder, since the let- and
+handle-nests around the hole bind source identifiers, which cannot
+contain a dot.
 """
 
 from __future__ import annotations
-
-from itertools import count
 
 from fxlang import machine as mc
 from fxlang.smallstep import subst
@@ -36,40 +40,36 @@ from fxlang.syntax import (
     map_children,
 )
 
-def reify(v, names=None) -> Term:
-    """A machine value as the closed value term it denotes.
+_RESUME_Y = "resume.y"
 
-    ``names`` numbers the binders of reified resumptions (``resume.yN``)
-    within one decompilation; a fresh numbering starts at 1, so the
-    result is a function of ``v`` alone.
-    """
 
-    if names is None:
-        names = count(1)
+def reify(v) -> Term:
+    """A machine value as the closed value term it denotes."""
+
     cls = v.__class__
     if cls is int:
         return Num(v)
     if cls is mc.VUnit:
         return UNIT_V
     if cls is mc.VPair:
-        return Pair(reify(v.fst, names), reify(v.snd, names))
+        return Pair(reify(v.fst), reify(v.snd))
     if cls is mc.VInl:
-        return Inl(reify(v.value, names))
+        return Inl(reify(v.value))
     if cls is mc.VInr:
-        return Inr(reify(v.value, names))
+        return Inr(reify(v.value))
     if cls is mc.VNil:
         return Nil()
     if cls is mc.VCons:  # along the spine in a loop, so long lists do not recurse
         heads = []
         while v.__class__ is mc.VCons:
-            heads.append(reify(v.head, names))
+            heads.append(reify(v.head))
             v = v.tail
-        out = reify(v, names)
+        out = reify(v)
         for h in reversed(heads):
             out = Cons(h, out)
         return out
     if cls is mc.VClosure:  # the shape table knows what a Lam or a Rec binds
-        return map_children(v.term, lambda body, bound: open_term(body, v.env, set(bound), names))
+        return map_children(v.term, lambda body, bound: open_term(body, v.env, set(bound)))
     if cls is Const:
         return v
     if cls is mc.VLoc:
@@ -77,68 +77,64 @@ def reify(v, names=None) -> Term:
     if cls is mc.VSentinel:
         return Var(v.name)
     if cls is tuple:  # resumption: restart its continuation on the argument
-        y = f"resume.y{next(names)}"
-        return Lam(y, resumption_body(v, Return(Var(y)), names))
+        return Lam(_RESUME_Y, resumption_body(v, Return(Var(_RESUME_Y))))
     if cls is mc.VMemo:
         # Memoisation only changes cost; as a term, the wrapper is the thunk.
-        return reify(v.thunk, names)
+        return reify(v.thunk)
     raise TypeError(f"cannot reify {v!r}")
 
 
-def open_term(t: Term, env: dict, bound: set[str], names) -> Term:
+def open_term(t: Term, env: dict, bound: set[str]) -> Term:
     """Substitute an environment's values into a term's free variables."""
 
     need = free_vars(t) - bound
     if not need:
         return t
-    mapping = {x: reify(env[x], names) for x in need if x in env}
+    mapping = {x: reify(env[x]) for x in need if x in env}
     return subst(t, mapping)
 
 
-def decompile_term(t: Term, env: dict, names) -> Term:
+def decompile_term(t: Term, env: dict) -> Term:
     if t.__class__ is Quote:
-        return reify(t.mval, names)
+        return reify(t.mval)
     if t.__class__ is Return and t.value.__class__ is Quote:
-        return Return(reify(t.value.mval, names))
-    return open_term(t, env, set(), names)
+        return Return(reify(t.value.mval))
+    return open_term(t, env, set())
 
 
-def wrap_pure_cont(sigma, m: Term, names) -> Term:
+def wrap_pure_cont(sigma, m: Term) -> Term:
     """Rebuild the let-nest a pure continuation stands for around m."""
 
     while sigma is not None:
         fenv, x, body, sigma = sigma
         if x is not None:  # a memo-record frame is transparent as a term
-            m = Let(x, m, open_term(body, fenv, {x}, names))
+            m = Let(x, m, open_term(body, fenv, {x}))
     return m
 
 
-def decompile_handler_def(h: Handler, env: dict, names) -> Handler:
+def decompile_handler_def(h: Handler, env: dict) -> Handler:
     return Handler(
         h.val_name,
-        open_term(h.val_body, env, {h.val_name}, names),
+        open_term(h.val_body, env, {h.val_name}),
         {
-            op: (p, r, open_term(b, env, {p, r}, names))
+            op: (p, r, open_term(b, env, {p, r}))
             for op, (p, r, b) in h.clauses.items()
         },
     )
 
 
-def resumption_body(rho, m: Term, names) -> Term:
+def resumption_body(rho, m: Term) -> Term:
     sigma, (henv, h) = rho
-    return Handle(wrap_pure_cont(sigma, m, names), decompile_handler_def(h, henv, names))
+    return Handle(wrap_pure_cont(sigma, m), decompile_handler_def(h, henv))
 
 
 def decompile(st: mc.MachineState) -> Term:
     """A machine configuration as the term it stands for: the computation
-    wrapped in one handle-nest per resumption, bottom included.
-    Resumption binders are numbered afresh on every call, so equal
-    states decompile to equal terms."""
+    wrapped in one handle-nest per resumption, bottom included."""
 
-    names = count(1)
-    m = decompile_term(st.comp, st.env, names)
+    m = decompile_term(st.comp, st.env)
     kont = st.kont
     while kont is not None:
         rho, kont = kont
-        m = resumption_body(rho, m, names)
+        m = resumption_body(rho, m)
     return m

@@ -392,22 +392,22 @@ def _apply_const(name: str, arg: Term, env: dict, st: MachineState):
 class MachineState:
     """Mutable machine state, so a run can stop and be resumed.
 
-    The decision-tree extractor stops runs at probe queries, snapshots
-    the (persistent) components, and drives multiple futures from one
-    stopped state.
+    The decision-tree extractor stops runs at queries and forks several
+    futures from the stopped state; nothing snapshots it.  The store's
+    locations are always ``0 .. len(store) - 1``: M-Alloc takes
+    ``len(store)`` and M-Assign writes only an allocated cell.
     """
 
     __slots__ = (
-        "comp", "env", "kont", "store", "locc", "memo",
+        "comp", "env", "kont", "store", "memo",
         "ticks", "envops", "memo_cells", "rule", "out",
     )
 
-    def __init__(self, comp, env, kont, store=None, locc=0, memo=None, memo_cells=0):
+    def __init__(self, comp, env, kont, store=None, memo=None, memo_cells=0):
         self.comp = comp
         self.env = env
         self.kont = kont
         self.store = {} if store is None else store
-        self.locc = locc
         self.memo = {} if memo is None else memo
         self.memo_cells = memo_cells
         self.ticks = 0
@@ -419,19 +419,18 @@ class MachineState:
         """A future of this state with a replaced computation.
 
         Persistent components are shared; the store, the memo table and
-        their counters are copied so sibling futures cannot interfere.
+        its cell counter are copied so sibling futures cannot interfere.
         """
 
-        st = MachineState(
-            comp, self.env, self.kont,
-            dict(self.store), self.locc, dict(self.memo), self.memo_cells,
+        return MachineState(
+            comp, self.env, self.kont, dict(self.store), dict(self.memo), self.memo_cells,
         )
-        return st
 
 
-def drive(st: MachineState, fuel: int, probe=None) -> str:
-    """Run the machine until a final state, fuel exhaustion, or (under a
-    probe) a query on the probe value.
+def drive(st: MachineState, fuel: int) -> str:
+    """Run the machine until a final state, fuel exhaustion, or a query:
+    an application of a `VSentinel`, which only decision-tree extraction
+    puts in an environment.
 
     Returns the outcome kind: 'value', 'answer', 'op', 'query' or
     'fuel'.  'answer' is the final state of a run over `answer_cont`;
@@ -625,10 +624,8 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                             raise StuckError("memoised value is not a closure")
                     ticks += 1
                 elif fcls is VSentinel:
-                    if probe is not None and fv is probe:
-                        st.out = interp(comp.arg, env, st)
-                        return _park(st, "query", comp, val, env, sigma, chi, rest, ticks)
-                    raise StuckError("application of the probe value outside extraction")
+                    st.out = interp(comp.arg, env, st)
+                    return _park(st, "query", comp, val, env, sigma, chi, rest, ticks)
                 else:
                     raise StuckError(f"application of a non-function: {fv!r}")
 
@@ -792,13 +789,13 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
 
             elif cls is LetRef:
                 rule = "M-Alloc"
+                loc = len(store)
                 # the initial value may close over ``env``
-                store[st.locc] = interp(comp.init, env, st)
+                store[loc] = interp(comp.init, env, st)
                 env = dict(env)
                 own = True
-                env[comp.name] = VLoc(st.locc)
+                env[comp.name] = VLoc(loc)
                 envops += 1
-                st.locc += 1
                 comp = comp.body
                 ticks += 1
 
@@ -815,6 +812,8 @@ def drive(st: MachineState, fuel: int, probe=None) -> str:
                 rv = interp(comp.ref, env, st)
                 if rv.__class__ is not VLoc:
                     raise StuckError("assignment to a non-location")
+                if rv.index not in store:
+                    raise StuckError(f"unbound location {rv.index}")
                 rule = "M-Assign"
                 store[rv.index] = interp(comp.value, env, st)
                 own = False
@@ -850,8 +849,11 @@ def _park(st, kind, comp, val, env, sigma, chi, rest, ticks):
 
 
 def _outcome(st, kind):
-    """The final state a stopped run reached, from its stop kind."""
+    """The final state a stopped run reached, from its stop kind; only
+    decision-tree extraction reads a 'query' stop."""
 
+    if kind == "query":
+        raise StuckError("application of the probe value outside extraction")
     return st.out if kind == "op" else FinalValue(st.out)
 
 
@@ -933,7 +935,9 @@ def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
     pure = not uses_effects(term)
     st = inject(term)
     while st.ticks < fuel:
-        if drive(st, st.ticks + 1) != "fuel":
+        kind = drive(st, st.ticks + 1)
+        if kind != "fuel":
+            _outcome(st, kind)  # raises on a query stop
             return
         yield st.ticks, st.rule, st.comp.__class__.__name__, 0 if pure else kont_depth(st.kont)
     raise FuelExhausted(st.ticks)

@@ -10,9 +10,10 @@ captured continuation only ever spans the pure let-frames between an
 operation and its nearest enclosing handler, which is what makes handler
 selection innermost-first and deterministic.
 
-Configurations carry a location counter and a store so the reference
-cells of the stateful language fit the same interface; pure programs
-simply never touch them.
+Configurations carry a store so the reference cells of the stateful
+language fit the same interface; pure programs simply never touch it.
+Its locations are always ``0 .. len(store) - 1``, so a fresh one is
+``len(store)``.
 
 :func:`subst` rebuilds only the nodes in which a substituted variable
 occurs free, through :func:`fxlang.syntax.map_children`, and returns any
@@ -65,11 +66,10 @@ from fxlang.syntax import (
 
 @dataclass(slots=True)
 class StateConfig:
-    """A computation paired with a store: (term, location counter, store),
-    and the number of resumption binders named so far (``resume.yN``)."""
+    """A computation paired with a store, and the number of resumption
+    binders named so far (``resume.yN``)."""
 
     term: Term
-    loc_counter: int = 0
     store: dict[int, Term] = field(default_factory=dict)
     resume_counter: int = 0
 
@@ -180,7 +180,7 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
                 contractum = subst(m.body, {m.name: m.bound.value})
                 return StateConfig(
                     _rebuild(frames, len(frames), contractum),
-                    cfg.loc_counter, cfg.store, cfg.resume_counter,
+                    cfg.store, cfg.resume_counter,
                 )
             frames.append((_LET, m.name, m.body))
             m = m.bound
@@ -191,7 +191,7 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
                 contractum = subst(h.val_body, {h.val_name: m.body.value})
                 return StateConfig(
                     _rebuild(frames, len(frames), contractum),
-                    cfg.loc_counter, cfg.store, cfg.resume_counter,
+                    cfg.store, cfg.resume_counter,
                 )
             frames.append((_HANDLE, m.handler))
             m = m.body
@@ -226,11 +226,11 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             result_ty = sig[m.op][1] if sig and m.op in sig else None
             resumption = Lam(y, Handle(resumed, h), result_ty)
             contractum = subst(body, {p: m.arg, r: resumption})
-            return StateConfig(_rebuild(frames, i, contractum), cfg.loc_counter, cfg.store, resumes)
+            return StateConfig(_rebuild(frames, i, contractum), cfg.store, resumes)
         return NormalOp(m.op, m.arg)
 
     # Beta-style redexes and the store rules.
-    loc, store = cfg.loc_counter, cfg.store
+    store = cfg.store
     if cls is App:
         fn = m.fn
         fcls = fn.__class__
@@ -264,10 +264,10 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
         else:
             raise StuckError("list case on a non-list")
     elif cls is LetRef:
+        loc = len(store)
         store = dict(store)
         store[loc] = m.init
         contractum = subst(m.body, {m.name: Loc(loc)})
-        loc += 1
     elif cls is Deref:
         r = m.ref
         if r.__class__ is not Loc:
@@ -286,7 +286,7 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
         contractum = Return(UNIT_V)
     else:
         raise StuckError(f"no rule for {cls.__name__}")
-    return StateConfig(_rebuild(frames, len(frames), contractum), loc, store, cfg.resume_counter)
+    return StateConfig(_rebuild(frames, len(frames), contractum), store, cfg.resume_counter)
 
 
 def evaluate(

@@ -9,10 +9,9 @@ persistent machine makes the restart free.  A run that completes yields
 an answer leaf.
 
 Trees are finite maps from addresses (tuples of booleans: the path of
-responses from the root) to nodes.  Every node carries the label, the
-number of machine transitions on the edge targeting it, and the stopped
-machine configuration, so one extraction produces the untimed, timed and
-decorated views at once.
+responses from the root) to nodes.  Every node carries the label and
+the number of machine transitions on the edge targeting it, so one
+extraction produces the untimed and timed views at once.
 """
 
 from __future__ import annotations
@@ -36,12 +35,10 @@ from fxlang.syntax import (
     NameSupply,
     Num,
     Return,
-    Signature,
     Term,
     Var,
     as_value,
     bool_,
-    complete_handlers,
     is_value,
     language_level,
 )
@@ -72,7 +69,6 @@ Label = Query | Answer
 class TreeNode:
     label: Label
     steps: int = 0
-    config: object = None  # (comp, env, kont) snapshot, when decorated
 
 
 class Classification(enum.Enum):
@@ -208,7 +204,7 @@ class DecisionTree:
         if node is None or node.label.__class__ is not Answer:
             raise ValueError(f"{addr_str(addr)} is not an answer leaf")
         nodes = dict(self.nodes)
-        nodes[addr] = TreeNode(Answer(not node.label.result), node.steps, node.config)
+        nodes[addr] = TreeNode(Answer(not node.label.result), node.steps)
         return DecisionTree(nodes, dict(self.partial))
 
     def leaves(self) -> list[Addr]:
@@ -254,10 +250,7 @@ class DecisionTree:
 
 
 def extract_tree(
-    pred: Term,
-    sig: Signature | None = None,
-    fuel: int = 1_000_000,
-    depth_bound: Optional[int] = None,
+    pred: Term, fuel: int = 1_000_000, depth_bound: Optional[int] = None
 ) -> DecisionTree:
     """Run the probe on a predicate and materialise its decision tree.
 
@@ -266,14 +259,14 @@ def extract_tree(
     matching the reading of divergence as undefinedness.  ``depth_bound``
     caps the address length explored.
 
-    Stateful predicates are rejected: with reference cells there is no
-    canonical tree to assign.
+    A predicate's handlers must already be complete (see
+    `syntax.complete_handlers`): an operation no handler catches makes its
+    branch unexplored ('unhandled').  Stateful predicates are rejected:
+    with reference cells there is no canonical tree to assign.
     """
 
     if "state" in language_level(pred):
         raise ValueError("no decision tree for stateful predicates")
-    if sig:
-        pred = complete_handlers(pred, sig)
     pred = as_value(pred)
     probe = mc.VSentinel()
     root = App(pred, Var(probe.name)) if is_value(pred) else pred
@@ -282,12 +275,12 @@ def extract_tree(
     stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
     while stack:
         addr, st = stack.pop()
-        kind = mc.drive(st, fuel, probe=probe)
+        kind = mc.drive(st, fuel)
         if kind == "query":
             k = st.out
             if k.__class__ is not int:
                 raise StuckError(f"query index is not a numeral: {k!r}")
-            tree.nodes[addr] = TreeNode(Query(k), st.ticks, _snapshot(st))
+            tree.nodes[addr] = TreeNode(Query(k), st.ticks)
             if depth_bound is not None and len(addr) >= depth_bound:
                 tree.partial[addr + (True,)] = "depth"
                 tree.partial[addr + (False,)] = "depth"
@@ -295,18 +288,12 @@ def extract_tree(
             for b in (True, False):
                 stack.append((addr + (b,), st.fork(Return(bool_(b)))))
         elif kind == "answer":
-            tree.nodes[addr] = TreeNode(
-                Answer(mc.mval_to_bool(st.out)), st.ticks, _snapshot(st)
-            )
+            tree.nodes[addr] = TreeNode(Answer(mc.mval_to_bool(st.out)), st.ticks)
         elif kind == "op":
             tree.partial[addr] = "unhandled"
         else:  # fuel
             tree.partial[addr] = "fuel"
     return tree
-
-
-def _snapshot(st: mc.MachineState):
-    return (st.comp, st.env, st.kont)
 
 
 # ---------------------------------------------------------------------------

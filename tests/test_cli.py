@@ -294,3 +294,38 @@ def test_bench_empty_lists_are_one_line(tmp_path):
     assert_one_line_error(*run_cli("bench", "--spec", str(spec)), "empty.spec: `impls` and `preds`")
     argv = ("bench", "--impls", "effcount", "--preds", " , ")
     assert_one_line_error(*run_cli(*argv), "each need at least one name")
+
+
+def test_bench_bad_out_path_fails_before_the_grid_runs(tmp_path, monkeypatch):
+    def no_grid(spec):
+        raise AssertionError("the grid ran before the output file was opened")
+
+    monkeypatch.setattr("fxlang.bench.run_grid", no_grid)
+    out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+    argv = ("bench", "--impls", "naivecount", "--preds", "odd", "--nmax", "10", "--out", out)
+    assert_one_line_error(*run_cli(*argv), out, "No such file")
+
+
+def test_bench_out_file_is_replaced_only_by_a_finished_grid(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    argv = ("bench", "--impls", "effcount", "--preds", "odd", "--out", str(out))
+    assert_one_line_error(*run_cli(*argv, "--nmin", "3", "--nmax", "1"), "nmax must be at least")
+    assert out.read_text() == "old\n"
+    code, _, _ = run_cli(*argv, "--nmin", "2", "--nmax", "3")
+    assert code == 0 and out.read_text().splitlines()[0].startswith("impl,pred,variant,n")
+    assert len(out.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--impls", "effcount", "--preds", "odd:weird", "--nmax", "2"),
+    ("count", "--impl", "effcount", "--pred", "odd", "--variant", "weird", "-n", "2"),
+    ("tree", "--pred", "odd", "--variant", "weird", "-n", "2"),
+])
+def test_unknown_variant_names_predicate_and_variant(argv):
+    assert_one_line_error(*run_cli(*argv), "unknown variant 'weird' of predicate 'odd'")
+
+
+def test_unknown_predicate_with_a_variant_names_the_predicate():
+    argv = ("count", "--impl", "effcount", "--pred", "nosuch", "--variant", "weird", "-n", "2")
+    assert_one_line_error(*run_cli(*argv), "unknown program 'nosuch'")

@@ -15,6 +15,7 @@ from fxlang.syntax import (
     UNIT,
     UNIT_V,
     App,
+    Assign,
     Case,
     Cons,
     Const,
@@ -22,6 +23,7 @@ from fxlang.syntax import (
     Inl,
     Lam,
     Let,
+    LetRef,
     Loc,
     Nil,
     Num,
@@ -479,6 +481,28 @@ def test_stuck_states_raise_stuck_error(term, message):
         mc.run_machine(term)
     with pytest.raises(StuckError, match=re.escape(message)):
         fired(term)
+
+
+def test_assign_to_an_unallocated_location_is_stuck_on_both_semantics():
+    # the assignment must not create cell 5 for the later `!5` to read
+    term = Let("u", Assign(Loc(5), Num(1)),
+               LetRef("r", Num(7), Let("a", LetRef("s", Num(8), Return(Var("s"))),
+                                       Deref(Loc(5)))))
+    with pytest.raises(StuckError, match="^unbound location 5$"):
+        mc.run_machine(term)
+    with pytest.raises(StuckError, match="^unbound location 5$"):
+        evaluate(term)
+
+
+def test_probe_value_applied_outside_extraction_is_stuck():
+    term = App(Quote(mc.VSentinel()), Num(0))
+    message = "application of the probe value outside extraction"
+    with pytest.raises(StuckError, match=message):
+        mc.run_machine(term)
+    with pytest.raises(StuckError, match=message):
+        mc.step(mc.inject(term))
+    with pytest.raises(StuckError, match=message):
+        list(mc.trace_run(term))
 
 
 def test_delta_m_defines_the_constants():

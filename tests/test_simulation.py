@@ -13,7 +13,7 @@ from fxlang import machine as mc
 from fxlang.decompile import decompile, reify
 from fxlang.gen import random_program
 from fxlang.parser import parse_term
-from fxlang.syntax import Handle, Lam, alpha_eq, complete_handlers
+from fxlang.syntax import Handle, Lam, alpha_eq, children, complete_handlers, free_vars
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,7 +61,7 @@ real = ac.small_step
 def one_wrong_reduction(cfg, *args, **kwargs):
     out = real(cfg, *args, **kwargs)
     if isinstance(out, StateConfig):
-        return StateConfig(Return(Var("planted")), out.loc_counter, out.store)
+        return StateConfig(Return(Var("planted")), out.store)
     return out
 
 ac.small_step = one_wrong_reduction
@@ -96,3 +96,25 @@ def test_resumption_values_decompile_to_handler_wrapped_functions():
             assert isinstance(fn.body, Handle)
             return
         st = nxt
+
+
+def test_reified_resumptions_share_one_closed_binder():
+    # every resumption binds `resume.y`; that is sound only while each
+    # reified resumption is closed, so no binder of the same name can
+    # capture its hole
+    for impl in ("effcount", "effsearch"):
+        term, sig, _ = cl.compose(impl, "odd", 2)
+        st = mc.inject(complete_handlers(term, sig))
+        resumptions = 0
+        while True:
+            todo = [decompile(st)]
+            while todo:
+                t = todo.pop()
+                if t.__class__ is Lam and t.param == "resume.y":
+                    assert not free_vars(t), (impl, st.ticks, free_vars(t))
+                    resumptions += 1
+                todo.extend(c for c, _ in children(t))
+            rule, st = mc.step(st)
+            if rule == "final":
+                break
+        assert resumptions > 0, impl

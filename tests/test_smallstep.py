@@ -65,7 +65,7 @@ def test_letref_update_and_final_store():
     assert out.value.value == 1
     assert set(cfg.store) == {0}
     assert isinstance(cfg.store[0], Num) and cfg.store[0].value == 1
-    assert cfg.loc_counter == 1
+    assert len(cfg.store) == 1
 
 
 def test_toss_enumerates_both_outcomes():
@@ -180,9 +180,9 @@ def test_store_discipline_on_random_corpus():
             out = step(cfg, sig)
             if not isinstance(out, StateConfig):
                 break
-            assert out.loc_counter >= last_counter
-            assert set(out.store) == set(range(out.loc_counter))
-            last_counter = out.loc_counter
+            assert len(out.store) >= last_counter
+            assert set(out.store) == set(range(len(out.store)))
+            last_counter = len(out.store)
             cfg = out
 
 
