@@ -21,7 +21,11 @@ other subterm as the same object, unwalked.  Most of what a step
 substitutes into is closed values that earlier steps substituted in (the
 predicate, the loop closures), so a reduct shares them with its redex
 instead of copying them again at every step.  Each node's free variables
-come from :func:`fxlang.syntax.free_vars`, which caches them on the node.
+are kept on the node.  :func:`subst` sets them on the nodes it builds,
+from the sets of the nodes they replace, when the substituted values are
+known to be closed, as they are on most reductions.  Any other node's
+set comes from :func:`fxlang.syntax.free_vars`, which computes it once,
+when it is first asked for.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ from fxlang.syntax import (
     bool_,
     children,
     complete_handlers,
+    drop_names,
     free_vars,
+    known_closed,
     map_children,
 )
 
@@ -102,6 +108,14 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
     open value is the probe variable `decompile.reify` makes of the
     machine's sentinel.  No recursion, so deep terms do not hit Python's
     limit.
+
+    When every value is known to be closed, each node this builds gets
+    its free variables from the node it replaces: that node's set minus
+    the names substituted in it.  So a reduct is never walked again to
+    find them.  Otherwise the new nodes' sets are left for
+    :func:`fxlang.syntax.free_vars` to compute when asked: an open value
+    can be captured, and walking a fresh value to learn that it is closed
+    costs more than it saves (`decompile.reify` builds such values).
     """
 
     if not m:
@@ -127,9 +141,16 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
                 todo.append((c, mc))
             kids.append(c)
     pop = kids.pop
-    for i in range(len(todo) - 1, 0, -1):  # children before parents
-        kids[slots[i]] = map_children(todo[i][0], lambda c, _: pop())
-    return map_children(t, lambda c, _: pop())
+    take = lambda c, _: pop()
+    closed = all(map(known_closed, m.values()))
+    for i in range(len(todo) - 1, -1, -1):  # children before parents
+        s, ms = todo[i]
+        new = map_children(s, take)
+        if closed:
+            new._fv = drop_names(s._fv, ms)
+        if i:
+            kids[slots[i]] = new
+    return new
 
 
 def delta(c: str, v: Term) -> Term:

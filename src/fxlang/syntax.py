@@ -25,8 +25,10 @@ that field in ``_LEAF_DATA``, which :func:`alpha_eq` compares.
 Terms are never written after construction, except that the parser's
 elaborator (``parser._Elab._annotated``) fills in type annotations before
 ``parse_program`` returns.  No subterm field is ever reassigned, so a
-node's free variables never change: :func:`free_vars` computes them once
-per node and caches them on it, in a slot declared on :class:`Term` only.
+node's free variables never change, and they are kept on the node, in a
+slot declared on :class:`Term` only.  :func:`free_vars` computes them
+once per node, and ``smallstep.subst`` sets them on the nodes it builds,
+by set arithmetic on the sets of the nodes they replace.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ CONST_TYPES: dict[str, Type] = {
 
 
 class Term:
-    # `free_vars` caches a node's free variables here on first call.  The
-    # slot is declared on the base class only, so it is no subclass's field.
+    # A node's free variables, cached by `free_vars` or set by
+    # `smallstep.subst`.  The slot is declared on the base class only, so
+    # it is no subclass's field.
     __slots__ = ("_fv",)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -448,13 +451,35 @@ def _single(name: str) -> frozenset[str]:
     return fv
 
 
+def drop_names(fv: frozenset[str], names) -> frozenset[str]:
+    """fv without names; an empty or one-name result is the shared set."""
+
+    fv = fv.difference(names)
+    if len(fv) > 1:
+        return fv
+    return _single(next(iter(fv))) if fv else _NO_FREE
+
+
+def known_closed(t: Term) -> bool:
+    """Is t closed, as far as its class and cached set tell without a
+    walk?  A leaf other than a variable is; another node is when its set
+    is cached and empty."""
+
+    cls = t.__class__
+    if cls in _LEAVES:
+        return cls is not Var
+    return not getattr(t, "_fv", True)
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """The variables that occur free in t.
 
     Each node's set is computed once, from its children's sets, and kept
-    in the node's `_fv` slot; leaves are not cached.  A parent whose set
-    equals a child's shares that child's set object.  No recursion, so
-    deep terms do not hit Python's limit.
+    in the node's `_fv` slot; leaves are not cached.  Most nodes that
+    ``smallstep.subst`` builds get their sets from it and are not walked.
+    An empty or one-name set is always the one shared object for it, and
+    a parent whose computed set equals a child's shares that child's
+    object.  No recursion, so deep terms do not hit Python's limit.
     """
 
     cls = t.__class__
@@ -487,9 +512,7 @@ def free_vars(t: Term) -> frozenset[str]:
             else:
                 fv = c._fv
             if names and not fv.isdisjoint(names):
-                fv = fv.difference(names)
-                if len(fv) == 1:
-                    fv = _single(next(iter(fv)))
+                fv = drop_names(fv, names)
             if not fv or fv <= out:
                 continue
             out = fv if out <= fv else out | fv

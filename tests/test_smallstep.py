@@ -21,6 +21,7 @@ from fxlang.syntax import (
     Let,
     Nil,
     Num,
+    Pair,
     Return,
     UNIT,
     UNIT_V,
@@ -290,3 +291,90 @@ def test_evaluate_is_the_same_with_the_cache_cold_and_warm():
         assert cold[1] == warm[1]
         assert same(cold[0], warm[0])
         assert same(cold[2].store, warm[2].store)
+
+
+def _fv_from_scratch(t):
+    """Every node of t by id, with its free variables computed without
+    reading or writing any cached set."""
+
+    nodes, fv = {}, {}
+    stack = [t]
+    while stack:  # post-order, each shared node once
+        s = stack[-1]
+        if id(s) in fv:
+            stack.pop()
+            continue
+        todo = [c for c, _ in children(s) if id(c) not in fv]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        out = {s.name} if s.__class__ is Var else set()
+        for c, names in children(s):
+            out |= fv[id(c)] - set(names)
+        nodes[id(s)], fv[id(s)] = s, out
+    return nodes, fv
+
+
+def _check_cached_sets(t):
+    """Every node of t that carries a set carries the exact one, and an
+    empty or one-name set is the object a leaf answers with; returns how
+    many nodes carried a set."""
+
+    nodes, fv = _fv_from_scratch(t)
+    checked = 0
+    for key, s in nodes.items():
+        cached = getattr(s, "_fv", None)
+        if cached is not None:
+            assert cached == fv[key], to_source(s)
+            if len(cached) < 2:
+                assert cached is free_vars(Var(*cached) if cached else Nil())
+            checked += 1
+    return checked
+
+
+def test_rebuilt_nodes_carry_exact_free_variables():
+    rows = ("effcount", "naivecount", "effsearch", "lazycount")  # the oracle's agreement rows
+    programs = [cl.compose(impl, "odd", 2)[:2] for impl in rows]
+    programs += [
+        random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3) for seed in range(200)
+    ]
+    checked = 0
+    for term, sig in programs:
+        cfg = StateConfig(complete_handlers(term, sig) if sig else term)
+        for i in range(2_000):
+            if i % 7 == 0:
+                checked += _check_cached_sets(cfg.term)
+            out = step(cfg, sig)
+            if not isinstance(out, StateConfig):
+                break
+            cfg = out
+    assert checked > 20_000
+
+
+def test_rebuilt_sets_under_a_shadowing_binder_and_an_open_value():
+    # a binder that shadows a substituted name keeps it free below it
+    inner = Pair(Var("x"), Var("y"))
+    t = Pair(Var("x"), Lam("x", Return(inner)))
+    out = subst(t, {"x": Num(1), "y": Num(2)})
+    assert _check_cached_sets(out) == 4 and free_vars(out.snd.body.value) == {"x"}
+    # open values: `y` is captured by the binder of the same name, so the
+    # body's set is not its old one minus `x`; `probe` is not captured
+    body = Return(Pair(Var("x"), Var("x")))
+    t = Pair(Lam("y", body), Pair(Var("x"), Num(1)))
+    assert free_vars(t) == {"x"} and free_vars(body) == {"x"}
+    out = subst(t, {"x": Var("y")})
+    assert free_vars(out.fst) == frozenset() and free_vars(out.fst.body) == {"y"}
+    assert free_vars(out) == {"y"}
+    assert _check_cached_sets(out) == 5
+    out = subst(t, {"x": Var("probe")})
+    assert free_vars(out) == {"probe"} and _check_cached_sets(out) == 5
+    # an open value that is not a variable, with its set not yet cached and cached
+    for cached in (False, True):
+        fn = Lam("z", Return(Var("y")))
+        if cached:
+            free_vars(fn)
+        out = subst(t, {"x": fn})
+        assert free_vars(out) == {"y"} and _check_cached_sets(out) == 7
+    closed = subst(t, {"x": Num(2)})
+    assert _check_cached_sets(closed) == 5 and free_vars(closed) == frozenset()
