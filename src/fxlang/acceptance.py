@@ -37,7 +37,7 @@ from fxlang.syntax import (
     Term,
     Var,
     alpha_eq,
-    complete_handlers,
+    language_level,
     rewrite,
 )
 from fxlang.typecheck import typecheck_program
@@ -209,10 +209,9 @@ def lemma_shape(term, sig, cap=400) -> Optional[str]:
     and reductions, else a description of the first violation.
     """
 
-    term = complete_handlers(term, sig) if sig else term
-    st = mc.inject(term)
+    st = mc.inject(term, sig)
     cur = decompile(st)
-    if not alpha_eq(cur, Handle(term, mc.ID_HANDLER)):
+    if not alpha_eq(cur, Handle(st.comp, mc.ID_HANDLER)):
         return "initial configuration does not decompile to the term"
     scfg = StateConfig(cur)
     left = cap
@@ -242,42 +241,61 @@ def lemma_shape(term, sig, cap=400) -> Optional[str]:
     return None
 
 
+def agreement(term, sig, fuel: tuple[int, int]) -> tuple[str, Optional[str]]:
+    """Run a program on both semantics: its outcome kind ('value', 'op'
+    or 'fuel') and the first disagreement, or None.
+
+    ``fuel`` is (reductions, transitions).  The runs must end alike:
+    alpha-equal values, the same unhandled operation, or both out of
+    fuel.  A memo-free run never takes fewer ticks than reductions, so
+    there the machine must take at least as many, and a program that
+    small-step cannot finish must exhaust the machine at the same fuel.
+    Memoise lets the machine skip work that small-step does again.
+    """
+
+    ss_fuel, machine_fuel = fuel
+    counted = "memo" not in language_level(term)
+    try:
+        normal, steps, _ = evaluate(term, sig, fuel=ss_fuel)
+        s_kind = "value" if isinstance(normal, NormalValue) else "op"
+    except FuelExhausted:
+        if not counted:
+            return "fuel", None
+        s_kind, machine_fuel = "fuel", ss_fuel
+    try:
+        res = mc.run_machine(term, sig, fuel=machine_fuel)
+        m_kind = "value" if isinstance(res.outcome, mc.FinalValue) else "op"
+    except FuelExhausted:
+        m_kind = "fuel"
+    if m_kind != s_kind:
+        return s_kind, f"machine {m_kind} vs small-step {s_kind}"
+    if s_kind == "fuel":
+        return s_kind, None
+    if s_kind == "value" and not alpha_eq(reify(res.outcome.value), normal.value):
+        return s_kind, "values differ"
+    if s_kind == "op" and res.outcome.op != normal.op:
+        return s_kind, "unhandled op differs"
+    if counted and res.ticks < steps:
+        return s_kind, f"ticks {res.ticks} < reductions {steps}"
+    return s_kind, None
+
+
 def crit_simulation(ctx: AcceptanceContext):
     """Machine results equal small-step normal forms on a 500-program
     random corpus and the library programs at small sizes; decompilation
     has the administrative/beta shape."""
 
-    values = ops = diverged = 0
+    kinds = {"value": 0, "op": 0, "fuel": 0}
     for seed in range(500):
         term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)
         typecheck_program(sig, term)
-        try:
-            out_s, steps, _ = evaluate(term, sig, fuel=30_000)
-            s_kind = "value" if isinstance(out_s, NormalValue) else "op"
-        except FuelExhausted:
-            s_kind = "fuel"
-        try:
-            res = mc.run_machine(term, sig, fuel=600_000)
-            m_kind = "value" if isinstance(res.outcome, mc.FinalValue) else "op"
-        except FuelExhausted:
-            m_kind = "fuel"
-        if s_kind == "fuel":
-            diverged += 1
-            continue
-        if m_kind != s_kind:
-            return False, f"seed {seed}: machine {m_kind} vs small-step {s_kind}"
-        if s_kind == "value":
-            if not alpha_eq(reify(res.outcome.value), out_s.value):
-                return False, f"seed {seed}: values differ"
-            if res.ticks < steps:
-                return False, f"seed {seed}: ticks {res.ticks} < reductions {steps}"
-            values += 1
-        else:
-            if res.outcome.op != out_s.op:
-                return False, f"seed {seed}: unhandled op differs"
-            ops += 1
+        kind, problem = agreement(term, sig, (30_000, 600_000))
+        if problem:
+            return False, f"seed {seed}: {problem}"
+        kinds[kind] += 1
 
-    # Library programs through both semantics at small sizes.
+    # Library programs through both semantics at small sizes; each must
+    # end in a value.
     pairs = [
         ("effcount", "odd", 2), ("effcount", "T0", 0), ("effcount", "T1", 2),
         ("effcount_rep", "I2", 1), ("effcount_rep", "T2", 2),
@@ -287,26 +305,12 @@ def crit_simulation(ctx: AcceptanceContext):
         ("bergercount", "odd", 2), ("bergercount", "I0", 2),
         ("effsearch", "odd", 2), ("effsearch_cons", "odd", 2),
     ]
-    for impl, pred, n in pairs:
-        term, sig, _ = cl.compose(impl, pred, n)
-        res = mc.run_machine(term, sig)
-        out_s, steps, _ = evaluate(term, sig, fuel=3_000_000)
-        if not isinstance(out_s, NormalValue):
-            return False, f"{impl}x{pred}@{n}: small-step got stuck on an operation"
-        if not alpha_eq(reify(res.value), out_s.value):
-            return False, f"{impl}x{pred}@{n}: values differ between semantics"
-        # The tick/reduction comparison only makes sense without memoise:
-        # small-step reads it as the identity and re-evaluates thunks the
-        # machine caches, so it may take more reductions than the machine
-        # takes transitions.
-        if "memo" not in cl.get(impl).level and res.ticks < steps:
-            return False, f"{impl}x{pred}@{n}: ticks < reductions"
-    toss = cl.get("toss")
-    term, sig = toss.build(None)
-    res = mc.run_machine(term, sig)
-    out_s, _, _ = evaluate(term, sig)
-    if not alpha_eq(reify(res.value), out_s.value):
-        return False, "toss differs between semantics"
+    library = [(f"{impl}x{pred}@{n}", cl.compose(impl, pred, n)[:2]) for impl, pred, n in pairs]
+    library.append(("toss", cl.get("toss").build(None)))
+    for label, (term, sig) in library:
+        kind, problem = agreement(term, sig, (3_000_000, mc.DEFAULT_FUEL))
+        if problem or kind != "value":
+            return False, f"{label}: {problem or f'ends in {kind}, not a value'}"
 
     # Decompilation shape on a slice of the corpus plus a real handler run.
     for seed in range(60):
@@ -319,7 +323,8 @@ def crit_simulation(ctx: AcceptanceContext):
     if problem:
         return False, f"effcountxodd@2: {problem}"
     return True, (
-        f"corpus: {values} values + {ops} unhandled ops + {diverged} fuel-bounded; "
+        f"corpus: {kinds['value']} values + {kinds['op']} unhandled ops + "
+        f"{kinds['fuel']} fuel-bounded; "
         "library programs agree; decompilation shape holds"
     )
 

@@ -20,7 +20,6 @@ from fxlang.machine import DEFAULT_FUEL
 IMPL_CAPS = {
     "naivecount": 12,
     "lazycount": 12,
-    "bestshot": 12,
     "bergercount": 12,
     "effcount": 14,
     "effcount_rep": 14,

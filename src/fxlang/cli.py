@@ -22,7 +22,6 @@ from fxlang import trees as tr
 from fxlang.errors import FuelExhausted
 from fxlang.parser import ParseError, parse_program
 from fxlang.pprint import render_mval, to_source
-from fxlang.syntax import complete_handlers
 from fxlang.typecheck import TypeCheckError, typecheck_program
 
 
@@ -41,29 +40,17 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _trace_smallstep(term, sig, fuel: int):
-    """Print each reduct of a small-step run; return its normal form and reduction count."""
-
-    cfg = ss.StateConfig(complete_handlers(term, sig) if sig else term)
-    steps = 0
-    while steps < fuel:
-        out = ss.step(cfg, sig)
-        if not isinstance(out, ss.StateConfig):
-            return out, steps
-        steps += 1
-        print(to_source(out.term))
-        cfg = out
-    raise FuelExhausted(steps)
-
-
 def cmd_run(args) -> int:
     sig, term, _ = _load(args.file)
     if args.semantics == "smallstep":
+        run = ss.reductions(term, sig, args.fuel)
         try:
-            if args.trace:
-                out, steps = _trace_smallstep(term, sig, args.fuel)
-            else:
-                out, steps, _ = ss.evaluate(term, sig, fuel=args.fuel)
+            while True:
+                cfg = next(run)
+                if args.trace:
+                    print(to_source(cfg.term))
+        except StopIteration as stop:
+            out, steps, _ = stop.value
         except FuelExhausted as exc:
             print(f"fuel exhausted after {exc.steps} reductions", file=sys.stderr)
             return 3
@@ -93,6 +80,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    if args.depth is not None and args.depth < 0:
+        raise ValueError(f"--depth must be at least 0, not {args.depth}")
     pred, bits = cl.build_predicate(bn.resolve_pred(args.pred, args.variant), args.n)
     depth = args.depth if args.depth is not None else 2 * bits + 2
     tree = tr.extract_tree(pred, fuel=args.fuel, depth_bound=depth)

@@ -76,7 +76,7 @@ def lint_handles_ops(pred: Term, ops) -> None:
 @dataclass(slots=True)
 class ProgramDescriptor:
     name: str
-    kind: str  # 'point' | 'predicate' | 'counter' | 'searcher' | 'program'
+    kind: str  # 'point' | 'predicate' | 'counter' | 'searcher' | 'selector' | 'program'
     level: str  # 'base' | 'handler' | 'base+memo' | 'state'
     source: str | Callable[[int], str]  # the program, or its template in n
     input_class: Optional[str] = None  # predicates: the class of their tree
@@ -352,7 +352,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
 
 
 _register(ProgramDescriptor(
-    "bestshot", "counter", "base",
+    "bestshot", "selector", "base",
     _bestshot_src,
     accepts=GENERAL,
     summary="deferred choice: a satisfying point if one exists",

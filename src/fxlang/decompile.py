@@ -95,8 +95,6 @@ def open_term(t: Term, env: dict, bound: set[str]) -> Term:
 
 
 def decompile_term(t: Term, env: dict) -> Term:
-    if t.__class__ is Quote:
-        return reify(t.mval)
     if t.__class__ is Return and t.value.__class__ is Quote:
         return Return(reify(t.value.mval))
     return open_term(t, env, set())

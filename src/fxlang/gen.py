@@ -130,13 +130,6 @@ class ProgramGen:
                 return Rec(f, x, body, ty)
             body = self.comp({**env, x: ty.dom}, ty.cod, d - 1)
             return Lam(x, body, ty.dom)
-        if cls is sx.RefType:
-            cands = [x for x, t in env.items() if t == ty]
-            if cands:
-                return Var(rng.choice(cands))
-            # No allocation in value position; fall back to a dummy via
-            # the caller avoiding RefType here.
-            raise ValueError("no reference available")
         raise ValueError(f"cannot generate a value of {ty}")
 
     # -- computations

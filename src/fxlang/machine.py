@@ -866,25 +866,25 @@ _RET_UNIT = Return(UNIT_V)
 # ---------------------------------------------------------------------------
 
 
-def inject(term: Term) -> MachineState:
-    """Initial configuration for a closed term: empty environment over
-    the bottom continuation.  A pure term runs over `answer_cont`, so it
-    ends at the answer stop; any other over `identity_cont`."""
+def inject(term: Term, sig: Signature | None = None) -> MachineState:
+    """Initial configuration for a closed term: its handlers completed
+    against the signature, an empty environment, and the bottom
+    continuation.  A pure term runs over `answer_cont`, so it ends at the
+    answer stop; any other over `identity_cont`."""
 
+    if sig:
+        term = complete_handlers(term, sig)
     kont = identity_cont() if uses_effects(term) else answer_cont()
     return MachineState(term, {}, kont)
 
 
 def run_machine(term: Term, sig: Signature | None = None, fuel: int = DEFAULT_FUEL) -> RunResult:
-    """Drive a closed term to a final state.
+    """Drive a closed term from `inject` to a final state.
 
-    Handlers are completed against the signature first.  Raises
-    FuelExhausted if the budget runs out.
+    Raises FuelExhausted if the budget runs out.
     """
 
-    if sig:
-        term = complete_handlers(term, sig)
-    st = inject(term)
+    st = inject(term, sig)
     kind = drive(st, fuel)
     if kind == "fuel":
         raise FuelExhausted(st.ticks)
@@ -930,10 +930,8 @@ def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
     resumption, which is where it stops.
     """
 
-    if sig:
-        term = complete_handlers(term, sig)
-    pure = not uses_effects(term)
-    st = inject(term)
+    st = inject(term, sig)
+    pure = st.kont[0][1][1] is ANSWER_HANDLER  # `inject` chose `answer_cont`
     while st.ticks < fuel:
         kind = drive(st, st.ticks + 1)
         if kind != "fuel":

@@ -310,20 +310,18 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
     return StateConfig(_rebuild(frames, len(frames), contractum), store, cfg.resume_counter)
 
 
-def evaluate(
-    term: Term, sig: Signature | None = None, fuel: int = 100_000
-) -> tuple[Normal, int, StateConfig]:
-    """Iterate `step` to a normal form.
+def reductions(term: Term, sig: Signature | None = None, fuel: int = 100_000):
+    """Iterate `step` from a term to a normal form, yielding the
+    configuration each reduction reaches.
 
-    Returns (normal form, number of reductions, final configuration).
-    Raises FuelExhausted when the budget runs out, which is how divergence
-    shows up in practice.  Handlers are completed against the signature
-    before stepping starts.
+    The generator's return value is (normal form, number of reductions,
+    final configuration).  Handlers are completed against the signature
+    before stepping starts.  Raises FuelExhausted right after the
+    reduction that uses up the budget, which is how divergence shows up
+    in practice.
     """
 
-    if sig:
-        term = complete_handlers(term, sig)
-    cfg = StateConfig(term)
+    cfg = StateConfig(complete_handlers(term, sig) if sig else term)
     steps = 0
     while True:
         out = step(cfg, sig)
@@ -331,14 +329,21 @@ def evaluate(
             return out, steps, cfg
         steps += 1
         cfg = out
+        yield cfg
         if steps >= fuel:
             raise FuelExhausted(steps)
 
 
-def eval_value(term: Term, sig: Signature | None = None, fuel: int = 100_000) -> Term:
-    """Evaluate to a value term; raises on unhandled operations."""
+def evaluate(
+    term: Term, sig: Signature | None = None, fuel: int = 100_000
+) -> tuple[Normal, int, StateConfig]:
+    """Run `reductions` to its end: (normal form, number of reductions,
+    final configuration).  Handlers are completed against the signature
+    there, before stepping starts."""
 
-    out, _, _ = evaluate(term, sig, fuel)
-    if isinstance(out, NormalOp):
-        raise StuckError(f"unhandled operation {out.op}")
-    return out.value
+    run = reductions(term, sig, fuel)
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            return stop.value

@@ -1,9 +1,11 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from fxlang import countlib as cl
 from fxlang.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -232,6 +234,24 @@ def test_negative_size_is_one_line(argv):
 ])
 def test_fuel_below_one_is_one_line(argv):
     assert_one_line_error(*run_cli(*argv), "--fuel must be at least 1, not ")
+
+
+def test_tree_depth_below_zero_is_one_line():
+    assert_one_line_error(*run_cli("tree", "--pred", "odd", "-n", "2", "--depth", "-1"),
+                          "--depth must be at least 0, not -1")
+
+
+def test_every_counter_on_every_predicate_exits_cleanly():
+    # a count, a one-line error or fuel exhaustion, never a traceback;
+    # bestshot returns a point, so `count` rejects it
+    programs = cl.catalog()
+    impls = [name for name, d in programs.items() if d.kind in ("counter", "searcher", "selector")]
+    preds = [name for name, d in programs.items() if d.kind == "predicate"]
+    for impl, pred, n in product(impls, preds, ("0", "2")):
+        code, _, err = run_cli("count", "--impl", impl, "--pred", pred, "-n", n)
+        assert code in (0, 1, 3) and len(err.splitlines()) <= 1, (impl, pred, n, err)
+    assert_one_line_error(*run_cli("bench", "--impls", "bestshot", "--preds", "odd"),
+                          "bestshot is not a counter or searcher")
 
 
 def test_bench_spec_fuel_below_one_is_one_line(tmp_path):

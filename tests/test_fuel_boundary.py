@@ -19,7 +19,7 @@ from fxlang import machine as mc
 from fxlang.decompile import decompile
 from fxlang.gen import random_program
 from fxlang.parser import parse_term
-from fxlang.syntax import App, Const, Pair, Var, complete_handlers
+from fxlang.syntax import App, Const, Pair, Var
 from termeq import same, same_state
 
 MEMO_SRC = """
@@ -38,12 +38,12 @@ if a then return m else return 0
 
 def _catalog(counter, pred, n):
     term, sig, _ = cl.compose(counter, pred, n)
-    return complete_handlers(term, sig) if sig else term
+    return mc.inject(term, sig).comp
 
 
 def _random(seed):
     term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 7 == 3)
-    return complete_handlers(term, sig) if sig else term
+    return mc.inject(term, sig).comp
 
 
 CATALOG = {

@@ -34,7 +34,6 @@ from fxlang.syntax import (
     Split,
     Var,
     alpha_eq,
-    complete_handlers,
 )
 from termeq import same
 
@@ -51,7 +50,7 @@ RULES = set(re.findall(r"M-[A-Za-z]+(?:-[A-Za-z]+)*", mc.step.__doc__))
 def fired(term, sig=None):
     """The rule of each transition of a run, one forked `step` at a time."""
 
-    st = mc.inject(complete_handlers(term, sig) if sig else term)
+    st = mc.inject(term, sig)
     out = []
     while True:
         rule, st = mc.step(st)
@@ -104,7 +103,7 @@ def test_decompile_is_a_function_of_its_state():
     # the first M-Handle-Op binds a resumption, which decompiles to a
     # function with a generated binder; both calls must name it alike
     term, sig, _ = cl.compose("effcount", "odd", 1)
-    st = mc.inject(complete_handlers(term, sig))
+    st = mc.inject(term, sig)
     rule = None
     while rule != "M-Handle-Op":
         rule, st = mc.step(st)
@@ -125,12 +124,11 @@ def test_fast_loop_matches_single_steps():
     term, sig, _ = cl.compose("effcount", "odd", 3)
     progs.append((term, sig))
     for term, sig in progs:
-        t2 = complete_handlers(term, sig) if sig else term
         try:
-            res = mc.run_machine(t2, None, fuel=20_000)
+            res = mc.run_machine(term, sig, fuel=20_000)
         except FuelExhausted:
             continue
-        assert len(fired(t2)) == res.ticks
+        assert len(fired(term, sig)) == res.ticks
 
 
 def test_deterministic_reports():
@@ -165,7 +163,7 @@ handle ({lets} do Branch ()) with {{
 }}
 """
         sig, term = parse_program(src)
-        st = mc.inject(complete_handlers(term, sig))
+        st = mc.inject(term, sig)
         while True:
             rule, nxt = mc.step(st)
             assert rule != "final"
@@ -190,7 +188,7 @@ handle ({lets} do Branch ()) with {{
 }}
 """
         sig, term = parse_program(src)
-        st = mc.MachineState(complete_handlers(term, sig), {}, mc.identity_cont())
+        st = mc.inject(term, sig)
         from fxlang.syntax import Do
 
         while st.comp.__class__ is not Do:
@@ -412,13 +410,12 @@ def test_rule_cases_fire_every_rule():
 def test_trace_run_agrees_with_forked_steps():
     for seed in range(200):
         term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 7 == 3)
-        term = complete_handlers(term, sig) if sig else term
         try:
-            res = mc.run_machine(term, None, fuel=20_000)
+            res = mc.run_machine(term, sig, fuel=20_000)
         except FuelExhausted:
             continue
-        traced = [rule for _, rule, _, _ in mc.trace_run(term)]
-        assert traced == fired(term), seed
+        traced = [rule for _, rule, _, _ in mc.trace_run(term, sig)]
+        assert traced == fired(term, sig), seed
         assert len(traced) == res.ticks and set(traced) <= RULES, seed
 
 

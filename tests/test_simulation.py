@@ -7,13 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fxlang import acceptance as ac
 from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang.decompile import decompile, reify
 from fxlang.gen import random_program
-from fxlang.parser import parse_term
-from fxlang.syntax import Handle, Lam, alpha_eq, children, complete_handlers, free_vars
+from fxlang.parser import parse_program, parse_term
+from fxlang.smallstep import NormalOp, NormalValue
+from fxlang.syntax import Handle, Lam, Var, alpha_eq, children, free_vars
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,11 +85,56 @@ def test_simulation_criterion_fails_under_optimize():
     assert "is not one reduction" in proc.stdout
 
 
+def _wrong_value(out):
+    return NormalValue(Var("planted")) if isinstance(out, NormalValue) else out
+
+
+def _wrong_op(out):
+    return NormalOp(out.op + "'", out.arg) if isinstance(out, NormalOp) else out
+
+
+def _planted_evaluate(change, real=ac.evaluate):
+    def evaluate(term, sig=None, fuel=100_000):
+        out, steps, cfg = real(term, sig, fuel)
+        return change(out), steps, cfg
+
+    return evaluate
+
+
+def _no_ticks(term, sig=None, fuel=mc.DEFAULT_FUEL, real=mc.run_machine):
+    res = real(term, sig, fuel)
+    return mc.RunResult(res.outcome, 0, res.envops)
+
+
+def _unhandled_op(impl, pred, n):
+    sig, term = parse_program("operation Boom : Unit -> Unit\ndo Boom ()")
+    return term, sig, n
+
+
+# (module, name, planted function, what criterion 5 must report)
+PLANTED_FAULTS = {
+    "small-step value": (ac, "evaluate", _planted_evaluate(_wrong_value), ": values differ"),
+    "operation name": (ac, "evaluate", _planted_evaluate(_wrong_op), ": unhandled op differs"),
+    "tick deficit": (mc, "run_machine", _no_ticks, ": ticks 0 < reductions"),
+    "library run ends in an operation": (
+        cl, "compose", _unhandled_op, "effcountxodd@2: ends in op, not a value",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_simulation_criterion_catches_planted_faults(fault, monkeypatch):
+    owner, name, planted, message = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(owner, name, planted)
+    passed, detail = ac.crit_simulation(ac.AcceptanceContext())
+    assert not passed and message in detail, detail
+
+
 def test_resumption_values_decompile_to_handler_wrapped_functions():
     # stop a run at the first operation clause and decompile the captured
     # resumption
     term, sig, _ = cl.compose("effcount", "odd", 1)
-    st = mc.inject(complete_handlers(term, sig))
+    st = mc.inject(term, sig)
     while True:
         rule, nxt = mc.step(st)
         if rule == "M-Handle-Op":
@@ -104,7 +152,7 @@ def test_reified_resumptions_share_one_closed_binder():
     # capture its hole
     for impl in ("effcount", "effsearch"):
         term, sig, _ = cl.compose(impl, "odd", 2)
-        st = mc.inject(complete_handlers(term, sig))
+        st = mc.inject(term, sig)
         resumptions = 0
         while True:
             todo = [decompile(st)]

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from fxlang import countlib as cl
@@ -9,8 +11,8 @@ from fxlang.smallstep import (
     NormalOp,
     NormalValue,
     StateConfig,
-    eval_value,
     evaluate,
+    reductions,
     step,
     subst,
 )
@@ -99,7 +101,8 @@ handle (handle do Branch () with {val x -> return x; Branch () r -> r true})
 with {val x -> return x; Branch () r -> r false}
 """
     sig, t = parse_program(src)
-    assert to_source(eval_value(t, sig)) == "true"
+    out, _, _ = evaluate(t, sig)
+    assert to_source(out.value) == "true"
 
 
 def test_forwarding_reaches_outer_handler():
@@ -110,8 +113,8 @@ handle (handle do Ask () with {val x -> return x; Branch () r -> r true})
 with {val x -> return x; Ask () r -> r 42}
 """
     sig, t = parse_program(src)
-    out = eval_value(t, sig)
-    assert out.value == 42
+    out, _, _ = evaluate(t, sig)
+    assert out.value.value == 42
 
 
 def test_determinism():
@@ -161,12 +164,7 @@ def test_subject_reduction_on_random_corpus():
     for seed in range(300):
         term, sig = random_program(seed, effects=seed % 2 == 1, refs=False)
         ty = typecheck_program(sig, term)
-        cfg = StateConfig(complete_handlers(term, sig) if sig else term)
-        for _ in range(60):
-            out = step(cfg, sig)
-            if not isinstance(out, StateConfig):
-                break
-            cfg = out
+        for cfg in islice(reductions(term, sig), 60):
             typecheck_program(sig, cfg.term)
             checked += 1
     assert checked > 300
@@ -341,14 +339,9 @@ def test_rebuilt_nodes_carry_exact_free_variables():
     ]
     checked = 0
     for term, sig in programs:
-        cfg = StateConfig(complete_handlers(term, sig) if sig else term)
-        for i in range(2_000):
+        for i, cfg in enumerate(islice(reductions(term, sig), 2_000)):
             if i % 7 == 0:
                 checked += _check_cached_sets(cfg.term)
-            out = step(cfg, sig)
-            if not isinstance(out, StateConfig):
-                break
-            cfg = out
     assert checked > 20_000
 
 

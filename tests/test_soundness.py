@@ -5,8 +5,7 @@ runs out of fuel; a StuckError is an interpreter bug."""
 from fxlang.errors import FuelExhausted
 from fxlang.gen import random_program
 from fxlang.machine import run_machine
-from fxlang.smallstep import NormalOp, NormalValue, StateConfig, step
-from fxlang.syntax import complete_handlers
+from fxlang.smallstep import NormalValue, evaluate
 from fxlang.typecheck import typecheck_program
 
 
@@ -15,18 +14,12 @@ def test_random_corpus_never_sticks():
     for seed in range(500):
         term, sig = random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)
         typecheck_program(sig, term)
-        cfg = StateConfig(complete_handlers(term, sig) if sig else term)
-        for _ in range(10_000):
-            out = step(cfg, sig)  # raises StuckError on a bug
-            if isinstance(out, NormalValue):
-                outcomes["value"] += 1
-                break
-            if isinstance(out, NormalOp):
-                outcomes["op"] += 1
-                break
-            cfg = out
-        else:
+        try:
+            out, _, _ = evaluate(term, sig, fuel=10_000)  # raises StuckError on a bug
+        except FuelExhausted:
             outcomes["fuel"] += 1
+            continue
+        outcomes["value" if isinstance(out, NormalValue) else "op"] += 1
     assert sum(outcomes.values()) == 500
     assert outcomes["value"] > 300  # the corpus is dominated by finished runs
 
