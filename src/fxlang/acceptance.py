@@ -254,12 +254,12 @@ def agreement(term, sig, fuel: tuple[int, int]) -> tuple[str, Optional[str]]:
     """
 
     ss_fuel, machine_fuel = fuel
-    counted = "memo" not in language_level(term)
+    memo_free = "memo" not in language_level(term)
     try:
         normal, steps, _ = evaluate(term, sig, fuel=ss_fuel)
         s_kind = "value" if isinstance(normal, NormalValue) else "op"
     except FuelExhausted:
-        if not counted:
+        if not memo_free:
             return "fuel", None
         s_kind, machine_fuel = "fuel", ss_fuel
     try:
@@ -275,7 +275,7 @@ def agreement(term, sig, fuel: tuple[int, int]) -> tuple[str, Optional[str]]:
         return s_kind, "values differ"
     if s_kind == "op" and res.outcome.op != normal.op:
         return s_kind, "unhandled op differs"
-    if counted and res.ticks < steps:
+    if memo_free and res.ticks < steps:
         return s_kind, f"ticks {res.ticks} < reductions {steps}"
     return s_kind, None
 

@@ -1,10 +1,13 @@
 """Machine/small-step agreement on random programs beyond the fixed-seed
 corpus: Hypothesis draws the seeds, and every outcome must match."""
 
+from pathlib import Path
+
 import pytest
 
 from fxlang import acceptance as ac
 from fxlang.gen import random_program
+from fxlang.parser import parse_program
 
 pytest.importorskip("hypothesis")
 
@@ -19,3 +22,9 @@ def test_machine_agrees_with_smallstep_beyond_fixed_seeds(seed, effects, refs):
     term, sig = random_program(seed, effects=effects, refs=refs)
     _, problem = ac.agreement(term, sig, (2_000, 600_000))
     assert problem is None
+
+
+def test_a_diverging_program_runs_out_of_fuel_on_both_semantics():
+    path = Path(__file__).resolve().parent.parent / "programs" / "diverge.fx"
+    sig, term = parse_program(path.read_text(encoding="utf-8"))
+    assert ac.agreement(term, sig, (2_000, 600_000)) == ("fuel", None)

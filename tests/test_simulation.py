@@ -13,6 +13,7 @@ from fxlang import acceptance as ac
 from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang.decompile import decompile, reify
+from fxlang.errors import FuelExhausted
 from fxlang.gen import random_program
 from fxlang.parser import parse_program, parse_term
 from fxlang.smallstep import NormalOp, NormalValue
@@ -106,6 +107,10 @@ def _no_ticks(term, sig=None, fuel=mc.DEFAULT_FUEL, real=mc.run_machine):
     return mc.RunResult(res.outcome, 0, res.envops)
 
 
+def _out_of_fuel(term, sig=None, fuel=100_000):
+    raise FuelExhausted(fuel)
+
+
 def _unhandled_op(impl, pred, n):
     sig, term = parse_program("operation Boom : Unit -> Unit\ndo Boom ()")
     return term, sig, n
@@ -116,6 +121,8 @@ PLANTED_FAULTS = {
     "small-step value": (ac, "evaluate", _planted_evaluate(_wrong_value), ": values differ"),
     "operation name": (ac, "evaluate", _planted_evaluate(_wrong_op), ": unhandled op differs"),
     "tick deficit": (mc, "run_machine", _no_ticks, ": ticks 0 < reductions"),
+    # the machine must then run out within as many ticks
+    "small-step out of fuel": (ac, "evaluate", _out_of_fuel, ": machine value vs small-step fuel"),
     "library run ends in an operation": (
         cl, "compose", _unhandled_op, "effcountxodd@2: ends in op, not a value",
     ),
