@@ -39,6 +39,7 @@ from fxlang.syntax import (
     alpha_eq,
     language_level,
     rewrite,
+    uses_effects,
 )
 from fxlang.typecheck import typecheck_program
 
@@ -211,7 +212,8 @@ def lemma_shape(term, sig, cap=400) -> Optional[str]:
 
     st = mc.inject(term, sig)
     cur = decompile(st)
-    if not alpha_eq(cur, Handle(st.comp, mc.ID_HANDLER)):
+    want = Handle(st.comp, mc.ID_HANDLER) if uses_effects(st.comp) else st.comp
+    if not alpha_eq(cur, want):
         return "initial configuration does not decompile to the term"
     scfg = StateConfig(cur)
     left = cap

@@ -158,21 +158,19 @@ def run_grid(spec: BenchSpec) -> list[GridRow]:
             pred = cl.get(resolve_pred(pred_name, variant))
             cap = _cap_for(impl_name, pred.name, spec.n_max)
             for n in range(spec.n_min, spec.n_max + 1):
-                if n > cap:
-                    rows.append(
-                        GridRow(impl_name, pred_name, variant, n, "skipped:over size cap")
-                    )
-                    continue
                 pred_class = pred.class_at(n)
-                if pred_class and impl.accepts and not cl.class_within(
+                if n > cap:
+                    skip = "over size cap"
+                elif n < pred.min_n:
+                    skip = f"below arity {pred.min_n}"
+                elif pred_class and impl.accepts and not cl.class_within(
                     pred_class, impl.accepts
                 ):
-                    rows.append(
-                        GridRow(
-                            impl_name, pred_name, variant, n,
-                            f"skipped:{pred_class} outside {impl.accepts}",
-                        )
-                    )
+                    skip = f"{pred_class} outside {impl.accepts}"
+                else:
+                    skip = None
+                if skip:
+                    rows.append(GridRow(impl_name, pred_name, variant, n, f"skipped:{skip}"))
                     continue
                 try:
                     rep = cl.run_report(impl_name, pred.name, n, spec.fuel)

@@ -20,8 +20,8 @@ per process, so each (program, n) at most once, and hands every caller
 the same term.  Sharing is safe: no term is written after
 `parse_program` returns (the one writer of a term field is the
 elaborator's `_annotated`, inside the parse), `complete_handler` copies a
-handler's clauses before adding to them, and the machine tests identity
-only on its own `ID_HANDLER` and `ANSWER_HANDLER`.
+handler's clauses before adding to them, and the machine tests no term
+or handler for identity.
 """
 
 from __future__ import annotations
@@ -113,6 +113,12 @@ class ProgramDescriptor:
             return self.input_class
         return N_STANDARD if self.bits(n) == self.bits(None) else AT_MOST_ONCE
 
+    @property
+    def min_n(self) -> int:
+        """The least size a predicate embeds at: its arity if fixed."""
+
+        return 0 if self.takes_n else self.bits(None)
+
 
 @cache
 def _parse(src: str) -> tuple[Term, Signature]:
@@ -186,31 +192,31 @@ _register(ProgramDescriptor(
 _register(ProgramDescriptor(
     "T1", "predicate", "base",
     f"fun {_PRED} -> q 1; q 0; true",
-    input_class=N_STANDARD, bits=lambda n: max(n or 2, 2),
+    input_class=N_STANDARD, bits=lambda n: n or 2,
     summary="constant true after querying 1 then 0",
 ))
 _register(ProgramDescriptor(
     "T2", "predicate", "base",
     f"fun {_PRED} -> q 0; q 0; true",
-    input_class=GENERAL, bits=lambda n: max(n or 2, 2),
+    input_class=GENERAL, bits=lambda n: n or 2,
     summary="constant true, queries index 0 twice",
 ))
 _register(ProgramDescriptor(
     "I0", "predicate", "base",
     f"fun {_PRED} -> q 0",
-    input_class=AT_MOST_ONCE, bits=lambda n: max(n or 1, 1),
+    input_class=AT_MOST_ONCE, bits=lambda n: n or 1,
     summary="the identity predicate on bit 0",
 ))
 _register(ProgramDescriptor(
     "I1", "predicate", "base",
     f"fun {_PRED} -> let b <- q 0 in if b then return true else return false",
-    input_class=AT_MOST_ONCE, bits=lambda n: max(n or 1, 1),
+    input_class=AT_MOST_ONCE, bits=lambda n: n or 1,
     summary="identity on bit 0 via a conditional",
 ))
 _register(ProgramDescriptor(
     "I2", "predicate", "base",
     f"fun {_PRED} -> q 0 && q 0",
-    input_class=GENERAL, bits=lambda n: max(n or 1, 1),
+    input_class=GENERAL, bits=lambda n: n or 1,
     summary="identity on bit 0, queried twice",
 ))
 _register(ProgramDescriptor(
@@ -771,6 +777,10 @@ def build_predicate(pred_name: str, n: Optional[int]) -> tuple[Term, int]:
     desc = get(pred_name)
     if desc.kind != "predicate":
         raise ValueError(f"{pred_name} is not a predicate")
+    k = desc.min_n
+    if n is not None and 0 <= n < k:  # `build` rejects a negative n
+        raise ValueError(f"{pred_name} reads {k} bit{'s' * (k != 1)}; "
+                         f"n must be at least {k}, not {n}")
     term, _ = desc.build(n)
     return as_value(term), desc.bits(n)
 

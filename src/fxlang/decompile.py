@@ -122,13 +122,18 @@ def decompile_handler_def(h: Handler, env: dict) -> Handler:
 
 
 def resumption_body(rho, m: Term) -> Term:
-    sigma, (henv, h) = rho
-    return Handle(wrap_pure_cont(sigma, m), decompile_handler_def(h, henv))
+    """m in a resumption's let-nest, under its handler if it has one."""
+
+    sigma, chi = rho
+    m = wrap_pure_cont(sigma, m)
+    return m if chi is None else Handle(m, decompile_handler_def(chi[1], chi[0]))
 
 
 def decompile(st: mc.MachineState) -> Term:
     """A machine configuration as the term it stands for: the computation
-    wrapped in one handle-nest per resumption, bottom included."""
+    wrapped in one let- and handle-nest per resumption, bottom included.
+    A pure run's bottom resumption has no handler, so a pure state
+    decompiles to the bare term that small-step steps."""
 
     m = decompile_term(st.comp, st.env)
     kont = st.kont

@@ -7,12 +7,12 @@ on a single resumption: the base machine of the cost model is this
 machine's pure fragment, the one-resumption special case of the
 generalised continuation (Hillerström, Lindley & Atkey, JFP 2020).
 
-The bottom resumption holds an identity handler and decides where a run
-ends.  A term that uses effects runs over `identity_cont` and ends after
-the identity handler's return clause fires (M-RetHandler).  A pure term,
-like a probed predicate, runs over `answer_cont` and stops just before
-that transition, at the answer configuration.  So a pure run costs what
-the base machine charges: no tick for a handler it never installed.
+A pure run has no handler.  A term that uses effects runs over
+`identity_cont`, one resumption under the identity handler, and ends
+after that handler's return clause fires (M-RetHandler).  A pure term,
+like a probed predicate, runs over `PURE_CONT`, one resumption with no
+handler, and ends when its value meets the empty continuation: it pays
+no tick for a handler it never installed.
 
 The machine is metered.  ``ticks`` counts fired transition rules,
 exactly one per rule; interpreting a value term into a machine value
@@ -108,8 +108,8 @@ DEFAULT_FUEL = 10**8
 # object.  A pure continuation is a flat linked tuple: None, or a
 # let-frame (env, name, term, rest), or a memo-record frame (cell_id,
 # None, None, rest); one tuple per push.  Handler closures are
-# (env, Handler).  Generalised continuations are linked tuples
-# None | (resumption, rest).
+# (env, Handler), or None in the one resumption of a pure run.
+# Generalised continuations are linked tuples None | (resumption, rest).
 
 
 class _Value:
@@ -224,10 +224,8 @@ class VSentinel(_Value):
     is how decision-tree extraction recognises a query.
     """
 
-    __slots__ = ("name",)
-
-    def __init__(self, name="q"):
-        self.name = name
+    __slots__ = ()
+    name = "q"  # the variable it stands in for
 
 
 VTRUE = VInl(VUNIT)
@@ -252,11 +250,10 @@ def mval_list(v) -> list:
     return out
 
 
-# The identity handler closure that sits at the bottom of every
-# generalised continuation.  ANSWER_HANDLER is the same handler as a
-# distinct object: a run over it stops before its return clause fires.
+# The bottoms of a generalised continuation: an effectful run starts under
+# the identity handler, a pure run on one resumption with no handler.
 ID_HANDLER = Handler("x", Return(Var("x")), {})
-ANSWER_HANDLER = Handler("x", Return(Var("x")), {})
+PURE_CONT = ((None, None), None)
 
 
 def identity_cont():
@@ -264,14 +261,6 @@ def identity_cont():
     continuation and the identity handler closure."""
 
     return ((None, ({}, ID_HANDLER)), None)
-
-
-def answer_cont():
-    """A fresh bottom continuation for runs that end at the answer
-    configuration, before the bottom M-RetHandler: pure terms and probed
-    predicates."""
-
-    return ((None, ({}, ANSWER_HANDLER)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +421,14 @@ def drive(st: MachineState, fuel: int) -> str:
     an application of a `VSentinel`, which only decision-tree extraction
     puts in an environment.
 
-    Returns the outcome kind: 'value', 'answer', 'op', 'query' or
-    'fuel'.  'answer' is the final state of a run over `answer_cont`;
-    'op' means an operation reached the bottom identity handler: the
+    Returns the outcome kind: 'value', 'op', 'query' or 'fuel'.
+    'value' means a value met the empty continuation, which a pure run,
+    having no handler, reaches straight from its let-frames; 'op' means
+    an operation fell through the bottom resumption: the
     unhandled-operation final state.  The kind says how to read
-    ``st.out``: the result value after 'value' and 'answer', the queried
-    index after 'query', a `FinalUnhandledOp` after 'op'; a 'fuel' stop
-    leaves it as it was.
+    ``st.out``: the result value after 'value', the queried index after
+    'query', a `FinalUnhandledOp` after 'op'; a 'fuel' stop leaves it as
+    it was.
 
     Each branch that fires a transition names its rule in ``rule``; a
     'fuel' stop leaves the last rule fired on ``st.rule``.
@@ -488,11 +478,9 @@ def drive(st: MachineState, fuel: int) -> str:
     # generalised continuation.  So pushing and popping let-frames costs
     # what it would with a bare stack of frames, and the resumption is
     # rebuilt only when captured, pushed under a handler or parked on
-    # ``st``.  ``chi`` is None for the empty continuation.
-    if st.kont is None:
-        sigma = chi = rest = None
-    else:
-        (sigma, chi), rest = st.kont
+    # ``st``.  ``chi`` is None once the bottom resumption has no
+    # handler: on a pure run, or after the identity handler has returned.
+    (sigma, chi), rest = st.kont
     store = st.store
     memo = st.memo
     ticks = st.ticks
@@ -532,11 +520,6 @@ def drive(st: MachineState, fuel: int) -> str:
                     rule = "M-RetHandler"
                     henv, h = chi
                     if rest is None:
-                        if h is ANSWER_HANDLER:
-                            # The answer stop: a pure term's result, or a
-                            # probed predicate's answer leaf.
-                            st.out = val
-                            return _park(st, "answer", comp, val, env, sigma, chi, rest, ticks)
                         chi = None
                     else:
                         (sigma, chi), rest = rest
@@ -710,11 +693,11 @@ def drive(st: MachineState, fuel: int) -> str:
                 ticks += 1
 
             elif cls is Do:
-                clause = chi[1].clauses.get(comp.op)
+                clause = None if chi is None else chi[1].clauses.get(comp.op)
                 if clause is None:
                     if rest is None:
-                        # Fell through to the identity handler: the
-                        # unhandled-operation final state.
+                        # Fell through to the bottom of the continuation:
+                        # the unhandled-operation final state.
                         st.out = FinalUnhandledOp(comp.op, interp(comp.arg, env, st))
                         return _park(st, "op", comp, val, env, sigma, chi, rest, ticks)
                     raise StuckError(
@@ -844,7 +827,7 @@ def _park(st, kind, comp, val, env, sigma, chi, rest, ticks):
 
     st.comp = Return(Quote(val)) if comp is None else comp
     st.env, st.ticks = env, ticks
-    st.kont = None if chi is None else ((sigma, chi), rest)
+    st.kont = ((sigma, chi), rest)
     return kind
 
 
@@ -869,12 +852,12 @@ _RET_UNIT = Return(UNIT_V)
 def inject(term: Term, sig: Signature | None = None) -> MachineState:
     """Initial configuration for a closed term: its handlers completed
     against the signature, an empty environment, and the bottom
-    continuation.  A pure term runs over `answer_cont`, so it ends at the
-    answer stop; any other over `identity_cont`."""
+    continuation: `identity_cont` for a term that uses effects, and
+    `PURE_CONT`, which has no handler, for a pure one."""
 
     if sig:
         term = complete_handlers(term, sig)
-    kont = identity_cont() if uses_effects(term) else answer_cont()
+    kont = identity_cont() if uses_effects(term) else PURE_CONT
     return MachineState(term, {}, kont)
 
 
@@ -915,10 +898,12 @@ def step(st: MachineState):
 
 
 def kont_depth(kont) -> int:
+    """The number of handlers in a generalised continuation."""
+
     d = 0
     while kont is not None:
-        d += 1
-        kont = kont[1]
+        (_, chi), kont = kont
+        d += chi is not None
     return d
 
 
@@ -926,16 +911,14 @@ def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
     """Run a term transition by transition, yielding
     (tick, rule, head-form, continuation-depth) tuples.
 
-    A pure run reports depth 0 throughout: it never leaves its bottom
-    resumption, which is where it stops.
+    A pure run reports depth 0 throughout: it installs no handler.
     """
 
     st = inject(term, sig)
-    pure = st.kont[0][1][1] is ANSWER_HANDLER  # `inject` chose `answer_cont`
     while st.ticks < fuel:
         kind = drive(st, st.ticks + 1)
         if kind != "fuel":
             _outcome(st, kind)  # raises on a query stop
             return
-        yield st.ticks, st.rule, st.comp.__class__.__name__, 0 if pure else kont_depth(st.kont)
+        yield st.ticks, st.rule, st.comp.__class__.__name__, kont_depth(st.kont)
     raise FuelExhausted(st.ticks)

@@ -270,7 +270,7 @@ def extract_tree(
     pred = as_value(pred)
     probe = mc.VSentinel()
     root = App(pred, Var(probe.name)) if is_value(pred) else pred
-    st0 = mc.MachineState(root, {probe.name: probe}, mc.answer_cont())
+    st0 = mc.MachineState(root, {probe.name: probe}, mc.PURE_CONT)
     tree = DecisionTree()
     stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
     while stack:
@@ -287,7 +287,7 @@ def extract_tree(
                 continue
             for b in (True, False):
                 stack.append((addr + (b,), st.fork(Return(bool_(b)))))
-        elif kind == "answer":
+        elif kind == "value":
             tree.nodes[addr] = TreeNode(Answer(mc.mval_to_bool(st.out)), st.ticks)
         elif kind == "op":
             tree.partial[addr] = "unhandled"

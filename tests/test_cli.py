@@ -236,6 +236,27 @@ def test_fuel_below_one_is_one_line(argv):
     assert_one_line_error(*run_cli(*argv), "--fuel must be at least 1, not ")
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (("count", "--impl", "effcount", "--pred", "T1", "-n", "0"),
+     "T1 reads 2 bits; n must be at least 2, not 0"),
+    (("count", "--impl", "naivecount", "--pred", "T2", "-n", "1"),
+     "T2 reads 2 bits; n must be at least 2, not 1"),
+    (("tree", "--pred", "I0", "-n", "0"), "I0 reads 1 bit; n must be at least 1, not 0"),
+])
+def test_fixed_arity_predicate_below_its_arity_is_one_line(argv, msg):
+    assert_one_line_error(*run_cli(*argv), msg)
+
+
+def test_bench_skips_rows_below_a_predicates_arity():
+    # T1 reads bits 0 and 1, so no n below 2 can hold it
+    code, out, _ = run_cli("bench", "--impls", "effsearch", "--preds", "T1",
+                           "--nmin", "0", "--nmax", "2")
+    rows = out.splitlines()[1:]
+    assert code == 0 and [row.split(",")[3:5] for row in rows] == [
+        ["0", "SKIPPED:BELOW ARITY 2"], ["1", "SKIPPED:BELOW ARITY 2"], ["2", "4"],
+    ]
+
+
 def test_tree_depth_below_zero_is_one_line():
     assert_one_line_error(*run_cli("tree", "--pred", "odd", "-n", "2", "--depth", "-1"),
                           "--depth must be at least 0, not -1")

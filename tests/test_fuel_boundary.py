@@ -153,14 +153,16 @@ def loop_iterations(st, fuel):
 
 def test_fused_let_takes_one_loop_turn():
     # Each fused let saves two turns, and the final stop takes one.
-    for name, stop, forms in [
-        ("naivecount-odd-2", "answer", ("const", "M-App", "M-Rec")),
-        ("effcount-odd-2", "value", ("M-App", "M-Rec")),  # effcount adds in tail position only
+    for name, bottom, forms in [
+        ("naivecount-odd-2", mc.PURE_CONT, ("const", "M-App", "M-Rec")),
+        ("effcount-odd-2", mc.identity_cont(), ("M-App", "M-Rec")),  # effcount adds in tail position only
     ]:
         term = CATALOG[name]()
         steps, fused = single_steps(term)
-        kind, turns = loop_iterations(mc.inject(term), 10**6)
-        assert kind == stop, name
+        st = mc.inject(term)
+        assert st.kont == bottom, name
+        kind, turns = loop_iterations(st, 10**6)
+        assert kind == "value", name
         assert turns == len(steps) - 2 * sum(fused.values()) + 1, name
         # one transition at a time, nothing fuses
         st = mc.inject(term)
@@ -177,5 +179,5 @@ def test_forks_leave_a_saved_states_memo_counter_alone():
             break
         st = nxt
     assert (st.memo_cells, nxt.memo_cells) == (0, 1)
-    assert mc.drive(st.fork(st.comp), 10**6) == "answer"
+    assert mc.drive(st.fork(st.comp), 10**6) == "value"
     assert st.memo_cells == 0

@@ -71,7 +71,7 @@ def test_inject_picks_bottom_by_effects():
     effectful = mc.inject(parse_term("do Branch ()", sig))
     pure = mc.inject(parse_term("return 5"))
     assert effectful.kont[0][1][1] is mc.ID_HANDLER
-    assert pure.kont[0][1][1] is mc.ANSWER_HANDLER
+    assert pure.kont is mc.PURE_CONT and pure.kont[0][1] is None  # no handler
 
 
 def test_pure_run_stops_before_bottom_handler():
@@ -428,9 +428,9 @@ def test_handler_rules_appear_in_traces():
 
 def test_composed_pure_counter_runs_on_base_machine():
     term, sig, _ = cl.compose("naivecount", "odd", 2)
-    st = mc.inject(term)  # a pure program: ends at the answer stop
-    assert mc.drive(st, fuel=10**6) == "answer"
-    assert st.out == 2
+    st = mc.inject(term)  # a pure program: no handler from start to end
+    assert mc.drive(st, fuel=10**6) == "value"
+    assert st.out == 2 and st.kont == mc.PURE_CONT
 
 
 def test_long_list_value_no_recursion_cliff():

@@ -17,14 +17,18 @@ from fxlang.errors import FuelExhausted
 from fxlang.gen import random_program
 from fxlang.parser import parse_program, parse_term
 from fxlang.smallstep import NormalOp, NormalValue
-from fxlang.syntax import Handle, Lam, Var, alpha_eq, children, free_vars
+from fxlang.syntax import BOOL, UNIT, Handle, Lam, Var, alpha_eq, children, free_vars
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_decompile_initial_config_is_identity():
-    # the initial configuration is the term under the bottom identity handler
+    # a pure run has no handler, so its initial configuration is the bare
+    # term; an effectful one is the term under the bottom identity handler
     t = parse_term("let x <- return 1 in x + x")
+    assert alpha_eq(decompile(mc.inject(t)), t)
+    sig = {"Flip": (UNIT, BOOL)}
+    t = parse_term("let x <- do Flip () in return x", sig)
     assert alpha_eq(decompile(mc.inject(t)), Handle(t, mc.ID_HANDLER))
 
 

@@ -7,7 +7,7 @@ from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang import trees as tr
 from fxlang.parser import parse_term
-from fxlang.syntax import App
+from fxlang.syntax import App, BOOL, UNIT, complete_handlers
 
 
 def extract(name, n=None, **kw):
@@ -171,13 +171,40 @@ def test_depth_bound_flags_partial():
 
 
 def test_unhandled_operation_branch_absent():
-    from fxlang.syntax import BOOL, UNIT
-
     sig = {"Oops": (UNIT, BOOL)}
     pred = parse_term("fun (q : Nat -> Bool) -> do Oops ()", sig)
     tree = tr.extract_tree(pred)
     assert tree.partial.get(()) == "unhandled"
     assert not tree.nodes
+
+
+_FLIP_OOPS = {"Flip": (UNIT, BOOL), "Oops": (UNIT, BOOL)}
+
+
+@pytest.mark.parametrize("body, want", [
+    (  # a query under a handler whose resumption runs twice
+        "handle (let b <- q 0 in let c <- do Flip () in if b then return c else q 1) "
+        "with { val x -> return x; Flip () r -> "
+        "let t <- r true in let f <- r false in return f }",
+        "ε ?0 3 | f ?1 7 | t !false 15 | ff ?1 6 | ft ?1 6 "
+        "| fff !false 2 | fft !true 2 | ftf !false 2 | ftt !true 2",
+    ),
+    (  # Oops is forwarded to the bottom of the continuation
+        "handle (let b <- q 0 in if b then do Oops () else do Flip ()) "
+        "with { val x -> return x; Flip () r -> r true }",
+        "ε ?0 3 | f !true 5 | t unexplored:unhandled",
+    ),
+    (  # a resumption resumed outside its handler
+        "let k <- handle (let b <- do Flip () in return (fun (u : Unit) -> q 0)) "
+        "with { val x -> return x; Flip () r -> "
+        "return (fun (u : Unit) -> let g <- r true in g ()) } in k ()",
+        "ε ?0 13 | f !false 0 | t !true 0",
+    ),
+])
+def test_handler_level_probes_pin_their_timed_trees(body, want):
+    pred = parse_term("fun (q : Nat -> Bool) -> " + body, _FLIP_OOPS)
+    tree = tr.extract_tree(complete_handlers(pred, _FLIP_OOPS))
+    assert " | ".join(tree.to_text(timed=True).splitlines()) == want
 
 
 def test_stateful_predicates_rejected():
