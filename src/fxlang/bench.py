@@ -32,6 +32,7 @@ IMPL_CAPS = {
 # earlier.
 PRED_CAPS = {"queens": 5, "queens_eager": 4}
 
+SPEC_KEYS = ("impls", "preds", "nmin", "nmax", "fuel", "reps", "out")
 CSV_HEADER = "impl,pred,variant,n,count,ticks,envOps,ticks_per_2n,ticks_per_n2n"
 
 
@@ -81,7 +82,7 @@ def parse_spec_file(text: str) -> BenchSpec:
     """Flat key=value format; '#' starts a comment.
 
     Keys: impls, preds (comma lists; a pred may be name:variant),
-    nmin, nmax, fuel, reps, out.
+    nmin, nmax, fuel, reps, out.  Any other key is an error.
     """
 
     kv: dict[str, str] = {}
@@ -91,8 +92,10 @@ def parse_spec_file(text: str) -> BenchSpec:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip().strip('"')
+        k, v = map(str.strip, line.split("=", 1))
+        if k not in SPEC_KEYS:
+            raise ValueError(f"line {lineno}: unknown key {k!r}")
+        kv[k] = v.strip('"')
     if "impls" not in kv or "preds" not in kv:
         raise ValueError("spec needs both `impls` and `preds`")
     impls, preds = parse_lists(kv["impls"], kv["preds"])

@@ -63,20 +63,25 @@ def cmd_run(args) -> int:
         return 0
     try:
         if args.trace:
-            for tick, rule, head, depth in mc.trace_run(term, sig, fuel=args.fuel):
+            run = mc.trace_run(term, sig, fuel=args.fuel)
+            while True:
+                tick, rule, head, depth = next(run)
                 print(f"tick={tick} rule={rule} comp={head} depth(k)={depth}")
-            return 0
         res = mc.run_machine(term, sig, fuel=args.fuel)
+        outcome = res.outcome
+    except StopIteration as stop:  # the end of a trace
+        outcome = stop.value
     except FuelExhausted as exc:
         print(f"fuel exhausted after {exc.steps} transitions", file=sys.stderr)
         return 3
-    if isinstance(res.outcome, mc.FinalUnhandledOp):
-        print(f"unhandled operation {res.outcome.op}", file=sys.stderr)
+    unhandled = isinstance(outcome, mc.FinalUnhandledOp)
+    if unhandled:
+        print(f"unhandled operation {outcome.op}", file=sys.stderr)
+    if not args.trace:  # a trace's stdout is its transition lines only
+        if not unhandled:
+            print(render_mval(outcome.value))
         print(f"ticks: {res.ticks}  envOps: {res.envops}")
-        return 2
-    print(render_mval(res.outcome.value))
-    print(f"ticks: {res.ticks}  envOps: {res.envops}")
-    return 0
+    return 2 if unhandled else 0
 
 
 def cmd_tree(args) -> int:

@@ -21,7 +21,6 @@ from fxlang.smallstep import subst
 from fxlang.syntax import (
     Const,
     Handle,
-    Handler,
     Lam,
     Let,
     Loc,
@@ -110,23 +109,19 @@ def wrap_pure_cont(sigma, m: Term) -> Term:
     return m
 
 
-def decompile_handler_def(h: Handler, env: dict) -> Handler:
-    return Handler(
-        h.val_name,
-        open_term(h.val_body, env, {h.val_name}),
-        {
-            op: (p, r, open_term(b, env, {p, r}))
-            for op, (p, r, b) in h.clauses.items()
-        },
-    )
-
-
 def resumption_body(rho, m: Term) -> Term:
-    """m in a resumption's let-nest, under its handler if it has one."""
+    """m in a resumption's let-nest, under its handler if it has one.  The
+    shape table knows what each clause binds; m, the one child that binds
+    nothing, is already a term."""
 
     sigma, chi = rho
     m = wrap_pure_cont(sigma, m)
-    return m if chi is None else Handle(m, decompile_handler_def(chi[1], chi[0]))
+    if chi is None:
+        return m
+    env, h = chi
+    return map_children(
+        Handle(m, h), lambda s, bound: open_term(s, env, set(bound)) if bound else s
+    )
 
 
 def decompile(st: mc.MachineState) -> Term:

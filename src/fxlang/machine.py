@@ -384,21 +384,21 @@ class MachineState:
     The decision-tree extractor stops runs at queries and forks several
     futures from the stopped state; nothing snapshots it.  The store's
     locations are always ``0 .. len(store) - 1``: M-Alloc takes
-    ``len(store)`` and M-Assign writes only an allocated cell.
+    ``len(store)`` and M-Assign writes only an allocated cell.  M-Memo
+    likewise takes ``len(memo)`` for a new, unrecorded memo cell.
     """
 
     __slots__ = (
         "comp", "env", "kont", "store", "memo",
-        "ticks", "envops", "memo_cells", "rule", "out",
+        "ticks", "envops", "rule", "out",
     )
 
-    def __init__(self, comp, env, kont, store=None, memo=None, memo_cells=0):
+    def __init__(self, comp, env, kont, store=None, memo=None):
         self.comp = comp
         self.env = env
         self.kont = kont
         self.store = {} if store is None else store
         self.memo = {} if memo is None else memo
-        self.memo_cells = memo_cells
         self.ticks = 0
         self.envops = 0
         self.rule = None
@@ -407,13 +407,11 @@ class MachineState:
     def fork(self, comp):
         """A future of this state with a replaced computation.
 
-        Persistent components are shared; the store, the memo table and
-        its cell counter are copied so sibling futures cannot interfere.
+        Persistent components are shared; the store and the memo table
+        are copied so sibling futures cannot interfere.
         """
 
-        return MachineState(
-            comp, self.env, self.kont, dict(self.store), dict(self.memo), self.memo_cells,
-        )
+        return MachineState(comp, self.env, self.kont, dict(self.store), dict(self.memo))
 
 
 def drive(st: MachineState, fuel: int) -> str:
@@ -563,8 +561,9 @@ def drive(st: MachineState, fuel: int) -> str:
                         rule = "M-Memo"
                         val = interp(comp.arg, env, st)
                         if val.__class__ is not VMemo:  # a memoised thunk stays as it is
-                            val = VMemo(st.memo_cells, val)
-                            st.memo_cells += 1
+                            cell = len(memo)
+                            memo[cell] = _ABSENT
+                            val = VMemo(cell, val)
                         own = False
                     else:
                         rule = "M-Const"
@@ -909,7 +908,8 @@ def kont_depth(kont) -> int:
 
 def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
     """Run a term transition by transition, yielding
-    (tick, rule, head-form, continuation-depth) tuples.
+    (tick, rule, head-form, continuation-depth) tuples, and returning
+    the final state the run reached, as `RunResult.outcome`.
 
     A pure run reports depth 0 throughout: it installs no handler.
     """
@@ -918,7 +918,6 @@ def trace_run(term: Term, sig: Signature | None = None, fuel: int = 100_000):
     while st.ticks < fuel:
         kind = drive(st, st.ticks + 1)
         if kind != "fuel":
-            _outcome(st, kind)  # raises on a query stop
-            return
+            return _outcome(st, kind)  # raises on a query stop
         yield st.ticks, st.rule, st.comp.__class__.__name__, kont_depth(st.kont)
     raise FuelExhausted(st.ticks)

@@ -5,10 +5,13 @@ tested against.  Each call to :func:`step` performs exactly one
 reduction; finding the redex walks the evaluation context, which is
 navigation rather than reduction and is not counted.
 
-Handlers and plain let-frames live in separate context grammars: a
-captured continuation only ever spans the pure let-frames between an
-operation and its nearest enclosing handler, which is what makes handler
-selection innermost-first and deterministic.
+An evaluation context is ``E ::= [] | let x <- E in N | handle E with H``,
+and its frames are the very `Let` and `Handle` nodes :func:`step` passes
+through on the way down from the root; plugging a term back in rebuilds
+them around it.  A handled operation's resumption is the context from
+its nearest enclosing handler inward, that handler included: only
+let-frames lie between the two, which is what makes handler selection
+innermost-first and deterministic.
 
 Configurations carry a store so the reference cells of the stateful
 language fit the same interface; pure programs simply never touch it.
@@ -43,7 +46,6 @@ from fxlang.syntax import (
     Deref,
     Do,
     Handle,
-    Handler,
     Inl,
     Inr,
     Lam,
@@ -175,16 +177,15 @@ def delta(c: str, v: Term) -> Term:
 # One reduction
 # ---------------------------------------------------------------------------
 
-_LET, _HANDLE = 0, 1
 
+def _rebuild(frames: list, core: Term) -> Term:
+    """Plug core into the context whose frames, outermost first, are given."""
 
-def _rebuild(frames: list, upto: int, core: Term) -> Term:
-    for i in range(upto - 1, -1, -1):
-        f = frames[i]
-        if f[0] == _LET:
-            core = Let(f[1], core, f[2])
+    for f in reversed(frames):
+        if f.__class__ is Let:
+            core = Let(f.name, core, f.body)
         else:
-            core = Handle(core, f[1])
+            core = Handle(core, f.handler)
     return core
 
 
@@ -193,31 +194,18 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
 
     frames: list = []
     m = cfg.term
-    # Decompose: walk down the handler-context spine to the active node.
+    # Decompose: walk down the handler-context spine to the redex; each
+    # node passed through is a frame of the context.
     while True:
         cls = m.__class__
-        if cls is Let:
-            if m.bound.__class__ is Return:
-                contractum = subst(m.body, {m.name: m.bound.value})
-                return StateConfig(
-                    _rebuild(frames, len(frames), contractum),
-                    cfg.store, cfg.resume_counter,
-                )
-            frames.append((_LET, m.name, m.body))
+        if cls is Let and m.bound.__class__ is not Return:
+            frames.append(m)
             m = m.bound
-            continue
-        if cls is Handle:
-            if m.body.__class__ is Return:
-                h = m.handler
-                contractum = subst(h.val_body, {h.val_name: m.body.value})
-                return StateConfig(
-                    _rebuild(frames, len(frames), contractum),
-                    cfg.store, cfg.resume_counter,
-                )
-            frames.append((_HANDLE, m.handler))
+        elif cls is Handle and m.body.__class__ is not Return:
+            frames.append(m)
             m = m.body
-            continue
-        break
+        else:
+            break
 
     if cls is Return:
         if frames:  # unreachable: we never descend into a Return
@@ -225,13 +213,12 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
         return NormalValue(m.value)
 
     if cls is Do:
-        # The innermost enclosing handler fires; the let-frames passed on
-        # the way down form the pure continuation the resumption captures.
+        # The innermost enclosing handler fires; the resumption captures
+        # the frames from it inward: it and the let-frames below it.
         for i in range(len(frames) - 1, -1, -1):
-            f = frames[i]
-            if f[0] != _HANDLE:
+            if frames[i].__class__ is not Handle:
                 continue
-            h: Handler = f[1]
+            h = frames[i].handler
             clause = h.clauses.get(m.op)
             if clause is None:
                 raise StuckError(
@@ -240,19 +227,20 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             p, r, body = clause
             resumes = cfg.resume_counter + 1
             y = f"resume.y{resumes}"
-            resumed: Term = Return(Var(y))
-            for j in range(len(frames) - 1, i, -1):
-                fj = frames[j]
-                resumed = Let(fj[1], resumed, fj[2])
             result_ty = sig[m.op][1] if sig and m.op in sig else None
-            resumption = Lam(y, Handle(resumed, h), result_ty)
+            resumption = Lam(y, _rebuild(frames[i:], Return(Var(y))), result_ty)
             contractum = subst(body, {p: m.arg, r: resumption})
-            return StateConfig(_rebuild(frames, i, contractum), cfg.store, resumes)
+            return StateConfig(_rebuild(frames[:i], contractum), cfg.store, resumes)
         return NormalOp(m.op, m.arg)
 
-    # Beta-style redexes and the store rules.
+    # Context redexes, beta-style redexes and the store rules.
     store = cfg.store
-    if cls is App:
+    if cls is Let:
+        contractum = subst(m.body, {m.name: m.bound.value})
+    elif cls is Handle:
+        h = m.handler
+        contractum = subst(h.val_body, {h.val_name: m.body.value})
+    elif cls is App:
         fn = m.fn
         fcls = fn.__class__
         if fcls is Lam:
@@ -307,7 +295,7 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
         contractum = Return(UNIT_V)
     else:
         raise StuckError(f"no rule for {cls.__name__}")
-    return StateConfig(_rebuild(frames, len(frames), contractum), store, cfg.resume_counter)
+    return StateConfig(_rebuild(frames, contractum), store, cfg.resume_counter)
 
 
 def reductions(term: Term, sig: Signature | None = None, fuel: int = 100_000):

@@ -41,6 +41,6 @@ def same_state(a, b) -> bool:
     """Two stopped machine states hold the same configuration."""
 
     return same(
-        (a.comp, a.env, a.kont, a.store, a.memo, a.memo_cells),
-        (b.comp, b.env, b.kont, b.store, b.memo, b.memo_cells),
+        (a.comp, a.env, a.kont, a.store, a.memo),
+        (b.comp, b.env, b.kont, b.store, b.memo),
     )

@@ -163,7 +163,7 @@ def test_trace_golden_toss():
     assert out == (GOLDEN / "toss_trace.txt").read_text()
 
 
-@pytest.mark.parametrize("name", ["toss", "pair_arith"])
+@pytest.mark.parametrize("name", ["toss", "pair_arith", "forward"])
 def test_smallstep_trace_golden(name):
     # the trace ends with the value and reduction count of its own run
     code, out, err = run_cli(
@@ -280,6 +280,26 @@ def test_bench_spec_fuel_below_one_is_one_line(tmp_path):
     spec.write_text("impls = effcount\npreds = odd\nnmax = 2\nfuel = 0\n")
     assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
                           "nofuel.spec: fuel must be at least 1, not 0")
+
+
+def test_bench_spec_unknown_key_is_one_line(tmp_path):
+    # a misspelt key must not leave its setting at the default (nmax = 8)
+    spec = tmp_path / "typo.spec"
+    spec.write_text("impls = effcount\npreds = odd\nn_max = 3\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
+                          "typo.spec: line 3: unknown key 'n_max'")
+
+
+@pytest.mark.parametrize("semantics", ["machine", "smallstep"])
+def test_trace_of_unhandled_operation_exits_2(tmp_path, semantics):
+    f = tmp_path / "oops.fx"
+    f.write_text("operation Oops : Unit -> Nat\nlet x <- do Oops () in return x\n")
+    code, _, plain_err = run_cli("run", str(f), "--semantics", semantics)
+    assert code == 2 and plain_err == "unhandled operation Oops\n"
+    code, out, err = run_cli("run", str(f), "--semantics", semantics, "--trace")
+    assert code == 2 and err == plain_err
+    if semantics == "machine":  # stdout is the transition lines only
+        assert out == "tick=1 rule=M-Let comp=Do depth(k)=1\n"
 
 
 def test_smallstep_result_nested_too_deep_is_one_line(tmp_path):

@@ -178,6 +178,6 @@ def test_forks_leave_a_saved_states_memo_counter_alone():
         if rule == "M-Memo":
             break
         st = nxt
-    assert (st.memo_cells, nxt.memo_cells) == (0, 1)
+    assert (len(st.memo), len(nxt.memo)) == (0, 1)
     assert mc.drive(st.fork(st.comp), 10**6) == "value"
-    assert st.memo_cells == 0
+    assert len(st.memo) == 0
