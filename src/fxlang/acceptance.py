@@ -355,17 +355,12 @@ def crit_tree_fidelity(ctx: AcceptanceContext):
     return True, f"{checked} point evaluations agree"
 
 
-_FLIP_IMPLS = (
-    "naivecount", "lazycount", "bergercount",
-    "effcount", "effcount_rep", "effcount_miss",
-    "effsearch", "effsearch_cons",
-)
-
-
 def crit_leaf_flip(ctx: AcceptanceContext):
-    """Negating one answer leaf changes every counter's result by exactly
-    one, for 100 random tree/leaf pairs."""
+    """Negating one answer leaf changes every counter's and searcher's
+    result by exactly one, for 100 random tree/leaf pairs."""
 
+    impls = [name for name, desc in cl.catalog().items()
+             if desc.kind in ("counter", "searcher")]
     rng = Random(6001)
     for trial in range(100):
         n = rng.choice((2, 2, 3, 3, 4, 4, 5))
@@ -377,12 +372,12 @@ def crit_leaf_flip(ctx: AcceptanceContext):
             return False, "flip is not an involution"
         p1 = tr.tree_to_predicate(tree)
         p2 = tr.tree_to_predicate(flipped)
-        for impl in _FLIP_IMPLS:
+        for impl in impls:
             r1 = cl.run_on_predicate(impl, p1, n).result
             r2 = cl.run_on_predicate(impl, p2, n).result
             if abs(r1 - r2) != 1:
                 return False, f"trial {trial} {impl} n={n}: |{r1} - {r2}| != 1"
-    return True, f"100 flips, {len(_FLIP_IMPLS)} counters each, all differ by exactly 1"
+    return True, f"100 flips, {len(impls)} counters each, all differ by exactly 1"
 
 
 def crit_variant_counters(ctx: AcceptanceContext):

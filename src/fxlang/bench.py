@@ -16,20 +16,12 @@ from fxlang import countlib as cl
 from fxlang.errors import FuelExhausted
 from fxlang.machine import DEFAULT_FUEL
 
-# Size caps keeping the default grid within desk-scale budgets.
-IMPL_CAPS = {
-    "naivecount": 12,
-    "lazycount": 12,
-    "bergercount": 12,
-    "effcount": 14,
-    "effcount_rep": 14,
-    "effcount_miss": 14,
-    "effsearch": 14,
-    "effsearch_cons": 14,
-}
-# The fail-fast queens predicate prunes, so n = 5 stays cheap; the eager
-# variant always walks all 2^(n*n) board-reading paths and has to stop
-# earlier.
+# Size caps keeping the default grid within desk-scale budgets.  A
+# handler-level counter counts in O(2^n) transitions and every other one
+# needs Omega(n 2^n), so a counter's cap follows from its catalog level
+# (see `_cap_for`).  The fail-fast queens predicate prunes, so n = 5
+# stays cheap; the eager variant always walks all 2^(n*n) board-reading
+# paths and has to stop earlier.
 PRED_CAPS = {"queens": 5, "queens_eager": 4}
 
 SPEC_KEYS = ("impls", "preds", "nmin", "nmax", "fuel", "reps", "out")
@@ -82,10 +74,11 @@ def parse_spec_file(text: str) -> BenchSpec:
     """Flat key=value format; '#' starts a comment.
 
     Keys: impls, preds (comma lists; a pred may be name:variant),
-    nmin, nmax, fuel, reps, out.  Any other key is an error.
+    nmin, nmax, fuel, reps, out.  Any other key, a key given twice or a
+    number that is not an integer is an error.
     """
 
-    kv: dict[str, str] = {}
+    kv: dict[str, str | int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,20 +88,28 @@ def parse_spec_file(text: str) -> BenchSpec:
         k, v = map(str.strip, line.split("=", 1))
         if k not in SPEC_KEYS:
             raise ValueError(f"line {lineno}: unknown key {k!r}")
-        kv[k] = v.strip('"')
+        if k in kv:
+            raise ValueError(f"line {lineno}: duplicate key {k!r}")
+        v = v.strip('"')
+        if k in ("nmin", "nmax", "fuel", "reps"):
+            try:
+                v = int(v)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {k} must be an integer, not {v!r}") from None
+        kv[k] = v
     if "impls" not in kv or "preds" not in kv:
         raise ValueError("spec needs both `impls` and `preds`")
     impls, preds = parse_lists(kv["impls"], kv["preds"])
-    fuel = int(kv.get("fuel", DEFAULT_FUEL))
+    fuel = kv.get("fuel", DEFAULT_FUEL)
     if fuel < 1:
         raise ValueError(f"fuel must be at least 1, not {fuel}")
     return BenchSpec(
         impls=impls,
         preds=preds,
-        n_min=int(kv.get("nmin", 2)),
-        n_max=int(kv.get("nmax", 8)),
+        n_min=kv.get("nmin", 2),
+        n_max=kv.get("nmax", 8),
         fuel=fuel,
-        reps=int(kv.get("reps", 1)),
+        reps=kv.get("reps", 1),
         out=kv.get("out"),
     )
 
@@ -140,8 +141,8 @@ class GridRow:
         )
 
 
-def _cap_for(impl: str, pred: str, default: int) -> int:
-    cap = IMPL_CAPS.get(impl, default)
+def _cap_for(impl: cl.ProgramDescriptor, pred: str) -> int:
+    cap = 14 if impl.level == "handler" else 12
     if pred in PRED_CAPS:
         cap = min(cap, PRED_CAPS[pred])
     return cap
@@ -154,12 +155,13 @@ def run_grid(spec: BenchSpec) -> list[GridRow]:
         raise ValueError(f"nmax must be at least nmin ({spec.n_min}), not {spec.n_max}")
     if spec.reps < 1:
         raise ValueError(f"reps must be at least 1, not {spec.reps}")
+    impls = [cl.get_counter(name) for name in spec.impls]
     rows: list[GridRow] = []
-    for impl_name in spec.impls:
-        impl = cl.get(impl_name)
+    for impl in impls:
+        impl_name = impl.name
         for pred_name, variant in spec.preds:
             pred = cl.get(resolve_pred(pred_name, variant))
-            cap = _cap_for(impl_name, pred.name, spec.n_max)
+            cap = _cap_for(impl, pred.name)
             for n in range(spec.n_min, spec.n_max + 1):
                 pred_class = pred.class_at(n)
                 if n > cap:

@@ -39,6 +39,7 @@ from fxlang.syntax import (
     Signature,
     Term,
     as_value,
+    is_value,
     language_level,
     subterms,
 )
@@ -785,13 +786,19 @@ def build_predicate(pred_name: str, n: Optional[int]) -> tuple[Term, int]:
     return as_value(term), desc.bits(n)
 
 
+def get_counter(name: str) -> ProgramDescriptor:
+    """The catalog entry ``name``, which must be a counter or searcher."""
+
+    impl = get(name)
+    if impl.kind not in ("counter", "searcher"):
+        raise ValueError(f"{name} is not a counter or searcher")
+    return impl
+
+
 def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]:
     """A counter or searcher built at ``bits`` applied to a predicate, and its signature."""
 
-    impl = get(impl_name)
-    if impl.kind not in ("counter", "searcher"):
-        raise ValueError(f"{impl_name} is not a counter or searcher")
-    counter_term, sig = impl.build(bits)
+    counter_term, sig = get_counter(impl_name).build(bits)
     lint_handles_ops(pred_term, sig.keys())
     return App(as_value(counter_term), pred_term), sig
 
@@ -838,7 +845,10 @@ def run_on_predicate(
 ) -> StepReport:
     """Run a counter or searcher on a caller-supplied predicate term."""
 
-    term, sig = _apply(impl_name, as_value(pred_term), bits)
+    pred_term = as_value(pred_term)
+    if not is_value(pred_term):
+        raise ValueError("a predicate must be a function value, not a computation")
+    term, sig = _apply(impl_name, pred_term, bits)
     return _report(impl_name, "<custom>", bits, term, sig, fuel)
 
 

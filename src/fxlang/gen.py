@@ -5,8 +5,9 @@ by construction (and the tests verify that anyway).  Used for the
 soundness property (closed well-typed terms never get stuck) and for
 differential testing of the machine against the small-step semantics.
 
-Recursion is allowed, so some programs diverge; the consumers treat fuel
-exhaustion as an outcome, not an error.
+Recursion is allowed, and the consumers treat fuel exhaustion as an
+outcome, not an error, but generated programs finish in practice:
+`programs/diverge.fx` and the agreement tests cover the fuel path.
 """
 
 from __future__ import annotations

@@ -65,7 +65,6 @@ from fxlang.syntax import (
     bool_,
     children,
     complete_handlers,
-    drop_names,
     free_vars,
     known_closed,
     map_children,
@@ -149,7 +148,7 @@ def subst(t: Term, m: dict[str, Term]) -> Term:
         s, ms = todo[i]
         new = map_children(s, take)
         if closed:
-            new._fv = drop_names(s._fv, ms)
+            new._fv = s._fv.difference(ms)
         if i:
             kids[slots[i]] = new
     return new

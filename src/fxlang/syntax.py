@@ -441,23 +441,6 @@ def map_children(t: Term, f) -> Term:
 
 
 _NO_FREE: frozenset[str] = frozenset()
-_SINGLETONS: dict[str, frozenset[str]] = {}  # one set per variable name, shared by all terms
-
-
-def _single(name: str) -> frozenset[str]:
-    fv = _SINGLETONS.get(name)
-    if fv is None:
-        fv = _SINGLETONS[name] = frozenset((name,))
-    return fv
-
-
-def drop_names(fv: frozenset[str], names) -> frozenset[str]:
-    """fv without names; an empty or one-name result is the shared set."""
-
-    fv = fv.difference(names)
-    if len(fv) > 1:
-        return fv
-    return _single(next(iter(fv))) if fv else _NO_FREE
 
 
 def known_closed(t: Term) -> bool:
@@ -477,14 +460,13 @@ def free_vars(t: Term) -> frozenset[str]:
     Each node's set is computed once, from its children's sets, and kept
     in the node's `_fv` slot; leaves are not cached.  Most nodes that
     ``smallstep.subst`` builds get their sets from it and are not walked.
-    An empty or one-name set is always the one shared object for it, and
-    a parent whose computed set equals a child's shares that child's
+    A parent whose computed set equals a child's keeps that child's
     object.  No recursion, so deep terms do not hit Python's limit.
     """
 
     cls = t.__class__
     if cls is Var:
-        return _single(t.name)
+        return frozenset((t.name,))
     if cls in _LEAVES:
         return _NO_FREE
     try:
@@ -506,13 +488,13 @@ def free_vars(t: Term) -> frozenset[str]:
         for c, names in kids:
             cc = c.__class__
             if cc is Var:
-                fv = _single(c.name)
+                fv = frozenset((c.name,))
             elif cc in _LEAVES:
                 continue
             else:
                 fv = c._fv
             if names and not fv.isdisjoint(names):
-                fv = drop_names(fv, names)
+                fv = fv.difference(names)
             if not fv or fv <= out:
                 continue
             out = fv if out <= fv else out | fv

@@ -268,9 +268,10 @@ def extract_tree(
     if "state" in language_level(pred):
         raise ValueError("no decision tree for stateful predicates")
     pred = as_value(pred)
+    if not is_value(pred):
+        raise ValueError("a predicate must be a function value, not a computation")
     probe = mc.VSentinel()
-    root = App(pred, Var(probe.name)) if is_value(pred) else pred
-    st0 = mc.MachineState(root, {probe.name: probe}, mc.PURE_CONT)
+    st0 = mc.MachineState(App(pred, Var(probe.name)), {probe.name: probe}, mc.PURE_CONT)
     tree = DecisionTree()
     stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
     while stack:

@@ -77,6 +77,20 @@ def test_queens_variant_resolution_and_cap():
     assert all(r.status.startswith("skipped:over size cap") for r in rows)
 
 
+def test_size_caps_follow_the_counters_level():
+    # fuel = 1 stops every row that runs, so only the caps tell rows apart:
+    # 14 for a handler-level counter, 12 for a base-level one
+    caps = {"naivecount": 12, "lazycount": 12, "bergercount": 12,
+            "effcount": 14, "effcount_rep": 14, "effcount_miss": 14,
+            "effsearch": 14, "effsearch_cons": 14}
+    rows = bn.run_grid(small_spec(impls=list(caps), preds=[("odd", "")],
+                                  n_min=12, n_max=15, fuel=1))
+    assert len(rows) == 32
+    for r in rows:
+        want = "skipped:over size cap" if r.n > caps[r.impl] else "fuel"
+        assert r.status == want, (r.impl, r.n, r.status)
+
+
 def test_derived_columns_recomputed():
     rows = bn.run_grid(small_spec(impls=["effcount"], preds=[("odd", "")], n_max=5))
     line = [r for r in rows if r.n == 5][0].csv()

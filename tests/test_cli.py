@@ -273,6 +273,10 @@ def test_every_counter_on_every_predicate_exits_cleanly():
         assert code in (0, 1, 3) and len(err.splitlines()) <= 1, (impl, pred, n, err)
     assert_one_line_error(*run_cli("bench", "--impls", "bestshot", "--preds", "odd"),
                           "bestshot is not a counter or searcher")
+    # above every counter's size cap, too
+    assert_one_line_error(*run_cli("bench", "--impls", "bestshot", "--preds", "odd",
+                                   "--nmin", "13", "--nmax", "13"),
+                          "bestshot is not a counter or searcher")
 
 
 def test_bench_spec_fuel_below_one_is_one_line(tmp_path):
@@ -288,6 +292,21 @@ def test_bench_spec_unknown_key_is_one_line(tmp_path):
     spec.write_text("impls = effcount\npreds = odd\nn_max = 3\n")
     assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
                           "typo.spec: line 3: unknown key 'n_max'")
+
+
+def test_bench_spec_duplicate_key_is_one_line(tmp_path):
+    # the second `nmax` must not silently override the first
+    spec = tmp_path / "twice.spec"
+    spec.write_text("impls = effcount\npreds = odd\nnmax = 3\nnmax = 2\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
+                          "twice.spec: line 4: duplicate key 'nmax'")
+
+
+def test_bench_spec_non_integer_is_one_line(tmp_path):
+    spec = tmp_path / "word.spec"
+    spec.write_text("impls = effcount\npreds = odd\nnmax = abc\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
+                          "word.spec: line 3: nmax must be an integer, not 'abc'")
 
 
 @pytest.mark.parametrize("semantics", ["machine", "smallstep"])

@@ -213,6 +213,14 @@ def test_stateful_predicates_rejected():
         tr.extract_tree(pred)
 
 
+def test_a_predicate_that_is_a_computation_is_rejected():
+    # well typed, but a computation that returns the function, not a value
+    pred = parse_term("let k = 0 in fun (q : Nat -> Bool) -> q k")
+    for run in (lambda: tr.extract_tree(pred), lambda: cl.run_on_predicate("effcount", pred, 1)):
+        with pytest.raises(ValueError, match="^a predicate must be a function value"):
+            run()
+
+
 def test_projections_align():
     tree, _ = extract("odd", 3)
     labs = tree.labels()
