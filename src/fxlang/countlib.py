@@ -35,13 +35,12 @@ from fxlang.errors import StuckError
 from fxlang.parser import parse_program, parse_term
 from fxlang.syntax import (
     App,
-    Handle,
     Signature,
     Term,
+    as_function,
     as_value,
-    is_value,
+    handlers,
     language_level,
-    subterms,
 )
 from fxlang.typecheck import typecheck_program
 
@@ -65,13 +64,10 @@ def lint_handles_ops(pred: Term, ops) -> None:
     """Reject predicates that handle a counter's distinguished
     operations; they must forward them outward."""
 
-    for s in subterms(pred):
-        if s.__class__ is Handle:
-            for op in ops:
-                if op in s.handler.clauses:
-                    raise LintError(
-                        f"predicate handles the distinguished operation {op!r}"
-                    )
+    for h in handlers(pred):
+        for op in ops:
+            if op in h.clauses:
+                raise LintError(f"predicate handles the distinguished operation {op!r}")
 
 
 @dataclass(slots=True)
@@ -845,10 +841,7 @@ def run_on_predicate(
 ) -> StepReport:
     """Run a counter or searcher on a caller-supplied predicate term."""
 
-    pred_term = as_value(pred_term)
-    if not is_value(pred_term):
-        raise ValueError("a predicate must be a function value, not a computation")
-    term, sig = _apply(impl_name, pred_term, bits)
+    term, sig = _apply(impl_name, as_function(pred_term), bits)
     return _report(impl_name, "<custom>", bits, term, sig, fuel)
 
 

@@ -33,6 +33,7 @@ by set arithmetic on the sets of the nodes they replace.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -330,6 +331,19 @@ def as_value(t: Term) -> Term:
     return t
 
 
+def as_function(t: Term) -> Term:
+    """The ``fun`` or ``rec`` value a predicate term stands for, unwrapped
+    as by `as_value`.  Anything else is a ValueError; the test reads the
+    node's class only, so it neither typechecks nor walks the term."""
+
+    t = as_value(t)
+    cls = t.__class__
+    if cls is Lam or cls is Rec:
+        return t
+    what = f"a {cls.__name__} node" if is_value(t) else "a computation"
+    raise ValueError(f"a predicate must be a function value, not {what}")
+
+
 # ---------------------------------------------------------------------------
 # Traversals
 # ---------------------------------------------------------------------------
@@ -510,21 +524,25 @@ def rewrite(t: Term, cls: type, g) -> Term:
     shared.  No recursion, so deep terms do not hit Python's limit.
     """
 
-    nodes, parents, first = [t], [-1], []
+    nodes, parents = [t], [-1]
     on_path: set[int] = set()
     for i, s in enumerate(nodes):  # breadth-first: nodes grows while read
-        if s.__class__ is cls:
+        sc = s.__class__
+        if sc is cls:
             j = i
             while j >= 0 and j not in on_path:
                 on_path.add(j)
                 j = parents[j]
-        first.append(len(nodes))
-        for c, _ in _CHILDREN[s.__class__](s):
+        elif sc in _LEAVES:
+            continue
+        for c, _ in _CHILDREN[sc](s):
             nodes.append(c)
             parents.append(i)
+    # parents never decreases, so node i's children start where i first
+    # appears in it
     new: dict[int, Term] = {}
     for i in sorted(on_path, reverse=True):  # children before parents
-        k = iter(range(first[i], len(nodes)))
+        k = iter(range(bisect_left(parents, i), len(nodes)))
         s = map_children(nodes[i], lambda c, _, k=k: new.get(next(k), c))
         new[i] = g(s) if s.__class__ is cls else s
     return new.get(0, t)
@@ -621,39 +639,73 @@ def subterms(t: Term):
 
 
 def uses_effects(t: Term) -> bool:
-    """Does the term invoke or handle operations anywhere?"""
+    """Does the term invoke or handle operations anywhere?
 
-    for s in subterms(t):
+    Nodes are read in constructor order (pre-order, left to right), and
+    the walk stops at the first ``do`` or ``handle``: on a counter
+    applied to a predicate it answers inside the counter.
+    """
+
+    stack = [t]
+    while stack:
+        s = stack.pop()
         cls = s.__class__
         if cls is Do or cls is Handle:
             return True
+        if cls in _LEAVES:
+            continue
+        kids = _CHILDREN[cls](s)
+        i = len(kids)
+        while i:  # last child first, so the first is read next
+            i -= 1
+            stack.append(kids[i][0])
     return False
+
+
+_EFFECT_FORMS = frozenset((Do, Handle))
+_REF_FORMS = frozenset((LetRef, Deref, Assign, Loc))
 
 
 def language_level(t: Term) -> str:
     """Classify a term by the features it uses: 'base', 'handler',
     'base+memo', 'state', or 'handler+state' for the combination."""
 
-    has_eff = False
-    has_ref = False
-    has_memo = False
-    for s in subterms(t):
+    forms = set()
+    memo = False
+    stack = [t]
+    while stack:
+        s = stack.pop()
         cls = s.__class__
-        if cls is Do or cls is Handle:
-            has_eff = True
-        elif cls in (LetRef, Deref, Assign, Loc):
-            has_ref = True
-        elif cls is Const and s.name == "memoise":
-            has_memo = True
-    if has_eff and has_ref:
-        return "handler+state"
-    if has_ref:
-        return "state"
-    if has_eff:
+        forms.add(cls)
+        if cls in _LEAVES:
+            if cls is Const and s.name == "memoise":
+                memo = True
+            continue
+        for c, _ in _CHILDREN[cls](s):
+            stack.append(c)
+    eff = not forms.isdisjoint(_EFFECT_FORMS)
+    if not forms.isdisjoint(_REF_FORMS):
+        return "handler+state" if eff else "state"
+    if eff:
         return "handler"
-    if has_memo:
-        return "base+memo"
-    return "base"
+    return "base+memo" if memo else "base"
+
+
+def handlers(t: Term) -> list[Handler]:
+    """The handler of every ``handle`` node in the term."""
+
+    out = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        cls = s.__class__
+        if cls in _LEAVES:
+            continue
+        if cls is Handle:
+            out.append(s.handler)
+        for c, _ in _CHILDREN[cls](s):
+            stack.append(c)
+    return out
 
 
 def complete_handler(h: Handler, sig: Signature) -> Handler:

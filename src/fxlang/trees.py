@@ -37,9 +37,8 @@ from fxlang.syntax import (
     Return,
     Term,
     Var,
-    as_value,
+    as_function,
     bool_,
-    is_value,
     language_level,
 )
 
@@ -249,6 +248,12 @@ class DecisionTree:
 # ---------------------------------------------------------------------------
 
 
+# The two responses to a query.  Terms are never written, so every fork
+# shares them.
+_RETURN_TRUE = Return(bool_(True))
+_RETURN_FALSE = Return(bool_(False))
+
+
 def extract_tree(
     pred: Term, fuel: int = 1_000_000, depth_bound: Optional[int] = None
 ) -> DecisionTree:
@@ -262,14 +267,14 @@ def extract_tree(
     A predicate's handlers must already be complete (see
     `syntax.complete_handlers`): an operation no handler catches makes its
     branch unexplored ('unhandled').  Stateful predicates are rejected:
-    with reference cells there is no canonical tree to assign.
+    with reference cells there is no canonical tree to assign.  So is a
+    predicate that is not a ``fun`` or ``rec`` value, and one that queries
+    a non-numeral or answers a non-boolean, at the address where it does.
     """
 
+    pred = as_function(pred)
     if "state" in language_level(pred):
         raise ValueError("no decision tree for stateful predicates")
-    pred = as_value(pred)
-    if not is_value(pred):
-        raise ValueError("a predicate must be a function value, not a computation")
     probe = mc.VSentinel()
     st0 = mc.MachineState(App(pred, Var(probe.name)), {probe.name: probe}, mc.PURE_CONT)
     tree = DecisionTree()
@@ -280,16 +285,24 @@ def extract_tree(
         if kind == "query":
             k = st.out
             if k.__class__ is not int:
-                raise StuckError(f"query index is not a numeral: {k!r}")
+                raise ValueError(
+                    f"the predicate queries {k!r}, not a numeral, at {addr_str(addr)}"
+                )
             tree.nodes[addr] = TreeNode(Query(k), st.ticks)
             if depth_bound is not None and len(addr) >= depth_bound:
                 tree.partial[addr + (True,)] = "depth"
                 tree.partial[addr + (False,)] = "depth"
                 continue
-            for b in (True, False):
-                stack.append((addr + (b,), st.fork(Return(bool_(b)))))
+            stack.append((addr + (True,), st.fork(_RETURN_TRUE)))
+            stack.append((addr + (False,), st.fork(_RETURN_FALSE)))
         elif kind == "value":
-            tree.nodes[addr] = TreeNode(Answer(mc.mval_to_bool(st.out)), st.ticks)
+            try:
+                answer = mc.mval_to_bool(st.out)
+            except StuckError:
+                raise ValueError(
+                    f"the predicate answers {st.out!r}, not a boolean, at {addr_str(addr)}"
+                ) from None
+            tree.nodes[addr] = TreeNode(Answer(answer), st.ticks)
         elif kind == "op":
             tree.partial[addr] = "unhandled"
         else:  # fuel

@@ -173,6 +173,13 @@ def test_smallstep_trace_golden(name):
     assert out == (GOLDEN / f"{name}_smallstep_trace.txt").read_text()
 
 
+@pytest.mark.parametrize("pred, n", [("odd", 4), ("queens", 2)])
+def test_timed_tree_golden(pred, n):
+    code, out, err = run_cli("tree", "--pred", pred, "-n", str(n), "--timed")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{pred}{n}_tree_timed.txt").read_text()
+
+
 def assert_one_line_error(code, out, err, *fragments):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from random import Random
 
@@ -219,6 +220,24 @@ def test_a_predicate_that_is_a_computation_is_rejected():
     for run in (lambda: tr.extract_tree(pred), lambda: cl.run_on_predicate("effcount", pred, 1)):
         with pytest.raises(ValueError, match="^a predicate must be a function value"):
             run()
+
+
+def test_a_predicate_that_is_not_a_function_is_rejected():
+    # a constant-time class test, before any run
+    pred = parse_term("3")
+    for run in (lambda: tr.extract_tree(pred), lambda: cl.run_on_predicate("effcount", pred, 1)):
+        with pytest.raises(ValueError, match="^a predicate must be a function value, not a Num"):
+            run()
+
+
+@pytest.mark.parametrize("branch, what", [
+    ("return 3", "answers 3, not a boolean"),
+    ("q ()", "queries (), not a numeral"),
+])
+def test_an_ill_typed_branch_names_its_address(branch, what):
+    pred = parse_term(f"fun (q : Nat -> Bool) -> let b <- q 0 in if b then {branch} else return true")
+    with pytest.raises(ValueError, match=rf"^the predicate {re.escape(what)}, at t$"):
+        tr.extract_tree(pred)
 
 
 def test_projections_align():
