@@ -18,10 +18,9 @@ class they count correctly.  It holds the program as source: a string,
 or a function from n to a string.  `build` parses each source text once
 per process, so each (program, n) at most once, and hands every caller
 the same term.  Sharing is safe: no term is written after
-`parse_program` returns (the one writer of a term field is the
-elaborator's `_annotated`, inside the parse), `complete_handler` copies a
-handler's clauses before adding to them, and the machine tests no term
-or handler for identity.
+`parse_program` returns, `complete_handler` copies a handler's clauses
+before adding to them, and the machine tests no term or handler for
+identity.
 """
 
 from __future__ import annotations

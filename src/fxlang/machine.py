@@ -8,7 +8,7 @@ machine's pure fragment, the one-resumption special case of the
 generalised continuation (Hillerström, Lindley & Atkey, JFP 2020).
 
 A pure run has no handler.  A term that uses effects runs over
-`identity_cont`, one resumption under the identity handler, and ends
+`ID_CONT`, one resumption under the identity handler, and ends
 after that handler's return clause fires (M-RetHandler).  A pure term,
 like a probed predicate, runs over `PURE_CONT`, one resumption with no
 handler, and ends when its value meets the empty continuation: it pays
@@ -251,16 +251,12 @@ def mval_list(v) -> list:
 
 
 # The bottoms of a generalised continuation: an effectful run starts under
-# the identity handler, a pure run on one resumption with no handler.
+# the identity handler, a pure run on one resumption with no handler.  No
+# rule writes a handler closure's environment in place (M-RetHandler and
+# M-Handle-Op copy it), so every effectful run shares the one ``{}``.
 ID_HANDLER = Handler("x", Return(Var("x")), {})
+ID_CONT = ((None, ({}, ID_HANDLER)), None)
 PURE_CONT = ((None, None), None)
-
-
-def identity_cont():
-    """A fresh bottom continuation: one resumption with an empty pure
-    continuation and the identity handler closure."""
-
-    return ((None, ({}, ID_HANDLER)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +460,11 @@ def drive(st: MachineState, fuel: int) -> str:
     it.  A let-frame push, M-Handle and an `interp` call whose result may
     close over ``env`` capture it (a leaf call's argument among them),
     and so does parking it on ``st``; at entry ``env`` is the state's, so
-    ``own`` starts false.  envOps are counted in a local and added to
-    ``st.envops`` on every exit.
+    ``own`` starts false.  A rule that hands control to a return (M-Memo,
+    M-Assign, an `interp` in the return branch) needs no reset: every
+    return rebinds ``env`` (M-RetCont, M-RetHandler), parks it, or returns
+    again (M-Memo-Record), so nothing extends it in place first.  envOps
+    are counted in a local and added to ``st.envops`` on every exit.
     """
 
     comp = st.comp
@@ -497,7 +496,6 @@ def drive(st: MachineState, fuel: int) -> str:
                         val = env[x.name]
                     else:
                         val = interp(x, env, st)
-                        own = False
                 if sigma is not None:
                     # a memo-record frame's None body is "return val"
                     fenv, fname, comp, sigma = sigma
@@ -564,7 +562,6 @@ def drive(st: MachineState, fuel: int) -> str:
                             cell = len(memo)
                             memo[cell] = _ABSENT
                             val = VMemo(cell, val)
-                        own = False
                     else:
                         rule = "M-Const"
                         val = _apply_const(fv.name, comp.arg, env, st)
@@ -798,7 +795,6 @@ def drive(st: MachineState, fuel: int) -> str:
                     raise StuckError(f"unbound location {rv.index}")
                 rule = "M-Assign"
                 store[rv.index] = interp(comp.value, env, st)
-                own = False
                 comp = _RET_UNIT
                 ticks += 1
 
@@ -851,12 +847,12 @@ _RET_UNIT = Return(UNIT_V)
 def inject(term: Term, sig: Signature | None = None) -> MachineState:
     """Initial configuration for a closed term: its handlers completed
     against the signature, an empty environment, and the bottom
-    continuation: `identity_cont` for a term that uses effects, and
+    continuation: `ID_CONT` for a term that uses effects, and
     `PURE_CONT`, which has no handler, for a pure one."""
 
     if sig:
         term = complete_handlers(term, sig)
-    kont = identity_cont() if uses_effects(term) else PURE_CONT
+    kont = ID_CONT if uses_effects(term) else PURE_CONT
     return MachineState(term, {}, kont)
 
 

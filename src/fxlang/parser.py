@@ -702,13 +702,13 @@ class _Elab:
         v = self.value(inner, sc, binds)
         cls = v.__class__
         if cls is Inl or cls is Inr:
-            v.ann = ty
-        elif cls is Nil and isinstance(ty, sx.ListType):
-            v.ann = ty.elem
-        elif cls is Lam and isinstance(ty, sx.Arrow) and v.param_type is None:
-            v.param_type = ty.dom
-        elif cls is Rec and v.fn_type is None:
-            v.fn_type = ty
+            return cls(v.value, ty)
+        if cls is Nil and isinstance(ty, sx.ListType):
+            return Nil(ty.elem)
+        if cls is Lam and isinstance(ty, sx.Arrow) and v.param_type is None:
+            return Lam(v.param, v.body, ty.dom)
+        if cls is Rec and v.fn_type is None:
+            return Rec(v.fname, v.param, v.body, ty)
         return v
 
 

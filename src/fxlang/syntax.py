@@ -22,13 +22,11 @@ entry in each of their two tables plus its arms in the evaluators, the
 type checker and the printer.  A new leaf that carries data also names
 that field in ``_LEAF_DATA``, which :func:`alpha_eq` compares.
 
-Terms are never written after construction, except that the parser's
-elaborator (``parser._Elab._annotated``) fills in type annotations before
-``parse_program`` returns.  No subterm field is ever reassigned, so a
-node's free variables never change, and they are kept on the node, in a
-slot declared on :class:`Term` only.  :func:`free_vars` computes them
-once per node, and ``smallstep.subst`` sets them on the nodes it builds,
-by set arithmetic on the sets of the nodes they replace.
+No term field is written after construction, so a node's free variables
+never change.  They are kept on the node, in a slot declared on
+:class:`Term` only, which is the one later write: :func:`free_vars`
+computes them once per node, and ``smallstep.subst`` sets them on the
+nodes it builds, by set arithmetic on the sets of the nodes they replace.
 """
 
 from __future__ import annotations

@@ -113,56 +113,54 @@ class DecisionTree:
         return kind
 
     def classify_detail(self, n: int) -> tuple[Classification, Optional[str]]:
-        if not self.nodes or self.partial:
-            return Classification.NEITHER, "tree is empty or partial"
-        for addr, node in self.nodes.items():
-            if node.label.__class__ is Query:
-                if node.label.index >= n:
-                    return (
-                        Classification.NEITHER,
-                        f"query {node.label.index} out of range at {addr_str(addr)}",
-                    )
-                for b in (True, False):
-                    if addr + (b,) not in self.nodes:
-                        return (
-                            Classification.NEITHER,
-                            f"missing child under {addr_str(addr)}",
-                        )
-            else:
-                for b in (True, False):
-                    if addr + (b,) in self.nodes:
-                        return (
-                            Classification.NEITHER,
-                            f"answer at {addr_str(addr)} is not a leaf",
-                        )
-        # An n-predicate tree.  n-standard additionally means full depth n
-        # with no repeated queries on any path.
-        reason = self._standard_defect(n)
-        if reason is None:
-            return Classification.N_STANDARD, None
-        return Classification.N_PREDICATE, reason
+        """The class of the tree at n, and why it is not n-standard.
 
-    def _standard_defect(self, n: int) -> Optional[str]:
-        stack: list[tuple[Addr, frozenset]] = [((), frozenset())]
+        One walk from the root, false branch first: the order in which
+        `extract_tree` inserts nodes.  It returns neither at the first
+        node that breaks a rooted, prefix-closed n-predicate tree, keeps
+        the first n-standard defect, and counts the nodes it reached to
+        find orphans.  A query at depth n or more needs no check: its
+        path holds n + 1 queries below n, so one of them repeats.
+        """
+
+        nodes = self.nodes
+        if not nodes or self.partial:
+            return Classification.NEITHER, "tree is empty or partial"
+        defect = None
+        reached = 0
+        path: list[int] = []  # the queries above the node popped last
+        stack: list[Addr] = [()]
         while stack:
-            addr, seen = stack.pop()
-            node = self.nodes.get(addr)
-            if node is None:
-                return f"address {addr_str(addr)} missing"
-            if node.label.__class__ is Query:
-                k = node.label.index
-                if k in seen:
-                    return f"repeated query {k}"
-                if len(addr) >= n:
-                    return f"query below depth {n}"
-                s2 = seen | {k}
-                stack.append((addr + (True,), s2))
-                stack.append((addr + (False,), s2))
-            elif len(addr) != n:
-                return f"answer at depth {len(addr)}, not {n}"
-        if len(self.nodes) != 2 ** (n + 1) - 1:
-            return f"domain has {len(self.nodes)} nodes, not {2 ** (n + 1) - 1}"
-        return None
+            addr = stack.pop()
+            node = nodes.get(addr)
+            if node is None:  # only the root is pushed unchecked
+                return Classification.NEITHER, "address ε missing"
+            reached += 1
+            depth = len(addr)
+            del path[depth:]
+            label = node.label
+            if label.__class__ is Query:
+                k = label.index
+                if k >= n:
+                    return Classification.NEITHER, f"query {k} out of range at {addr_str(addr)}"
+                t, f = addr + (True,), addr + (False,)
+                if t not in nodes or f not in nodes:
+                    return Classification.NEITHER, f"missing child under {addr_str(addr)}"
+                if defect is None and k in path:
+                    defect = f"repeated query {k}"
+                path.append(k)
+                stack.append(t)
+                stack.append(f)
+            elif addr + (True,) in nodes or addr + (False,) in nodes:
+                return Classification.NEITHER, f"answer at {addr_str(addr)} is not a leaf"
+            elif defect is None and depth != n:
+                defect = f"answer at depth {depth}, not {n}"
+        if reached != len(nodes):
+            unreached = len(nodes) - reached
+            return Classification.NEITHER, f"{unreached} of {len(nodes)} nodes unreachable from ε"
+        if defect is None:
+            return Classification.N_STANDARD, None
+        return Classification.N_PREDICATE, defect
 
     # -- semantics
 

@@ -180,6 +180,18 @@ def test_timed_tree_golden(pred, n):
     assert out == (GOLDEN / f"{pred}{n}_tree_timed.txt").read_text()
 
 
+@pytest.mark.parametrize("args, golden", [
+    (("--pred", "T2", "-n", "2"), "T2_n2_tree.txt"),  # a repeated query
+    (("--pred", "T1", "-n", "3"), "T1_n3_tree.txt"),  # an answer above depth n
+    (("--pred", "odd", "-n", "3", "--depth", "1"), "odd_n3_depth1_tree.txt"),  # partial
+])
+def test_classified_tree_golden(args, golden):
+    # the classification line ends each tree, with the reason it is not standard
+    code, out, _ = run_cli("tree", *args)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def assert_one_line_error(code, out, err, *fragments):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -155,7 +155,7 @@ def test_fused_let_takes_one_loop_turn():
     # Each fused let saves two turns, and the final stop takes one.
     for name, bottom, forms in [
         ("naivecount-odd-2", mc.PURE_CONT, ("const", "M-App", "M-Rec")),
-        ("effcount-odd-2", mc.identity_cont(), ("M-App", "M-Rec")),  # effcount adds in tail position only
+        ("effcount-odd-2", mc.ID_CONT, ("M-App", "M-Rec")),  # effcount adds in tail position only
     ]:
         term = CATALOG[name]()
         steps, fused = single_steps(term)

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -79,9 +80,20 @@ def test_pure_run_stops_before_bottom_handler():
     # two envOps (the handler's binding and the lookup in its body)
     term, _, _ = cl.compose("naivecount", "odd", 3)
     res = mc.run_machine(term)
-    st = mc.MachineState(term, {}, mc.identity_cont())
+    st = mc.MachineState(term, {}, mc.ID_CONT)
     assert mc.drive(st, fuel=10**7) == "value" and st.out == res.value
     assert st.ticks == res.ticks + 1 and st.envops == res.envops + 2
+
+
+def test_effectful_runs_share_an_unwritten_bottom_continuation():
+    # every effectful run starts on ID_CONT; no rule writes the identity
+    # handler closure's environment, which forward.fx resumes through
+    forward = Path(__file__).resolve().parent.parent / "programs" / "forward.fx"
+    fwd_sig, fwd = parse_program(forward.read_text())
+    for term, sig in [cl.compose("effcount", "odd", 3)[:2], (fwd, fwd_sig)]:
+        assert mc.inject(term, sig).kont is mc.ID_CONT
+        mc.run_machine(term, sig)
+    assert mc.ID_CONT == ((None, ({}, mc.ID_HANDLER)), None)
 
 
 def test_let_and_retcont_transitions():

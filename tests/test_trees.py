@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import product
 from random import Random
 
@@ -59,6 +60,116 @@ def test_sequencing_predicate_is_literally_standard():
 
 def test_empty_tree_is_neither():
     assert tr.DecisionTree().classify(1) is tr.Classification.NEITHER
+
+
+# The two-pass classification that the one walk replaced: a pass over
+# every node in dict order, then a walk from the root with a set of the
+# queries on each path and a count of the domain.  It is the reference for
+# the walk's agreement tests.
+
+
+def old_classify_detail(tree, n):
+    C = tr.Classification
+    if not tree.nodes or tree.partial:
+        return C.NEITHER, "tree is empty or partial"
+    for addr, node in tree.nodes.items():
+        if node.label.__class__ is tr.Query:
+            if node.label.index >= n:
+                return C.NEITHER, f"query {node.label.index} out of range at {tr.addr_str(addr)}"
+            for b in (True, False):
+                if addr + (b,) not in tree.nodes:
+                    return C.NEITHER, f"missing child under {tr.addr_str(addr)}"
+        else:
+            for b in (True, False):
+                if addr + (b,) in tree.nodes:
+                    return C.NEITHER, f"answer at {tr.addr_str(addr)} is not a leaf"
+    reason = old_standard_defect(tree, n)
+    if reason is None:
+        return C.N_STANDARD, None
+    return C.N_PREDICATE, reason
+
+
+def old_standard_defect(tree, n):
+    stack = [((), frozenset())]
+    while stack:
+        addr, seen = stack.pop()
+        node = tree.nodes.get(addr)
+        if node is None:
+            return f"address {tr.addr_str(addr)} missing"
+        if node.label.__class__ is tr.Query:
+            k = node.label.index
+            if k in seen:
+                return f"repeated query {k}"
+            if len(addr) >= n:
+                return f"query below depth {n}"
+            s2 = seen | {k}
+            stack.append((addr + (True,), s2))
+            stack.append((addr + (False,), s2))
+        elif len(addr) != n:
+            return f"answer at depth {len(addr)}, not {n}"
+    if len(tree.nodes) != 2 ** (n + 1) - 1:
+        return f"domain has {len(tree.nodes)} nodes, not {2 ** (n + 1) - 1}"
+    return None
+
+
+def catalog_trees():
+    """Every catalog predicate's tree at n up to 6 (queens up to 2), with
+    no depth bound, a bound of 1 and a bound of 2 * bits + 2."""
+
+    for name, desc in cl.catalog().items():
+        if desc.kind != "predicate":
+            continue
+        for n in range(desc.min_n, (2 if name.startswith("queens") else 6) + 1):
+            pred, bits = cl.build_predicate(name, n)
+            for bound in (None, 1, 2 * bits + 2):
+                yield f"{name}@{n}/{bound}", tr.extract_tree(pred, depth_bound=bound), bits
+
+
+def test_classify_gives_the_reference_kind_and_reason_on_every_extracted_tree():
+    # extract_tree inserts nodes false branch first, the walk's own order,
+    # so even the reason a tree is neither is the reference's
+    seen = Counter()
+    for key, tree, bits in catalog_trees():
+        for m in range(bits + 2):
+            got = tree.classify_detail(m)
+            assert got == old_classify_detail(tree, m), (key, m)
+            seen[got[0]] += 1
+    assert all(seen[kind] for kind in tr.Classification)
+
+
+def test_classify_gives_the_reference_kind_on_random_trees():
+    # random trees are inserted true branch first, so only the reason a
+    # tree is neither may name another node than the reference's
+    rng = Random(21)
+    seen = Counter()
+    for i in range(300):
+        n = rng.randrange(1, 7)
+        tree = (tr.random_standard_tree if i % 2 else tr.random_predicate_tree)(rng, n)
+        leaves = tree.leaves()
+        flipped = tree.flip_leaf(leaves[rng.randrange(len(leaves))])
+        for t in (tree, flipped):
+            for m in (n - 1, n, n + 1):
+                kind, reason = t.classify_detail(m)
+                old_kind, old_reason = old_classify_detail(t, m)
+                assert kind is old_kind, (i, m)
+                if kind is not tr.Classification.NEITHER:
+                    assert reason == old_reason, (i, m)
+                seen[kind] += 1
+    assert all(seen[kind] for kind in tr.Classification)
+
+
+def test_a_map_without_a_root_is_neither():
+    tree = tr.DecisionTree({(True,): tr.TreeNode(tr.Answer(True))})
+    assert tree.classify_detail(1) == (tr.Classification.NEITHER, "address ε missing")
+
+
+def test_a_standard_tree_with_an_orphan_node_is_neither():
+    tree, _ = extract("I0", 1)
+    assert tree.classify(1) is tr.Classification.N_STANDARD
+    tree.nodes[(True, False, True)] = tr.TreeNode(tr.Answer(False))  # its parent is absent
+    assert tree.classify_detail(1) == (
+        tr.Classification.NEITHER, "1 of 4 nodes unreachable from ε"
+    )
 
 
 def test_eval_point_examples():
