@@ -16,11 +16,17 @@ searcher), which language features it needs, and - for predicates - the
 class of its decision tree; counters dually record the widest predicate
 class they count correctly.  It holds the program as source: a string,
 or a function from n to a string.  `build` parses each source text once
-per process, so each (program, n) at most once, and hands every caller
-the same term.  Sharing is safe: no term is written after
-`parse_program` returns, `complete_handler` copies a handler's clauses
-before adding to them, and the machine tests no term or handler for
-identity.
+per process, so each (program, n) at most once, completes its handlers
+against its own signature, and hands every caller the same term.
+Sharing is safe: no term is written after `parse_program` returns,
+`complete_handler` copies a handler's clauses before adding to them,
+and the machine tests no term or handler for identity.
+
+Running a counter on a predicate completes only the predicate's own
+handlers, against the counter's signature, and only when the lint walk
+found one, so a predicate without a handler (every compiled tree) is
+walked once per run.  The machine then runs the composed term with no
+signature.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ from fxlang.errors import StuckError
 from fxlang.parser import parse_program, parse_term
 from fxlang.syntax import (
     App,
+    Handler,
     Signature,
     Term,
     as_function,
     as_value,
+    complete_handlers,
     handlers,
     language_level,
 )
@@ -59,14 +67,17 @@ class LintError(Exception):
     pass
 
 
-def lint_handles_ops(pred: Term, ops) -> None:
+def lint_handles_ops(pred: Term, ops) -> list[Handler]:
     """Reject predicates that handle a counter's distinguished
-    operations; they must forward them outward."""
+    operations; they must forward them outward.  Returns the
+    predicate's handlers."""
 
-    for h in handlers(pred):
+    hs = handlers(pred)
+    for h in hs:
         for op in ops:
             if op in h.clauses:
                 raise LintError(f"predicate handles the distinguished operation {op!r}")
+    return hs
 
 
 @dataclass(slots=True)
@@ -121,7 +132,7 @@ def _parse(src: str) -> tuple[Term, Signature]:
     # Calls `parse_program` through this module's binding, so a wrapper
     # installed on `countlib.parse_program` sees every parse.
     sig, term = parse_program(src)
-    return term, sig
+    return (complete_handlers(term, sig) if sig else term), sig
 
 
 _REGISTRY: dict[str, ProgramDescriptor] = {}
@@ -791,10 +802,14 @@ def get_counter(name: str) -> ProgramDescriptor:
 
 
 def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]:
-    """A counter or searcher built at ``bits`` applied to a predicate, and its signature."""
+    """A counter or searcher built at ``bits`` applied to a predicate, and
+    its signature.  The term is complete: the counter was completed when
+    built, and the predicate's own handlers, if it has any, are completed
+    here against the counter's signature."""
 
     counter_term, sig = get_counter(impl_name).build(bits)
-    lint_handles_ops(pred_term, sig.keys())
+    if lint_handles_ops(pred_term, sig.keys()):
+        pred_term = complete_handlers(pred_term, sig)
     return App(as_value(counter_term), pred_term), sig
 
 
@@ -832,7 +847,7 @@ def run_report(
     """
 
     term, sig, bits = compose(impl_name, pred_name, n)
-    return _report(impl_name, pred_name, n if n is not None else bits, term, sig, fuel)
+    return _report(impl_name, pred_name, n if n is not None else bits, term, fuel)
 
 
 def run_on_predicate(
@@ -841,11 +856,11 @@ def run_on_predicate(
     """Run a counter or searcher on a caller-supplied predicate term."""
 
     term, sig = _apply(impl_name, as_function(pred_term), bits)
-    return _report(impl_name, "<custom>", bits, term, sig, fuel)
+    return _report(impl_name, "<custom>", bits, term, fuel)
 
 
-def _report(impl_name, pred_label, n, term, sig, fuel) -> StepReport:
-    res = mc.run_machine(term, sig, fuel)
+def _report(impl_name, pred_label, n, term, fuel) -> StepReport:
+    res = mc.run_machine(term, None, fuel)  # `_apply` made it complete
     result = res.value
     if get(impl_name).kind == "searcher":
         result = len(mc.mval_list(result))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, count, product
 from random import Random
 from typing import Optional
 
@@ -32,7 +32,6 @@ from fxlang.syntax import (
     Lam,
     Let,
     NAT,
-    NameSupply,
     Num,
     Return,
     Term,
@@ -319,8 +318,10 @@ def tree_to_predicate(tree: DecisionTree) -> Term:
 
     if tree.partial:
         raise ValueError("cannot compile a partial tree")
-    ns = NameSupply()
-    qv = ns.fresh("q")
+    # The k-th binder of each kind is named as a name supply would:
+    # b, b'1, b'2, ... and _, _'1, _'2, ...
+    bs = chain(("b",), (f"b'{k}" for k in count(1)))
+    us = chain(("_",), (f"_'{k}" for k in count(1)))
 
     def emit(addr: Addr) -> Term:
         node = tree.nodes.get(addr)
@@ -328,20 +329,20 @@ def tree_to_predicate(tree: DecisionTree) -> Term:
             raise ValueError(f"missing node at {addr_str(addr)}")
         if node.label.__class__ is Answer:
             return Return(bool_(node.label.result))
-        b = ns.fresh("b")
+        b = next(bs)
         return Let(
             b,
-            App(Var(qv), Num(node.label.index)),
+            App(Var("q"), Num(node.label.index)),
             Case(
                 Var(b),
-                ns.fresh("_"),
+                next(us),
                 emit(addr + (True,)),
-                ns.fresh("_"),
+                next(us),
                 emit(addr + (False,)),
             ),
         )
 
-    return Lam(qv, emit(()), Arrow(NAT, BOOL))
+    return Lam("q", emit(()), Arrow(NAT, BOOL))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from fxlang import machine as mc
 from fxlang import trees as tr
 from fxlang.acceptance import memoise_to_identity
 from fxlang.errors import FuelExhausted
-from fxlang.parser import parse_term
-from fxlang.pprint import render_mval, to_source
+from fxlang.parser import parse_program, parse_term
+from fxlang.pprint import program_to_source, render_mval, to_source
 from fxlang.smallstep import evaluate, NormalValue
-from fxlang.syntax import App, Num, complete_handlers
+from fxlang.syntax import App, Num, complete_handler, complete_handlers, handlers
 
 
 def mrun(term, sig=None, fuel=10**7):
@@ -283,3 +283,42 @@ def test_shared_terms_survive_every_consumer():
         elif name != "bottom":
             mrun(term, sig)
     assert {name: to_source(d.build(n)[0]) for name, d in programs.items()} == before
+
+
+def test_building_completes_no_catalog_term():
+    # Every catalog program's handlers are total over its own signature,
+    # so completing it when it is built prints the same program, and
+    # completing a handler, raw or built, returns that same handler.
+    # (`complete_handlers` rebuilds every `Handle` node, clauses and all,
+    # so the check is per handler.)
+    for name, desc in cl.catalog().items():
+        sizes = range(3 if name.startswith("queens") else 6) if desc.takes_n else [None]
+        for n in sizes:
+            raw_sig, raw = parse_program(desc.source(n) if desc.takes_n else desc.source)
+            term, sig = desc.build(n)
+            assert program_to_source(sig, term) == program_to_source(raw_sig, raw), (name, n)
+            for h in handlers(raw) + handlers(term):
+                assert complete_handler(h, sig) is h, (name, n)
+
+
+# A predicate with a handler of its own, for Oops only: the counter's
+# Branch must be forwarded through it, which completion adds.
+_PARTIAL_HANDLER_PRED = (
+    "operation Branch : Unit -> Bool\n"
+    "operation Oops : Unit -> Bool\n"
+    "fun (q : Nat -> Bool) -> handle (let a <- q 0 in let b <- q 1 in"
+    " if a then return b else do Oops ())"
+    " with {val x -> return x; Oops () r -> r true}"
+)
+
+
+@pytest.mark.parametrize("impl, want", [
+    ("effcount", (3, 79, 104)),
+    ("effsearch", (3, 112, 153)),
+    ("effcount_rep", (3, 341, 428)),
+])
+def test_a_predicates_partial_handler_forwards_the_counters_operation(impl, want):
+    _, pred = parse_program(_PARTIAL_HANDLER_PRED)
+    assert "Branch" not in handlers(pred)[0].clauses
+    rep = cl.run_on_predicate(impl, pred, 2)
+    assert (rep.result, rep.ticks, rep.envops) == want

@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,7 +10,10 @@ from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang import trees as tr
 from fxlang.parser import parse_term
+from fxlang.pprint import to_source
 from fxlang.syntax import App, BOOL, UNIT, complete_handlers
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def extract(name, n=None, **kw):
@@ -252,6 +256,16 @@ def test_tree_to_predicate_roundtrip_general():
         tree = tr.random_predicate_tree(rng, 3)
         back = tr.extract_tree(tr.tree_to_predicate(tree))
         assert back.labels() == tree.labels()
+
+
+@pytest.mark.parametrize("make, golden", [
+    (tr.random_standard_tree, "standard_n3_predicate.txt"),
+    (tr.random_predicate_tree, "general_n3_predicate.txt"),
+])
+def test_compiled_predicate_golden(make, golden):
+    # pins the binder names, and so every printed compiled tree
+    pred = tr.tree_to_predicate(make(Random(0), 3))
+    assert to_source(pred) + "\n" == (GOLDEN / golden).read_text()
 
 
 def test_compiled_predicates_are_pure():

@@ -166,7 +166,7 @@ def count_reads(monkeypatch, own):
     return reads
 
 
-def test_a_tree_predicate_is_read_once_to_extract_and_twice_to_count(monkeypatch):
+def test_a_tree_predicate_is_read_once_to_extract_and_once_to_count(monkeypatch):
     tree = tr.random_standard_tree(Random(0), 10)
     pred = tr.tree_to_predicate(tree)
     occurrences = Counter(id(s) for s in subterms(pred))  # `()` is one shared node
@@ -177,4 +177,4 @@ def test_a_tree_predicate_is_read_once_to_extract_and_twice_to_count(monkeypatch
     reads.clear()
     assert cl.run_on_predicate("effcount", pred, 10).result == tree.count_true(10)
     assert reads
-    assert all(reads[i] <= 2 * occurrences[i] for i in reads)
+    assert all(reads[i] <= occurrences[i] for i in reads)  # the lint walk only
