@@ -37,13 +37,17 @@ at once; a run that stops there parks that term, so the register is
 never visible on a stopped `MachineState`.  A constant applied to a
 literal pair, as in ``x + 1``, reads the two components directly and
 builds no `VPair`; `delta_m` takes the two naturals and is still the one
-definition of ``+``, ``-`` and ``=``.  Two lets are superoperators
-(Proebsting, POPL 1995), three rules in one loop iteration with three
-ticks and no frame pushed: ``let x <- c (v, w) in N`` with an arithmetic
-constant ``c`` (M-Let, M-Const, M-RetCont), and the leaf call
+definition of ``+``, ``-`` and ``=``.  Three lets are superoperators
+(Proebsting, POPL 1995), several rules in one loop iteration with no
+frame pushed.  Two fire three rules: ``let x <- c (v, w) in N`` with an
+arithmetic constant ``c`` (M-Let, M-Const, M-RetCont), and the leaf call
 ``let x <- f a in N`` where ``f`` is bound to a closure whose body is
-``return V`` (M-Let, M-App or M-Rec, M-RetCont).  Each fires only when
-the fuel covers all three, so every stop still lands on a tick boundary
+``return V`` (M-Let, M-App or M-Rec, M-RetCont).  The third, the curried
+call ``let g <- f a in g b`` where ``f``'s body is
+``return (fun y -> N)``, fires four: the leaf call's three, then the
+M-App of ``g b``, with no closure built for ``fun y -> N`` (a known-arity
+call, Marlow & Peyton Jones, ICFP 2004).  Each fires only when the fuel
+covers all of its rules, so every stop still lands on a tick boundary
 and a one-transition run still sees each rule.  And an environment that
 the running `drive` copied and that nothing has captured since is
 extended in place: it is copied on its first binding, not on every one.
@@ -436,7 +440,7 @@ def drive(st: MachineState, fuel: int) -> str:
     ``Return(Quote(v))`` being built; `_park` builds that term only when a
     run stops there, so a stopped state never holds the register.
 
-    Two lets are superoperators.  When ``ticks + 3 <= fuel`` one
+    Three lets are superoperators.  When ``ticks + 3 <= fuel`` one
     iteration fires three rules, adds 3 ticks and the envOps the three
     count, binds the result with no frame pushed and leaves ``rule`` at
     "M-RetCont":
@@ -450,8 +454,21 @@ def drive(st: MachineState, fuel: int) -> str:
       environment.  The callee is peeked at with ``env.get``, so a call
       that does not fuse counts its lookup once, at its M-App.
 
+    The third is the curried call ``let g <- f a in g b``: a leaf call
+    whose ``V`` is ``fun y -> N`` and whose let body applies ``g``, the
+    let's own name, to another variable ``b``.  When ``ticks + 4 <= fuel``
+    it fires M-Let, M-App or M-Rec, M-RetCont and M-App, adds 4 ticks and
+    the envOps the four count (6, plus 1 if ``a`` is a variable, plus 1
+    for a ``rec`` callee), and leaves ``rule`` at "M-App".  The callee's
+    environment is built once, by binding ``y`` to ``b``'s value in the
+    environment the leaf call built, and becomes ``env`` with ``comp``
+    at ``N``.  No closure is built for ``fun y -> N``, so nothing has
+    captured that environment and it is owned; the caller's environment
+    is neither copied nor written.  With 3 but not 4 ticks of fuel left,
+    the leaf call fuses and the M-App of ``g b`` is a turn of its own.
+
     With less fuel the let takes the ordinary M-Let, so a run never
-    stops inside the three, and a one-transition run (`step`,
+    stops inside a superoperator, and a one-transition run (`step`,
     `trace_run`) never fuses.
 
     ``own`` is true only while ``env`` is a dict that this call copied
@@ -646,6 +663,29 @@ def drive(st: MachineState, fuel: int) -> str:
                         if x.__class__ is Var:
                             envops += 1
                             val = cenv[x.name]
+                        elif (
+                            x.__class__ is Lam and ticks + 4 <= fuel
+                            and (y := comp.body).__class__ is App
+                            and y.fn.__class__ is Var and y.fn.name == comp.name
+                            and (y := y.arg).__class__ is Var and y.name != comp.name
+                        ):
+                            # The curried call ``let g <- f a in g b``: the
+                            # M-RetCont that binds ``g`` to ``fun y -> N``
+                            # and the M-App of ``g b`` fire here too, with
+                            # their four envOps (bind g, read g, read b,
+                            # bind y).  No closure is built, so nothing has
+                            # captured ``cenv``: it becomes ``env``, owned.
+                            rule = "M-App"
+                            cenv[x.param] = env[y.name]
+                            envops += 4
+                            env = cenv
+                            own = True
+                            comp = x.body
+                            ticks += 4
+                            if ticks >= fuel:
+                                st.rule = rule
+                                return _park(st, "fuel", comp, val, env, sigma, chi, rest, ticks)
+                            continue
                         else:
                             val = interp(x, cenv, st)
                     if not own:

@@ -31,7 +31,7 @@ nodes it builds, by set arithmetic on the sets of the nodes they replace.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -518,8 +518,10 @@ def rewrite(t: Term, cls: type, g) -> Term:
     """Replace every node of class cls, innermost first, by g(node), where
     node already has its own subterms rewritten.
 
-    Only the nodes on a path to a cls node are rebuilt; other subterms are
-    shared.  No recursion, so deep terms do not hit Python's limit.
+    A node is rebuilt only when one of its children changed, and replaced
+    only when g returns another node, so a term that g leaves alone comes
+    back as the same object; every unchanged subterm is shared.  No
+    recursion, so deep terms do not hit Python's limit.
     """
 
     nodes, parents = [t], [-1]
@@ -536,13 +538,19 @@ def rewrite(t: Term, cls: type, g) -> Term:
         for c, _ in _CHILDREN[sc](s):
             nodes.append(c)
             parents.append(i)
-    # parents never decreases, so node i's children start where i first
-    # appears in it
+    # parents never decreases, so node i's children are the run of i in
+    # it; ``new`` holds only the nodes that changed
     new: dict[int, Term] = {}
     for i in sorted(on_path, reverse=True):  # children before parents
-        k = iter(range(bisect_left(parents, i), len(nodes)))
-        s = map_children(nodes[i], lambda c, _, k=k: new.get(next(k), c))
-        new[i] = g(s) if s.__class__ is cls else s
+        s = nodes[i]
+        lo = bisect_left(parents, i)
+        if any(j in new for j in range(lo, bisect_right(parents, i, lo))):
+            k = iter(range(lo, len(nodes)))
+            s = map_children(s, lambda c, _, k=k: new.get(next(k), c))
+        if s.__class__ is cls:
+            s = g(s)
+        if s is not nodes[i]:
+            new[i] = s
     return new.get(0, t)
 
 
@@ -726,6 +734,11 @@ def complete_handler(h: Handler, sig: Signature) -> Handler:
 
 
 def complete_handlers(t: Term, sig: Signature) -> Term:
-    """Apply the forwarding completion to every handler inside a term."""
+    """Apply the forwarding completion to every handler inside a term.
+    A term whose handlers are all total comes back as the same object."""
 
-    return rewrite(t, Handle, lambda h: Handle(h.body, complete_handler(h.handler, sig)))
+    def complete(node: Handle) -> Handle:
+        h = complete_handler(node.handler, sig)
+        return node if h is node.handler else Handle(node.body, h)
+
+    return rewrite(t, Handle, complete)

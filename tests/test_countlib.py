@@ -10,7 +10,7 @@ from fxlang.errors import FuelExhausted
 from fxlang.parser import parse_program, parse_term
 from fxlang.pprint import program_to_source, render_mval, to_source
 from fxlang.smallstep import evaluate, NormalValue
-from fxlang.syntax import App, Num, complete_handler, complete_handlers, handlers
+from fxlang.syntax import App, Num, complete_handlers, handlers
 
 
 def mrun(term, sig=None, fuel=10**7):
@@ -288,17 +288,19 @@ def test_shared_terms_survive_every_consumer():
 def test_building_completes_no_catalog_term():
     # Every catalog program's handlers are total over its own signature,
     # so completing it when it is built prints the same program, and
-    # completing a handler, raw or built, returns that same handler.
-    # (`complete_handlers` rebuilds every `Handle` node, clauses and all,
-    # so the check is per handler.)
+    # completing the program, raw or built, returns that same object.
+    completed = 0
     for name, desc in cl.catalog().items():
         sizes = range(3 if name.startswith("queens") else 6) if desc.takes_n else [None]
         for n in sizes:
             raw_sig, raw = parse_program(desc.source(n) if desc.takes_n else desc.source)
             term, sig = desc.build(n)
             assert program_to_source(sig, term) == program_to_source(raw_sig, raw), (name, n)
-            for h in handlers(raw) + handlers(term):
-                assert complete_handler(h, sig) is h, (name, n)
+            if sig:
+                assert complete_handlers(raw, sig) is raw, (name, n)
+                assert complete_handlers(term, sig) is term, (name, n)
+                completed += bool(handlers(term))
+    assert completed > 0
 
 
 # A predicate with a handler of its own, for Oops only: the counter's

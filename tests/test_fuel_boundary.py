@@ -1,11 +1,14 @@
 """Every fuel stop of `drive` lands on a tick boundary.
 
-`drive` takes two lets as superoperators worth three ticks each when the
-fuel covers all three: ``let x <- c (v, w) in N`` (c an arithmetic
+`drive` takes three lets as superoperators, each only when the fuel
+covers all of its rules: ``let x <- c (v, w) in N`` (c an arithmetic
 constant) and a leaf call ``let x <- f a in N`` whose callee's body is
-``return V``.  A run cut at any k ticks must still be the run of k single
+``return V`` are worth three ticks, and a curried call
+``let g <- f a in g b`` whose callee's body is ``return (fun y -> N)`` is
+worth four.  A run cut at any k ticks must still be the run of k single
 steps: the same ticks, the same last rule, the same envOps and the same
-decompiled term.
+decompiled term.  No generated program has the curried shape, so a
+hand-written corpus reaches it.
 """
 
 import inspect
@@ -18,8 +21,8 @@ from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang.decompile import decompile
 from fxlang.gen import random_program
-from fxlang.parser import parse_term
-from fxlang.syntax import App, Const, Pair, Var
+from fxlang.parser import parse_program, parse_term
+from fxlang.syntax import App, Const, Lam, Let, Num, Pair, Return, Var
 from termeq import same, same_state
 
 MEMO_SRC = """
@@ -64,12 +67,26 @@ def _constant_let(t):
     )
 
 
+def _curried_body(let):
+    """Is the let's body ``g b``, with ``g`` the let's own name and ``b``
+    another variable?"""
+
+    b = let.body
+    return (
+        b.__class__ is App and b.fn.__class__ is Var and b.fn.name == let.name
+        and b.arg.__class__ is Var and b.arg.name != let.name
+    )
+
+
 def single_steps(term):
     """Per tick k: (rule, envOps so far, state) after k forked `step`s,
     and a count of the lets that `drive` fuses.  A constant let is read
-    off its syntax, under 'const'.  A leaf call is read off the callee's
-    value: an M-Let on ``f a`` whose next two rules are M-App or M-Rec
-    and then M-RetCont, under the callee's rule."""
+    off its syntax, under 'const'.  A call is an M-Let on ``f a`` whose
+    next two rules are M-App or M-Rec and then M-RetCont.  It is a
+    curried call when the let's body is ``g b``, the callee's body is
+    ``return (fun y -> N)`` and the next rule is M-App, under 'curried '
+    and the callee's rule; otherwise a leaf call, under the callee's
+    rule."""
 
     st = mc.inject(term)
     out, envops, lets = [], 0, []
@@ -85,13 +102,17 @@ def single_steps(term):
     rules = [rule for rule, _, _ in out]
     fused = Counter()
     for k, let in lets:
-        call = rules[k + 1:k + 3]
+        call = rules[k + 1:k + 4]
         if _constant_let(let):
             fused["const"] += 1
-        elif let.bound.__class__ is App and let.bound.fn.__class__ is Var and call in (
+        elif let.bound.__class__ is App and let.bound.fn.__class__ is Var and call[:2] in (
             ["M-App", "M-RetCont"], ["M-Rec", "M-RetCont"]
         ):
-            fused[call[0]] += 1
+            body = out[k + 1][2].comp  # the callee's body
+            is_curried = (
+                call[2:] == ["M-App"] and _curried_body(let) and body.value.__class__ is Lam
+            )
+            fused["curried " * is_curried + call[0]] += 1
     return out, fused
 
 
@@ -119,8 +140,8 @@ def test_every_fuel_stop_matches_single_steps(name):
     assert ticks > 0
     if not name.startswith("eff"):  # the handler counters add in tail position only
         assert fused["const"] > 0
-    if name != "memoise":  # leaf calls fire through both kinds of callee
-        assert fused["M-App"] > 0 and fused["M-Rec"] > 0
+    if name != "memoise":  # calls fire through both kinds of callee
+        assert fused["M-Rec"] > 0 and fused["curried M-App"] > 0 and fused["curried M-Rec"] > 0
 
 
 def test_every_fuel_stop_matches_single_steps_on_random_programs():
@@ -151,24 +172,140 @@ def loop_iterations(st, fuel):
     return kind, turns
 
 
+def curried(fused):
+    return fused["curried M-App"] + fused["curried M-Rec"]
+
+
+def check_loop_turns(term):
+    """An unstopped run takes one turn per rule, less two for each fused
+    three-rule let and three for each curried call, plus one for the
+    final stop."""
+
+    steps, fused = single_steps(term)
+    kind, turns = loop_iterations(mc.inject(term), 10**6)
+    assert kind == "value"
+    assert turns == len(steps) - 2 * sum(fused.values()) - curried(fused) + 1
+    return steps, fused
+
+
 def test_fused_let_takes_one_loop_turn():
-    # Each fused let saves two turns, and the final stop takes one.
     for name, bottom, forms in [
-        ("naivecount-odd-2", mc.PURE_CONT, ("const", "M-App", "M-Rec")),
-        ("effcount-odd-2", mc.ID_CONT, ("M-App", "M-Rec")),  # effcount adds in tail position only
+        ("naivecount-odd-2", mc.PURE_CONT, ("const", "M-Rec", "curried M-App", "curried M-Rec")),
+        # effcount adds in tail position only
+        ("effcount-odd-2", mc.ID_CONT, ("M-Rec", "curried M-App", "curried M-Rec")),
     ]:
         term = CATALOG[name]()
-        steps, fused = single_steps(term)
-        st = mc.inject(term)
-        assert st.kont == bottom, name
-        kind, turns = loop_iterations(st, 10**6)
-        assert kind == "value", name
-        assert turns == len(steps) - 2 * sum(fused.values()) + 1, name
+        assert mc.inject(term).kont == bottom, name
+        steps, fused = check_loop_turns(term)
         # one transition at a time, nothing fuses
         st = mc.inject(term)
         assert loop_iterations(st, 3) == ("fuel", 3) and st.rule == steps[2][0], name
         assert sum(rule == "M-Let" for rule, _, _ in steps) > sum(fused.values()), name
         assert all(fused[form] > 0 for form in forms), name
+
+
+def _plus(x, y):
+    return App(Const("+"), Pair(Var(x), Var(y)))
+
+
+# Curried calls ``let g <- f a in g b``, each pinned as (value, ticks,
+# envOps).  The parser renames every binder apart, so the inner parameter
+# that shadows the outer one is built from nodes.
+CURRIED = {
+    "fun callee": (parse_term("""
+let f = (fun (x : Nat) -> return (fun (y : Nat) -> let s <- x + y in s + x)) in
+let a = 3 in let b = 4 in
+let g <- f a in g b
+"""), ("10", 14, 15)),
+    "rec callee": (parse_term("""
+let f = (rec (f : Nat -> Nat -> Nat) x -> return (fun (y : Nat) ->
+  let z <- x = 0 in
+  if z then return y else
+  let x1 <- x - 1 in let y1 <- y + 2 in let g <- f x1 in g y1)) in
+let a = 3 in let b = 1 in
+let g <- f a in g b
+"""), ("7", 56, 64)),
+    "shadowing parameter": (
+        Let("f", Return(Lam("x", Return(Lam("x", _plus("x", "x"))))),
+            Let("a", Return(Num(3)), Let("b", Return(Num(4)),
+                Let("g", App(Var("f"), Var("a")), App(Var("g"), Var("b")))))),
+        ("8", 11, 12),
+    ),
+    "pair argument": (parse_term("""
+let f = (fun (p : Nat * Nat) -> return (fun (y : Nat) ->
+  let (u, v) = p in let w <- u + v in w + y)) in
+let b = 3 in
+let g <- f (1, 2) in g b
+"""), ("6", 13, 16)),
+    "closure argument": (parse_term("""
+let c = 5 in
+let f = (fun (h : Nat -> Nat) -> return (fun (y : Nat) -> let z <- h y in z + c)) in
+let b = 2 in
+let r <- (let g <- f (fun (z : Nat) -> z + c) in g b) in
+r + c
+"""), ("17", 18, 20)),
+    # the resumption captures the fused call's environment, twice resumed
+    "under a handler": (parse_program("""
+operation Ask : Unit -> Nat
+handle
+  let f = (fun (x : Nat) -> return (fun (y : Nat) ->
+    let k <- do Ask () in let s <- x + y in s + k)) in
+  let a = 1 in let b = 2 in
+  let g <- f a in g b
+with { val v -> return v; Ask () r -> let u <- r 10 in let w <- r 20 in u + w }
+""")[1], ("36", 33, 36)),
+}
+
+_UNCURRIED = """
+let f = (fun (x : Nat) -> return (fun (y : Nat) -> return x)) in
+let a = 3 in
+let g <- f a in {}
+"""
+NOT_CURRIED = {body: parse_term(_UNCURRIED.format(body)) for body in ("g g", "g 1", "return g")}
+
+
+@pytest.mark.parametrize("name", sorted(CURRIED))
+def test_curried_calls_fuse_and_stop_on_every_tick(name):
+    term, pinned = CURRIED[name]
+    check_every_fuel_stop(term)
+    steps, fused = check_loop_turns(term)
+    assert curried(fused) > 0
+    res = mc.run_machine(term)
+    assert (repr(res.value), res.ticks, res.envops) == pinned
+    # the value stop after the last single step fires no rule
+    last = steps[-1][2]
+    stop = last.fork(last.comp)
+    assert mc.drive(stop, len(steps) + 1) == "value"
+    assert (repr(stop.out), len(steps), steps[-1][1] + stop.envops) == pinned
+
+
+@pytest.mark.parametrize("body", sorted(NOT_CURRIED))
+def test_other_let_bodies_do_not_fuse_the_fourth_rule(body):
+    # the leaf call still fuses; the turn count shows the M-App did not
+    term = NOT_CURRIED[body]
+    check_every_fuel_stop(term)
+    _, fused = check_loop_turns(term)
+    assert curried(fused) == 0 and fused["M-App"] == 1
+
+
+def test_a_curried_call_short_of_fuel_fuses_only_the_leaf_call():
+    term, _ = CURRIED["fun callee"]
+    steps, fused = single_steps(term)
+    assert curried(fused) == 1
+    # k: the ticks before the curried let's M-Let
+    k = next(
+        k for k, (_, _, st) in enumerate(steps, 1)
+        if st.comp.__class__ is Let and _curried_body(st.comp)
+    )
+    for fuel, turns in [(k + 3, 2), (k + 4, 1)]:
+        st = mc.inject(term)
+        assert mc.drive(st, k) == "fuel"
+        assert loop_iterations(st, fuel) == ("fuel", 1)
+        if turns == 2:  # M-Let, M-App and M-RetCont, then the M-App alone
+            assert st.rule == "M-RetCont" and same_state(st, steps[k + 2][2])
+            assert loop_iterations(st, k + 4) == ("fuel", 1)
+        assert st.rule == "M-App" and st.ticks == k + 4
+        assert st.envops == steps[k + 3][1] and same_state(st, steps[k + 3][2])
 
 
 def test_forks_leave_a_saved_states_memo_counter_alone():
