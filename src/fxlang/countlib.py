@@ -853,10 +853,17 @@ def run_report(
 def run_on_predicate(
     impl_name: str, pred_term: Term, bits: int, fuel: int = mc.DEFAULT_FUEL
 ) -> StepReport:
-    """Run a counter or searcher on a caller-supplied predicate term."""
+    """Run a counter or searcher on a caller-supplied predicate term.
+
+    The predicate is not typechecked, so one that sticks the machine
+    inside the counter, such as a predicate that answers a numeral, is
+    a one-line `ValueError` that names the counter."""
 
     term, sig = _apply(impl_name, as_function(pred_term), bits)
-    return _report(impl_name, "<custom>", bits, term, fuel)
+    try:
+        return _report(impl_name, "<custom>", bits, term, fuel)
+    except StuckError as exc:
+        raise ValueError(f"{impl_name} is stuck on the predicate: {exc}") from None
 
 
 def _report(impl_name, pred_label, n, term, fuel) -> StepReport:

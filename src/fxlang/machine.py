@@ -37,7 +37,7 @@ at once; a run that stops there parks that term, so the register is
 never visible on a stopped `MachineState`.  A constant applied to a
 literal pair, as in ``x + 1``, reads the two components directly and
 builds no `VPair`; `delta_m` takes the two naturals and is still the one
-definition of ``+``, ``-`` and ``=``.  Three lets are superoperators
+definition of ``+``, ``-`` and ``=``.  Four lets are superoperators
 (Proebsting, POPL 1995), several rules in one loop iteration with no
 frame pushed.  Two fire three rules: ``let x <- c (v, w) in N`` with an
 arithmetic constant ``c`` (M-Let, M-Const, M-RetCont), and the leaf call
@@ -46,11 +46,16 @@ arithmetic constant ``c`` (M-Let, M-Const, M-RetCont), and the leaf call
 call ``let g <- f a in g b`` where ``f``'s body is
 ``return (fun y -> N)``, fires four: the leaf call's three, then the
 M-App of ``g b``, with no closure built for ``fun y -> N`` (a known-arity
-call, Marlow & Peyton Jones, ICFP 2004).  Each fires only when the fuel
-covers all of its rules, so every stop still lands on a tick boundary
-and a one-transition run still sees each rule.  And an environment that
-the running `drive` copied and that nothing has captured since is
-extended in place: it is copied on its first binding, not on every one.
+call, Marlow & Peyton Jones, ICFP 2004).  The fourth, the chained call
+``let g1 <- f a in let g2 <- g1 b in g2 c`` where ``f``'s body is
+``return (fun x -> return (fun y -> N))``, fires seven: the leaf call's
+three, then the M-Let, M-App and M-RetCont of ``g1 b`` and the M-App of
+``g2 c``, with no closure built for either ``fun``.  Each fires only
+when the fuel covers all of its rules, so every stop still lands on a
+tick boundary and a one-transition run still sees each rule.  And an
+environment that the running `drive` copied and that nothing has
+captured since is extended in place: it is copied on its first binding,
+not on every one.
 
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
@@ -440,7 +445,7 @@ def drive(st: MachineState, fuel: int) -> str:
     ``Return(Quote(v))`` being built; `_park` builds that term only when a
     run stops there, so a stopped state never holds the register.
 
-    Three lets are superoperators.  When ``ticks + 3 <= fuel`` one
+    Four lets are superoperators.  When ``ticks + 3 <= fuel`` one
     iteration fires three rules, adds 3 ticks and the envOps the three
     count, binds the result with no frame pushed and leaves ``rule`` at
     "M-RetCont":
@@ -466,6 +471,24 @@ def drive(st: MachineState, fuel: int) -> str:
     captured that environment and it is owned; the caller's environment
     is neither copied nor written.  With 3 but not 4 ticks of fuel left,
     the leaf call fuses and the M-App of ``g b`` is a turn of its own.
+
+    The fourth is the chained call
+    ``let g1 <- f a in let g2 <- g1 b in g2 c``: a leaf call whose ``V``
+    is ``fun x -> return (fun y -> N)``, whose let body is a let binding
+    ``g2`` to ``g1 b`` and then applying ``g2`` to ``c``, where ``b`` is a
+    variable other than ``g1`` and ``c`` one other than ``g1`` and
+    ``g2``.  When ``ticks + 7 <= fuel`` it fires M-Let, M-App or M-Rec,
+    M-RetCont, M-Let, M-App, M-RetCont and M-App, adds 7 ticks and the
+    envOps the seven count (10, plus 1 if ``a`` is a variable, plus 1
+    for a ``rec`` callee), and leaves ``rule`` at "M-App".  It binds
+    ``x`` to ``b``'s value in the leaf call's environment and then runs
+    the inner let as a curried call, so the callee's environment is
+    built once (``f``'s environment, ``fname`` for a ``rec``, the
+    parameter, ``x``, then ``y``) and becomes ``env``, owned, with
+    ``comp`` at ``N``.  No closure is built, and the caller's
+    environment is neither copied nor written.  With fuel for 3 to 6 of
+    the 7 rules, the leaf call fuses and the inner let runs as the fuel
+    left allows.
 
     With less fuel the let takes the ordinary M-Let, so a run never
     stops inside a superoperator, and a one-transition run (`step`,
@@ -663,30 +686,59 @@ def drive(st: MachineState, fuel: int) -> str:
                         if x.__class__ is Var:
                             envops += 1
                             val = cenv[x.name]
-                        elif (
-                            x.__class__ is Lam and ticks + 4 <= fuel
-                            and (y := comp.body).__class__ is App
-                            and y.fn.__class__ is Var and y.fn.name == comp.name
-                            and (y := y.arg).__class__ is Var and y.name != comp.name
-                        ):
-                            # The curried call ``let g <- f a in g b``: the
-                            # M-RetCont that binds ``g`` to ``fun y -> N``
-                            # and the M-App of ``g b`` fire here too, with
-                            # their four envOps (bind g, read g, read b,
-                            # bind y).  No closure is built, so nothing has
-                            # captured ``cenv``: it becomes ``env``, owned.
-                            rule = "M-App"
-                            cenv[x.param] = env[y.name]
-                            envops += 4
-                            env = cenv
-                            own = True
-                            comp = x.body
-                            ticks += 4
-                            if ticks >= fuel:
-                                st.rule = rule
-                                return _park(st, "fuel", comp, val, env, sigma, chi, rest, ticks)
-                            continue
                         else:
+                            if (
+                                x.__class__ is Lam
+                                and (y := comp.body).__class__ is Let and ticks + 7 <= fuel
+                                and (z := y.bound).__class__ is App
+                                and z.fn.__class__ is Var and z.fn.name == comp.name
+                                and (z := z.arg).__class__ is Var and z.name != comp.name
+                                and (w := y.body).__class__ is App
+                                and w.fn.__class__ is Var and w.fn.name == y.name
+                                and (w := w.arg).__class__ is Var
+                                and w.name != comp.name and w.name != y.name
+                                and (w := x.body).__class__ is Return
+                                and (w := w.value).__class__ is Lam
+                            ):
+                                # The chained call ``let g1 <- f a in let g2
+                                # <- g1 b in g2 c``, ``x`` being ``fun x ->
+                                # return (fun y -> N)``: the M-RetCont that
+                                # binds ``g1``, the M-Let of ``g1 b`` and its
+                                # M-App fire here, with their four envOps
+                                # (bind g1, read g1, read b, bind x).  No
+                                # closure is built for ``x``, and the inner
+                                # let, a curried call, fuses just below.
+                                cenv[x.param] = env[z.name]
+                                envops += 4
+                                ticks += 3
+                                comp = y
+                                x = w
+                            if (
+                                x.__class__ is Lam and ticks + 4 <= fuel
+                                and (y := comp.body).__class__ is App
+                                and y.fn.__class__ is Var and y.fn.name == comp.name
+                                and (y := y.arg).__class__ is Var and y.name != comp.name
+                            ):
+                                # The curried call ``let g <- f a in g b``:
+                                # the M-RetCont that binds ``g`` to ``fun y
+                                # -> N`` and the M-App of ``g b`` fire here
+                                # too, with their four envOps (bind g, read
+                                # g, read b, bind y).  No closure is built,
+                                # so nothing has captured ``cenv``: it
+                                # becomes ``env``, owned.
+                                rule = "M-App"
+                                cenv[x.param] = env[y.name]
+                                envops += 4
+                                env = cenv
+                                own = True
+                                comp = x.body
+                                ticks += 4
+                                if ticks >= fuel:
+                                    st.rule = rule
+                                    return _park(
+                                        st, "fuel", comp, val, env, sigma, chi, rest, ticks
+                                    )
+                                continue
                             val = interp(x, cenv, st)
                     if not own:
                         env = dict(env)

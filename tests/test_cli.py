@@ -157,10 +157,24 @@ def test_trace_golden_pure(tmp_path):
     )
 
 
-def test_trace_golden_toss():
-    code, out, err = run_cli("run", str(PROGRAMS / "toss.fx"), "--trace")
+@pytest.mark.parametrize("name", ["toss", "fold"])
+def test_trace_golden(name):
+    code, out, err = run_cli("run", str(PROGRAMS / f"{name}.fx"), "--trace")
     assert code == 0 and err == ""
-    assert out == (GOLDEN / "toss_trace.txt").read_text()
+    assert out == (GOLDEN / f"{name}_trace.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in PROGRAMS.glob("*.fx") if p.name != "diverge.fx")
+)
+def test_run_ticks_match_the_trace(name):
+    # `fx run` fuses lets and a trace never does: both must count alike
+    code, out, _ = run_cli("run", str(PROGRAMS / name))
+    assert code == 0
+    ticks = int(out.splitlines()[-1].split()[1])
+    code, trace, _ = run_cli("run", str(PROGRAMS / name), "--trace")
+    assert code == 0
+    assert trace.splitlines()[-1].startswith(f"tick={ticks} ")
 
 
 @pytest.mark.parametrize("name", ["toss", "pair_arith", "forward"])

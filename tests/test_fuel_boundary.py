@@ -1,14 +1,16 @@
 """Every fuel stop of `drive` lands on a tick boundary.
 
-`drive` takes three lets as superoperators, each only when the fuel
+`drive` takes four lets as superoperators, each only when the fuel
 covers all of its rules: ``let x <- c (v, w) in N`` (c an arithmetic
 constant) and a leaf call ``let x <- f a in N`` whose callee's body is
-``return V`` are worth three ticks, and a curried call
+``return V`` are worth three ticks, a curried call
 ``let g <- f a in g b`` whose callee's body is ``return (fun y -> N)`` is
-worth four.  A run cut at any k ticks must still be the run of k single
+worth four, and a chained call ``let g1 <- f a in let g2 <- g1 b in g2 c``
+whose callee's body is ``return (fun x -> return (fun y -> N))`` is worth
+seven.  A run cut at any k ticks must still be the run of k single
 steps: the same ticks, the same last rule, the same envOps and the same
-decompiled term.  No generated program has the curried shape, so a
-hand-written corpus reaches it.
+decompiled term.  No generated program has the curried or the chained
+shape, so hand-written corpora reach them.
 """
 
 import inspect
@@ -78,13 +80,33 @@ def _curried_body(let):
     )
 
 
+def _chained_body(let):
+    """Is the let's body ``let g2 <- g1 b in g2 c``, with ``g1`` the
+    let's own name, ``b`` a variable other than ``g1`` and ``c`` one
+    other than ``g1`` and ``g2``?"""
+
+    inner = let.body
+    if inner.__class__ is not Let or not _curried_body(inner):
+        return False
+    b = inner.bound
+    return (
+        b.__class__ is App and b.fn.__class__ is Var and b.fn.name == let.name
+        and b.arg.__class__ is Var and b.arg.name != let.name
+        and inner.body.arg.name != let.name
+    )
+
+
 def single_steps(term):
     """Per tick k: (rule, envOps so far, state) after k forked `step`s,
     and a count of the lets that `drive` fuses.  A constant let is read
     off its syntax, under 'const'.  A call is an M-Let on ``f a`` whose
     next two rules are M-App or M-Rec and then M-RetCont.  It is a
-    curried call when the let's body is ``g b``, the callee's body is
-    ``return (fun y -> N)`` and the next rule is M-App, under 'curried '
+    chained call when the let's body is ``let g2 <- g1 b in g2 c``, the
+    callee's body is ``return (fun x -> return (fun y -> N))`` and the
+    next four rules are M-Let, M-App, M-RetCont and M-App, under
+    'chained ' and the callee's rule; its inner let is not counted again.
+    It is a curried call when the let's body is ``g b``, the callee's body
+    is ``return (fun y -> N)`` and the next rule is M-App, under 'curried '
     and the callee's rule; otherwise a leaf call, under the callee's
     rule."""
 
@@ -100,19 +122,29 @@ def single_steps(term):
         out.append((rule, envops, nxt))
         st = nxt
     rules = [rule for rule, _, _ in out]
-    fused = Counter()
+    fused, inner_lets = Counter(), set()
     for k, let in lets:
-        call = rules[k + 1:k + 4]
+        if k in inner_lets:
+            continue
+        call = rules[k + 1:k + 7]
         if _constant_let(let):
             fused["const"] += 1
         elif let.bound.__class__ is App and let.bound.fn.__class__ is Var and call[:2] in (
             ["M-App", "M-RetCont"], ["M-Rec", "M-RetCont"]
         ):
-            body = out[k + 1][2].comp  # the callee's body
-            is_curried = (
-                call[2:] == ["M-App"] and _curried_body(let) and body.value.__class__ is Lam
-            )
-            fused["curried " * is_curried + call[0]] += 1
+            lam = out[k + 1][2].comp.value  # V in the callee's body, return V
+            if (
+                call[2:] == ["M-Let", "M-App", "M-RetCont", "M-App"] and _chained_body(let)
+                and lam.__class__ is Lam and lam.body.__class__ is Return
+                and lam.body.value.__class__ is Lam
+            ):
+                fused["chained " + call[0]] += 1
+                inner_lets.add(k + 3)
+            else:
+                is_curried = (
+                    call[2:3] == ["M-App"] and _curried_body(let) and lam.__class__ is Lam
+                )
+                fused["curried " * is_curried + call[0]] += 1
     return out, fused
 
 
@@ -142,6 +174,7 @@ def test_every_fuel_stop_matches_single_steps(name):
         assert fused["const"] > 0
     if name != "memoise":  # calls fire through both kinds of callee
         assert fused["M-Rec"] > 0 and fused["curried M-App"] > 0 and fused["curried M-Rec"] > 0
+        assert chained(fused) > 0
 
 
 def test_every_fuel_stop_matches_single_steps_on_random_programs():
@@ -176,23 +209,30 @@ def curried(fused):
     return fused["curried M-App"] + fused["curried M-Rec"]
 
 
+def chained(fused):
+    return fused["chained M-App"] + fused["chained M-Rec"]
+
+
 def check_loop_turns(term):
     """An unstopped run takes one turn per rule, less two for each fused
-    three-rule let and three for each curried call, plus one for the
-    final stop."""
+    three-rule let, three for each curried call and six for each chained
+    call, plus one for the final stop."""
 
     steps, fused = single_steps(term)
     kind, turns = loop_iterations(mc.inject(term), 10**6)
     assert kind == "value"
-    assert turns == len(steps) - 2 * sum(fused.values()) - curried(fused) + 1
+    saved = 2 * sum(fused.values()) + curried(fused) + 4 * chained(fused)
+    assert turns == len(steps) - saved + 1
     return steps, fused
 
 
 def test_fused_let_takes_one_loop_turn():
     for name, bottom, forms in [
-        ("naivecount-odd-2", mc.PURE_CONT, ("const", "M-Rec", "curried M-App", "curried M-Rec")),
+        ("naivecount-odd-2", mc.PURE_CONT,
+         ("const", "M-Rec", "curried M-App", "curried M-Rec", "chained M-Rec")),
         # effcount adds in tail position only
-        ("effcount-odd-2", mc.ID_CONT, ("M-Rec", "curried M-App", "curried M-Rec")),
+        ("effcount-odd-2", mc.ID_CONT,
+         ("M-Rec", "curried M-App", "curried M-Rec", "chained M-Rec")),
     ]:
         term = CATALOG[name]()
         assert mc.inject(term).kont == bottom, name
@@ -264,12 +304,10 @@ let g <- f a in {}
 NOT_CURRIED = {body: parse_term(_UNCURRIED.format(body)) for body in ("g g", "g 1", "return g")}
 
 
-@pytest.mark.parametrize("name", sorted(CURRIED))
-def test_curried_calls_fuse_and_stop_on_every_tick(name):
-    term, pinned = CURRIED[name]
-    check_every_fuel_stop(term)
-    steps, fused = check_loop_turns(term)
-    assert curried(fused) > 0
+def check_value(term, steps, pinned):
+    """A run and the single steps both end at the pinned (value, ticks,
+    envOps)."""
+
     res = mc.run_machine(term)
     assert (repr(res.value), res.ticks, res.envops) == pinned
     # the value stop after the last single step fires no rule
@@ -277,6 +315,15 @@ def test_curried_calls_fuse_and_stop_on_every_tick(name):
     stop = last.fork(last.comp)
     assert mc.drive(stop, len(steps) + 1) == "value"
     assert (repr(stop.out), len(steps), steps[-1][1] + stop.envops) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(CURRIED))
+def test_curried_calls_fuse_and_stop_on_every_tick(name):
+    term, pinned = CURRIED[name]
+    check_every_fuel_stop(term)
+    steps, fused = check_loop_turns(term)
+    assert curried(fused) > 0
+    check_value(term, steps, pinned)
 
 
 @pytest.mark.parametrize("body", sorted(NOT_CURRIED))
@@ -306,6 +353,116 @@ def test_a_curried_call_short_of_fuel_fuses_only_the_leaf_call():
             assert loop_iterations(st, k + 4) == ("fuel", 1)
         assert st.rule == "M-App" and st.ticks == k + 4
         assert st.envops == steps[k + 3][1] and same_state(st, steps[k + 3][2])
+
+
+def _minus(x, y):
+    return App(Const("-"), Pair(Var(x), Var(y)))
+
+
+# Chained calls ``let g1 <- f a in let g2 <- g1 b in g2 c``, each pinned
+# as (value, ticks, envOps).  The shadowing one is built from nodes, as
+# the parser renames binders apart: each let is ``g``, and the two inner
+# parameters are both ``x``, so the last binding wins.
+CHAINED = {
+    "fun callee": (parse_term("""
+let f = (fun (p : Nat) -> return (fun (x : Nat) -> return (fun (y : Nat) ->
+  let s <- p + x in let t <- s + y in t + p))) in
+let a = 3 in let b = 4 in let c = 5 in
+let g1 <- f a in let g2 <- g1 b in g2 c
+"""), ("15", 22, 23)),
+    "rec callee": (parse_term("""
+let f = (rec (f : Nat -> Nat -> Nat -> Nat) n -> return (fun (x : Nat) -> return (fun (y : Nat) ->
+  let z <- n = 0 in
+  if z then x + y else
+  let n1 <- n - 1 in let x1 <- x + 2 in
+  let g1 <- f n1 in let g2 <- g1 x1 in g2 y))) in
+let a = 3 in let b = 1 in let c = 4 in
+let g1 <- f a in let g2 <- g1 b in g2 c
+"""), ("11", 71, 82)),
+    "shadowing": (
+        Let("f", Return(Lam("p", Return(Lam("x", Return(Lam("x", _minus("x", "p"))))))),
+            Let("a", Return(Num(2)), Let("b", Return(Num(4)), Let("c", Return(Num(9)),
+                Let("g", App(Var("f"), Var("a")),
+                    Let("g", App(Var("g"), Var("b")), App(Var("g"), Var("c")))))))),
+        ("7", 16, 17),
+    ),
+    "literal argument": (parse_term("""
+let f = (fun (p : Nat) -> return (fun (x : Nat) -> return (fun (y : Nat) ->
+  let s <- p + x in s + y))) in
+let b = 4 in let c = 5 in
+let g1 <- f 3 in let g2 <- g1 b in g2 c
+"""), ("12", 17, 18)),
+    # the resumption captures the fused call's environment, twice resumed
+    "under a handler": (parse_program("""
+operation Ask : Unit -> Nat
+handle
+  let f = (fun (p : Nat) -> return (fun (x : Nat) -> return (fun (y : Nat) ->
+    let k <- do Ask () in let s <- p + x in let t <- s + y in t + k))) in
+  let a = 1 in let b = 2 in let c = 3 in
+  let g1 <- f a in let g2 <- g1 b in g2 c
+with { val v -> return v; Ask () r -> let u <- r 10 in let w <- r 20 in u + w }
+""")[1], ("42", 44, 47)),
+}
+
+_UNCHAINED = """
+let f = (fun (p : Nat) -> return (fun (x : Nat) -> {})) in
+let a = 3 in let b = 4 in let c = 5 in
+let g1 <- f a in {}
+"""
+_INNER = "return (fun (y : Nat) -> return p)"
+# what fuses instead of the chain, for each inner let
+NOT_CHAINED = {
+    "b is g1": (_INNER, "let g2 <- g1 g1 in g2 c", {"M-App": 1, "curried M-App": 1}),
+    "c is g1": (_INNER, "let g2 <- g1 b in g2 g1", {"M-App": 1, "curried M-App": 1}),
+    "g2 g2": (_INNER, "let g2 <- g1 b in g2 g2", {"M-App": 2}),
+    "literal b": (_INNER, "let g2 <- g1 1 in g2 c", {"M-App": 1, "curried M-App": 1}),
+    "inner body not a return": (
+        "let u <- return x in return (fun (y : Nat) -> return p)",
+        "let g2 <- g1 b in g2 c",
+        {"M-App": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_chained_calls_fuse_and_stop_on_every_tick(name):
+    term, pinned = CHAINED[name]
+    check_every_fuel_stop(term)
+    steps, fused = check_loop_turns(term)
+    assert chained(fused) > 0
+    check_value(term, steps, pinned)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CHAINED))
+def test_other_chains_do_not_fuse_seven_rules(name):
+    inner, body, forms = NOT_CHAINED[name]
+    term = parse_term(_UNCHAINED.format(inner, body))
+    check_every_fuel_stop(term)
+    _, fused = check_loop_turns(term)
+    assert fused == forms
+    assert repr(mc.run_machine(term).value) == "3"
+
+
+def test_a_chained_call_short_of_fuel_fuses_as_its_fuel_allows():
+    term, _ = CHAINED["fun callee"]
+    steps, fused = single_steps(term)
+    assert chained(fused) == 1
+    # k: the ticks before the chained let's M-Let
+    k = next(
+        k for k, (_, _, st) in enumerate(steps, 1)
+        if st.comp.__class__ is Let and _chained_body(st.comp)
+    )
+    # Fuel for 3 to 6 of the 7 rules: the leaf call fuses, then the inner
+    # let takes what is left, as its M-Let alone, with its M-App, or as a
+    # fused leaf call; fuel for all 7 fuses the chain.
+    for extra, turns, rule in [
+        (3, 1, "M-RetCont"), (4, 2, "M-Let"), (5, 3, "M-App"), (6, 2, "M-RetCont"), (7, 1, "M-App"),
+    ]:
+        st = mc.inject(term)
+        assert mc.drive(st, k) == "fuel"
+        assert loop_iterations(st, k + extra) == ("fuel", turns), extra
+        assert st.ticks == k + extra and st.rule == rule == steps[k + extra - 1][0]
+        assert st.envops == steps[k + extra - 1][1] and same_state(st, steps[k + extra - 1][2])
 
 
 def test_forks_leave_a_saved_states_memo_counter_alone():

@@ -365,6 +365,14 @@ def test_an_ill_typed_branch_names_its_address(branch, what):
         tr.extract_tree(pred)
 
 
+@pytest.mark.parametrize("impl", ["effcount", "effsearch"])
+def test_a_non_boolean_answer_names_the_counter(impl):
+    # the counter's case on the answer is stuck; the error names the counter
+    pred = parse_term("fun (q : Nat -> Bool) -> return 3")
+    with pytest.raises(ValueError, match=rf"^{impl} is stuck on the predicate: case on a non-sum$"):
+        cl.run_on_predicate(impl, pred, 1)
+
+
 def test_projections_align():
     tree, _ = extract("odd", 3)
     labs = tree.labels()
