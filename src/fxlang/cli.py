@@ -6,7 +6,7 @@ operation, 3 on fuel exhaustion.  `--fuel N` allows at most N
 transitions (or reductions), and N must be at least 1.  `main` is the
 one error boundary: bad input in any subcommand, a program or a result
 nested too deeply for Python's stack included, becomes a one-line
-message and exit 1.
+message and exit 1, and a run out of fuel a one-line message and exit 3.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ def cmd_run(args) -> int:
                     print(to_source(cfg.term))
         except StopIteration as stop:
             out, steps, _ = stop.value
-        except FuelExhausted as exc:
-            print(f"fuel exhausted after {exc.steps} reductions", file=sys.stderr)
-            return 3
         if isinstance(out, ss.NormalOp):
             print(f"unhandled operation {out.op}", file=sys.stderr)
             print(f"reductions: {steps}")
@@ -71,9 +68,6 @@ def cmd_run(args) -> int:
         outcome = res.outcome
     except StopIteration as stop:  # the end of a trace
         outcome = stop.value
-    except FuelExhausted as exc:
-        print(f"fuel exhausted after {exc.steps} transitions", file=sys.stderr)
-        return 3
     unhandled = isinstance(outcome, mc.FinalUnhandledOp)
     if unhandled:
         print(f"unhandled operation {outcome.op}", file=sys.stderr)
@@ -107,12 +101,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        rep = cl.run_report(args.impl, bn.resolve_pred(args.pred, args.variant),
-                            args.n, fuel=args.fuel)
-    except FuelExhausted as exc:
-        print(f"fuel exhausted after {exc.steps} transitions", file=sys.stderr)
-        return 3
+    rep = cl.run_report(args.impl, bn.resolve_pred(args.pred, args.variant),
+                        args.n, fuel=args.fuel)
     print(f"{rep.impl} x {rep.pred} @ n={rep.n}: {rep.result}")
     print(f"ticks: {rep.ticks}  envOps: {rep.envops}")
     return 0
@@ -228,6 +218,10 @@ def main(argv=None) -> int:
         if getattr(args, "fuel", 1) < 1:
             raise ValueError(f"--fuel must be at least 1, not {args.fuel}")
         return args.fn(args)
+    except FuelExhausted as exc:
+        unit = "reductions" if getattr(args, "semantics", "") == "smallstep" else "transitions"
+        print(f"fuel exhausted after {exc.steps} {unit}", file=sys.stderr)
+        return 3
     except OSError as exc:
         msg = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
     except KeyError as exc:  # str() of a KeyError quotes its message

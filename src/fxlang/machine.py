@@ -27,35 +27,11 @@ names itself, so `step` and `trace_run` read the name off the state that
 a one-transition run stops in.
 
 How a transition is carried out in Python is not part of the cost model,
-so `drive` takes shortcuts that leave ticks and envOps as they are.  It
-reads a variable operand with one dict lookup instead of calling
-`interp`, which stays the reader of every other value term.  A rule that
-computes a value (M-Const, M-Deref, M-Memo, M-Memo-Hit, M-Memo-Record)
-leaves it in a local value register rather than building a
-``Return(Quote(v))`` that the next M-RetCont or M-RetHandler takes apart
-at once; a run that stops there parks that term, so the register is
-never visible on a stopped `MachineState`.  A constant applied to a
-literal pair, as in ``x + 1``, reads the two components directly and
-builds no `VPair`; `delta_m` takes the two naturals and is still the one
-definition of ``+``, ``-`` and ``=``.  Four lets are superoperators
-(Proebsting, POPL 1995), several rules in one loop iteration with no
-frame pushed.  Two fire three rules: ``let x <- c (v, w) in N`` with an
-arithmetic constant ``c`` (M-Let, M-Const, M-RetCont), and the leaf call
-``let x <- f a in N`` where ``f`` is bound to a closure whose body is
-``return V`` (M-Let, M-App or M-Rec, M-RetCont).  The third, the curried
-call ``let g <- f a in g b`` where ``f``'s body is
-``return (fun y -> N)``, fires four: the leaf call's three, then the
-M-App of ``g b``, with no closure built for ``fun y -> N`` (a known-arity
-call, Marlow & Peyton Jones, ICFP 2004).  The fourth, the chained call
-``let g1 <- f a in let g2 <- g1 b in g2 c`` where ``f``'s body is
-``return (fun x -> return (fun y -> N))``, fires seven: the leaf call's
-three, then the M-Let, M-App and M-RetCont of ``g1 b`` and the M-App of
-``g2 c``, with no closure built for either ``fun``.  Each fires only
-when the fuel covers all of its rules, so every stop still lands on a
-tick boundary and a one-transition run still sees each rule.  And an
-environment that the running `drive` copied and that nothing has
-captured since is extended in place: it is copied on its first binding,
-not on every one.
+so `drive` takes shortcuts that leave ticks and envOps as they are: it
+reads variable operands inline, extends an environment in place while
+nothing has captured it, and runs four lets as superoperators.
+docs/semantics.md §Cost model describes each of them, with its rules,
+its envOps and what it does when the fuel runs short.
 
 The store and the memo table are deliberately *not* persistent: they are
 threaded through a run, so re-invoking a resumption sees the current
@@ -306,10 +282,7 @@ def interp(v: Term, env: dict, st: MachineState):
     cls = v.__class__
     if cls is Var:
         st.envops += 1
-        try:
-            return env[v.name]
-        except KeyError:
-            raise StuckError(f"unbound variable {v.name!r}") from None
+        return env[v.name]
     if cls is Num:
         return v.value
     if cls is Quote:
@@ -436,63 +409,10 @@ def drive(st: MachineState, fuel: int) -> str:
     Each branch that fires a transition names its rule in ``rule``; a
     'fuel' stop leaves the last rule fired on ``st.rule``.
 
-    Four shortcuts keep the hot rules cheap without changing what they
-    cost.  A variable operand is read with ``env[name]`` inline; `interp`
-    reads every other value term.  A rule whose result is a computed
-    value (M-Const, M-Deref, M-Memo, M-Memo-Hit, M-Memo-Record) puts it
-    in the register ``val`` and sets ``comp`` to None, meaning "return
-    ``val``", so the next M-RetCont or M-RetHandler reads it without a
-    ``Return(Quote(v))`` being built; `_park` builds that term only when a
-    run stops there, so a stopped state never holds the register.
-
-    Four lets are superoperators.  When ``ticks + 3 <= fuel`` one
-    iteration fires three rules, adds 3 ticks and the envOps the three
-    count, binds the result with no frame pushed and leaves ``rule`` at
-    "M-RetCont":
-
-    - ``let x <- c V in N``, ``c`` an arithmetic constant and ``V`` a
-      literal pair: M-Let, M-Const (operands read by `_apply_const`) and
-      M-RetCont;
-    - the leaf call ``let x <- f a in N``, ``f`` bound to a closure
-      whose body is ``return V``: M-Let, M-App or M-Rec and M-RetCont.
-      The argument is read as M-App reads it, ``V`` in the callee's
-      environment.  The callee is peeked at with ``env.get``, so a call
-      that does not fuse counts its lookup once, at its M-App.
-
-    The third is the curried call ``let g <- f a in g b``: a leaf call
-    whose ``V`` is ``fun y -> N`` and whose let body applies ``g``, the
-    let's own name, to another variable ``b``.  When ``ticks + 4 <= fuel``
-    it fires M-Let, M-App or M-Rec, M-RetCont and M-App, adds 4 ticks and
-    the envOps the four count (6, plus 1 if ``a`` is a variable, plus 1
-    for a ``rec`` callee), and leaves ``rule`` at "M-App".  The callee's
-    environment is built once, by binding ``y`` to ``b``'s value in the
-    environment the leaf call built, and becomes ``env`` with ``comp``
-    at ``N``.  No closure is built for ``fun y -> N``, so nothing has
-    captured that environment and it is owned; the caller's environment
-    is neither copied nor written.  With 3 but not 4 ticks of fuel left,
-    the leaf call fuses and the M-App of ``g b`` is a turn of its own.
-
-    The fourth is the chained call
-    ``let g1 <- f a in let g2 <- g1 b in g2 c``: a leaf call whose ``V``
-    is ``fun x -> return (fun y -> N)``, whose let body is a let binding
-    ``g2`` to ``g1 b`` and then applying ``g2`` to ``c``, where ``b`` is a
-    variable other than ``g1`` and ``c`` one other than ``g1`` and
-    ``g2``.  When ``ticks + 7 <= fuel`` it fires M-Let, M-App or M-Rec,
-    M-RetCont, M-Let, M-App, M-RetCont and M-App, adds 7 ticks and the
-    envOps the seven count (10, plus 1 if ``a`` is a variable, plus 1
-    for a ``rec`` callee), and leaves ``rule`` at "M-App".  It binds
-    ``x`` to ``b``'s value in the leaf call's environment and then runs
-    the inner let as a curried call, so the callee's environment is
-    built once (``f``'s environment, ``fname`` for a ``rec``, the
-    parameter, ``x``, then ``y``) and becomes ``env``, owned, with
-    ``comp`` at ``N``.  No closure is built, and the caller's
-    environment is neither copied nor written.  With fuel for 3 to 6 of
-    the 7 rules, the leaf call fuses and the inner let runs as the fuel
-    left allows.
-
-    With less fuel the let takes the ordinary M-Let, so a run never
-    stops inside a superoperator, and a one-transition run (`step`,
-    `trace_run`) never fuses.
+    A superoperator (docs/semantics.md §Cost model) fires only when the
+    fuel covers all of its rules, and leaves ``rule`` at the last one it
+    fired, so a run never stops inside one and a one-transition run
+    (`step`, `trace_run`) never fuses.
 
     ``own`` is true only while ``env`` is a dict that this call copied
     and nothing has captured since; then M-Split, M-CaseL, M-CaseR,
@@ -522,26 +442,25 @@ def drive(st: MachineState, fuel: int) -> str:
     memo = st.memo
     ticks = st.ticks
     envops = 0
-    val = None
 
     try:
         while True:
             cls = comp.__class__
 
-            if comp is None or cls is Return:
-                if comp is not None:
-                    x = comp.value
-                    if x.__class__ is Var:
-                        envops += 1
-                        val = env[x.name]
-                    else:
-                        val = interp(x, env, st)
+            if cls is Return:
+                x = comp.value
+                if x.__class__ is Var:
+                    envops += 1
+                    val = env[x.name]
+                else:
+                    val = interp(x, env, st)
                 if sigma is not None:
-                    # a memo-record frame's None body is "return val"
                     fenv, fname, comp, sigma = sigma
                     if fname is None:
+                        # a memo-record frame: record, then return again
                         rule = "M-Memo-Record"
                         memo[fenv] = val
+                        comp = Return(Quote(val))
                     else:
                         rule = "M-RetCont"
                         env = dict(fenv)
@@ -551,7 +470,7 @@ def drive(st: MachineState, fuel: int) -> str:
                     ticks += 1
                 elif chi is None:
                     st.out = val
-                    return _park(st, "value", comp, val, env, sigma, chi, rest, ticks)
+                    return _park(st, "value", comp, env, sigma, chi, rest, ticks)
                 else:
                     rule = "M-RetHandler"
                     henv, h = chi
@@ -605,7 +524,7 @@ def drive(st: MachineState, fuel: int) -> str:
                     else:
                         rule = "M-Const"
                         val = _apply_const(fv.name, comp.arg, env, st)
-                    comp = None
+                    comp = Return(Quote(val))
                     ticks += 1
                 elif fcls is tuple:
                     rule = "M-Resume"
@@ -617,8 +536,7 @@ def drive(st: MachineState, fuel: int) -> str:
                     cached = memo.get(fv.cell, _ABSENT)
                     if cached is not _ABSENT:
                         rule = "M-Memo-Hit"
-                        val = cached
-                        comp = None
+                        comp = Return(Quote(cached))
                     else:
                         rule = "M-Memo-Force"
                         thunk = fv.thunk
@@ -644,7 +562,7 @@ def drive(st: MachineState, fuel: int) -> str:
                     ticks += 1
                 elif fcls is VSentinel:
                     st.out = interp(comp.arg, env, st)
-                    return _park(st, "query", comp, val, env, sigma, chi, rest, ticks)
+                    return _park(st, "query", comp, env, sigma, chi, rest, ticks)
                 else:
                     raise StuckError(f"application of a non-function: {fv!r}")
 
@@ -735,9 +653,7 @@ def drive(st: MachineState, fuel: int) -> str:
                                 ticks += 4
                                 if ticks >= fuel:
                                     st.rule = rule
-                                    return _park(
-                                        st, "fuel", comp, val, env, sigma, chi, rest, ticks
-                                    )
+                                    return _park(st, "fuel", comp, env, sigma, chi, rest, ticks)
                                 continue
                             val = interp(x, cenv, st)
                     if not own:
@@ -787,7 +703,7 @@ def drive(st: MachineState, fuel: int) -> str:
                         # Fell through to the bottom of the continuation:
                         # the unhandled-operation final state.
                         st.out = FinalUnhandledOp(comp.op, interp(comp.arg, env, st))
-                        return _park(st, "op", comp, val, env, sigma, chi, rest, ticks)
+                        return _park(st, "op", comp, env, sigma, chi, rest, ticks)
                     raise StuckError(
                         f"mid-stack handler lacks a clause for {comp.op!r}; "
                         "handlers must be completed before running"
@@ -875,8 +791,7 @@ def drive(st: MachineState, fuel: int) -> str:
                 if rv.__class__ is not VLoc:
                     raise StuckError("dereference of a non-location")
                 rule = "M-Deref"
-                val = store[rv.index]
-                comp = None
+                comp = Return(Quote(store[rv.index]))
                 ticks += 1
 
             elif cls is Assign:
@@ -895,7 +810,7 @@ def drive(st: MachineState, fuel: int) -> str:
 
             if ticks >= fuel:
                 st.rule = rule
-                return _park(st, "fuel", comp, val, env, sigma, chi, rest, ticks)
+                return _park(st, "fuel", comp, env, sigma, chi, rest, ticks)
     except KeyError as e:
         # The loop's dict reads are ``env[name]`` and ``store[index]``.
         (key,) = e.args
@@ -905,15 +820,10 @@ def drive(st: MachineState, fuel: int) -> str:
         st.envops += envops
 
 
-def _park(st, kind, comp, val, env, sigma, chi, rest, ticks):
-    """Leave a stopped run's registers on its state, so it can resume.
+def _park(st, kind, comp, env, sigma, chi, rest, ticks):
+    """Leave a stopped run's registers on its state, so it can resume."""
 
-    A computation held in the value register is parked as the term it
-    stands for, ``return <val>``.
-    """
-
-    st.comp = Return(Quote(val)) if comp is None else comp
-    st.env, st.ticks = env, ticks
+    st.comp, st.env, st.ticks = comp, env, ticks
     st.kont = ((sigma, chi), rest)
     return kind
 

@@ -198,10 +198,10 @@ class Loc(Term):
 class Quote(Term):
     """A machine value lifted back into value-term position.
 
-    Runtime-only.  The machine uses it when a run stops right after a
-    transition that computed a value (a store read, a constant result, a
-    memoised result): the stopped configuration's computation is
-    ``return`` of that value.
+    Runtime-only.  A machine rule that computes a value (M-Const,
+    M-Deref, M-Memo, M-Memo-Hit, M-Memo-Record) continues with
+    ``return`` of that value, so a run stopped right after one shows that
+    term.
     """
 
     mval: object

@@ -49,6 +49,27 @@ def test_run_value_exit_codes(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", str(PROGRAMS / "diverge.fx"), "--fuel", "500"),
+     "fuel exhausted after 500 transitions"),
+    (("run", str(PROGRAMS / "diverge.fx"), "--fuel", "500", "--semantics", "smallstep"),
+     "fuel exhausted after 500 reductions"),
+    (("run", str(PROGRAMS / "diverge.fx"), "--fuel", "500", "--trace"),
+     "fuel exhausted after 500 transitions"),
+    (("run", str(PROGRAMS / "diverge.fx"), "--fuel", "5", "--trace", "--semantics", "smallstep"),
+     "fuel exhausted after 5 reductions"),
+    (("count", "--impl", "naivecount", "--pred", "odd", "-n", "2", "--fuel", "10"),
+     "fuel exhausted after 10 transitions"),
+])
+def test_fuel_exhaustion_is_one_line_and_exit_3(argv, message):
+    code, out, err = run_cli(*argv)
+    assert code == 3 and err == message + "\n"
+    if "--trace" in argv:  # the transitions fired before the fuel ran out
+        assert len(out.splitlines()) == int(argv[3])
+    else:
+        assert out == ""
+
+
 def test_semantics_agree(tmp_path):
     f = tmp_path / "p.fx"
     f.write_text("let (a, b) = (3, 4) in a + b\n")

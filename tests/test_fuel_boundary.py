@@ -1,16 +1,11 @@
 """Every fuel stop of `drive` lands on a tick boundary.
 
-`drive` takes four lets as superoperators, each only when the fuel
-covers all of its rules: ``let x <- c (v, w) in N`` (c an arithmetic
-constant) and a leaf call ``let x <- f a in N`` whose callee's body is
-``return V`` are worth three ticks, a curried call
-``let g <- f a in g b`` whose callee's body is ``return (fun y -> N)`` is
-worth four, and a chained call ``let g1 <- f a in let g2 <- g1 b in g2 c``
-whose callee's body is ``return (fun x -> return (fun y -> N))`` is worth
-seven.  A run cut at any k ticks must still be the run of k single
-steps: the same ticks, the same last rule, the same envOps and the same
-decompiled term.  No generated program has the curried or the chained
-shape, so hand-written corpora reach them.
+`drive` runs four lets as superoperators, each only when the fuel
+covers all of its rules; docs/semantics.md §Cost model describes their
+shapes, rules and envOps.  A run cut at any k ticks must still be the
+run of k single steps: the same ticks, the same last rule, the same
+envOps and the same decompiled term.  No generated program has the
+curried or the chained shape, so hand-written corpora reach them.
 """
 
 import inspect
