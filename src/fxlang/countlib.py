@@ -22,11 +22,11 @@ Sharing is safe: no term is written after `parse_program` returns,
 `complete_handler` copies a handler's clauses before adding to them,
 and the machine tests no term or handler for identity.
 
-Running a counter on a predicate completes only the predicate's own
-handlers, against the counter's signature, and only when the lint walk
-found one, so a predicate without a handler (every compiled tree) is
-walked once per run.  The machine then runs the composed term with no
-signature.
+Running a counter on a predicate checks and completes the predicate's
+own handlers, against the counter's signature, in one walk; a counter
+with no operations does not walk the predicate at all.  A predicate
+without a handler (every compiled tree) comes back as the same object.
+The machine then runs the composed term with no signature.
 """
 
 from __future__ import annotations
@@ -40,14 +40,15 @@ from fxlang.errors import StuckError
 from fxlang.parser import parse_program, parse_term
 from fxlang.syntax import (
     App,
-    Handler,
+    Handle,
     Signature,
     Term,
     as_function,
     as_value,
+    complete_handler,
     complete_handlers,
-    handlers,
     language_level,
+    rewrite,
 )
 from fxlang.typecheck import typecheck_program
 
@@ -67,17 +68,24 @@ class LintError(Exception):
     pass
 
 
-def lint_handles_ops(pred: Term, ops) -> list[Handler]:
-    """Reject predicates that handle a counter's distinguished
-    operations; they must forward them outward.  Returns the
-    predicate's handlers."""
+def _complete_predicate(pred: Term, sig: Signature) -> Term:
+    """The predicate with its handlers completed against a counter's
+    signature, in one walk.  A predicate may not handle the counter's
+    distinguished operations, since it must forward them outward: the
+    `LintError` names the first such operation in signature order.  A
+    predicate with no handler comes back as the same object."""
 
-    hs = handlers(pred)
-    for h in hs:
-        for op in ops:
-            if op in h.clauses:
-                raise LintError(f"predicate handles the distinguished operation {op!r}")
-    return hs
+    handled: set[str] = set()
+
+    def complete(node: Handle) -> Handle:
+        handled.update(node.handler.clauses)
+        return Handle(node.body, complete_handler(node.handler, sig))
+
+    pred = rewrite(pred, Handle, complete)
+    for op in sig:
+        if op in handled:
+            raise LintError(f"predicate handles the distinguished operation {op!r}")
+    return pred
 
 
 @dataclass(slots=True)
@@ -804,12 +812,13 @@ def get_counter(name: str) -> ProgramDescriptor:
 def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]:
     """A counter or searcher built at ``bits`` applied to a predicate, and
     its signature.  The term is complete: the counter was completed when
-    built, and the predicate's own handlers, if it has any, are completed
-    here against the counter's signature."""
+    built, and the predicate's own handlers are linted and completed here
+    against the counter's signature, in one walk of the predicate when
+    the counter has operations and in none when it has none."""
 
     counter_term, sig = get_counter(impl_name).build(bits)
-    if lint_handles_ops(pred_term, sig.keys()):
-        pred_term = complete_handlers(pred_term, sig)
+    if sig:
+        pred_term = _complete_predicate(pred_term, sig)
     return App(as_value(counter_term), pred_term), sig
 
 

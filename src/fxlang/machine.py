@@ -95,6 +95,10 @@ DEFAULT_FUEL = 10**8
 # None, None, rest); one tuple per push.  Handler closures are
 # (env, Handler), or None in the one resumption of a pure run.
 # Generalised continuations are linked tuples None | (resumption, rest).
+#
+# The value classes with fields are dataclasses that write out their own
+# ``__slots__``: ``dataclass(slots=True)`` would build a second class and
+# leave the first a subclass of ``_Value`` until the cycle collector runs.
 
 
 class _Value:
@@ -113,35 +117,23 @@ class VUnit(_Value):
 VUNIT = VUnit()
 
 
+@dataclass(repr=False)
 class VPair(_Value):
     __slots__ = ("fst", "snd")
-
-    def __init__(self, fst, snd):
-        self.fst = fst
-        self.snd = snd
-
-    def __eq__(self, other):
-        return other.__class__ is VPair and self.fst == other.fst and self.snd == other.snd
+    fst: object
+    snd: object
 
 
+@dataclass(repr=False)
 class VInl(_Value):
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return other.__class__ is VInl and self.value == other.value
+    value: object
 
 
+@dataclass(repr=False)
 class VInr(_Value):
     __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return other.__class__ is VInr and self.value == other.value
+    value: object
 
 
 class VNil(_Value):
@@ -154,12 +146,11 @@ class VNil(_Value):
 VNIL = VNil()
 
 
+@dataclass(repr=False)
 class VCons(_Value):
     __slots__ = ("head", "tail")
-
-    def __init__(self, head, tail):
-        self.head = head
-        self.tail = tail
+    head: object
+    tail: object
 
     # Loops along the spine: effsearch returns lists of thousands of points.
     def __eq__(self, other):
@@ -171,35 +162,29 @@ class VCons(_Value):
         return a == b
 
 
+@dataclass(repr=False, eq=False)
 class VClosure(_Value):
     """A `Lam` or a `Rec` with its environment; applying a `Rec` binds
     its own name as well (M-Rec)."""
 
     __slots__ = ("env", "term")
-
-    def __init__(self, env, term):
-        self.env = env
-        self.term = term
+    env: dict
+    term: Term
 
 
+@dataclass(repr=False)
 class VLoc(_Value):
     __slots__ = ("index",)
-
-    def __init__(self, index):
-        self.index = index
-
-    def __eq__(self, other):
-        return other.__class__ is VLoc and self.index == other.index
+    index: int
 
 
+@dataclass(repr=False, eq=False)
 class VMemo(_Value):
     """A memoised thunk: a closure plus a cell in the run's memo table."""
 
     __slots__ = ("cell", "thunk")
-
-    def __init__(self, cell, thunk):
-        self.cell = cell
-        self.thunk = thunk
+    cell: int
+    thunk: object
 
 
 class VSentinel(_Value):

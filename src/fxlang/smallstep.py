@@ -207,8 +207,6 @@ def step(cfg: StateConfig, sig: Signature | None = None) -> StateConfig | Normal
             break
 
     if cls is Return:
-        if frames:  # unreachable: we never descend into a Return
-            raise StuckError("return inside a decomposed context")
         return NormalValue(m.value)
 
     if cls is Do:

@@ -697,23 +697,6 @@ def language_level(t: Term) -> str:
     return "base+memo" if memo else "base"
 
 
-def handlers(t: Term) -> list[Handler]:
-    """The handler of every ``handle`` node in the term."""
-
-    out = []
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        cls = s.__class__
-        if cls in _LEAVES:
-            continue
-        if cls is Handle:
-            out.append(s.handler)
-        for c, _ in _CHILDREN[cls](s):
-            stack.append(c)
-    return out
-
-
 def complete_handler(h: Handler, sig: Signature) -> Handler:
     """Fill in missing operation clauses with explicit forwarding.
 

@@ -79,6 +79,15 @@ def test_semantics_agree(tmp_path):
     assert out1.splitlines()[0] == "7" and out2.splitlines()[0] == "7"
 
 
+@pytest.mark.parametrize("flags, meters", [
+    ((), "ticks: 24  envOps: 23"),
+    (("--semantics", "smallstep"), "reductions: 17"),
+])
+def test_run_cells_pins_value_and_meters(flags, meters):
+    code, out, err = run_cli("run", str(PROGRAMS / "cells.fx"), *flags)
+    assert (code, out, err) == (0, "12\n" + meters + "\n", "")
+
+
 def test_smallstep_runs_a_long_list_that_mentions_a_variable_at_its_end(tmp_path):
     f = tmp_path / "long.fx"
     f.write_text("let x <- return 7 in return [" + "0, " * 899 + "x]\n")

@@ -332,6 +332,21 @@ def test_repr_of_every_machine_value_is_render_mval():
     assert repr(values[5]) == "[1, 2]" and repr(values[1]) == "(1, true)"
 
 
+def test_machine_value_equality():
+    assert mc.VPair(1, mc.VNIL) == mc.VPair(1, mc.VNIL)
+    assert mc.VInl(mc.VUNIT) != mc.VInr(mc.VUNIT)
+    assert mc.VLoc(0) == mc.VLoc(0) != mc.VLoc(1)
+    a = b = mc.VNIL
+    for i in range(5000):  # compared along the spine, not by recursion
+        a, b = mc.VCons(i, a), mc.VCons(i, b)
+    assert a == b and a != mc.VCons(-1, b)
+    lam = Lam("x", Return(Var("x")))
+    env = {}
+    assert mc.VClosure(env, lam) != mc.VClosure(env, lam)  # closures compare by identity
+    closure = mc.VClosure(env, lam)
+    assert mc.VMemo(0, closure) != mc.VMemo(0, closure)
+
+
 def test_unhandled_operation_final_state():
     sig = {"Branch": (UNIT, BOOL)}
     res = run("do Branch ()", sig)

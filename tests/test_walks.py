@@ -1,6 +1,9 @@
-"""The one-pass predicate walks: `uses_effects`, `language_level` and
-`lint_handles_ops` against their earlier per-node definitions, and how
-often a `trees` predicate's nodes are read to extract and to count it."""
+"""The one-pass predicate walks: `uses_effects`, `language_level` and the
+lint in `countlib`'s predicate completion against per-node definitions,
+and how often a `trees` predicate's nodes are read to extract and to
+count it.  The lint names the first operation of the counter's
+signature, in signature order, that any handler of the predicate
+handles, whatever order the walk meets the handlers in."""
 
 import itertools
 from collections import Counter
@@ -26,8 +29,10 @@ from fxlang.syntax import (
     Return,
     Var,
     as_value,
+    complete_handlers,
     subterms,
 )
+from termeq import same
 
 
 # -- the per-node definitions the one-pass walks replace
@@ -64,42 +69,48 @@ def old_language_level(t):
     return "base"
 
 
-def old_lint_handles_ops(pred, ops):
-    for s in subterms(pred):
-        if s.__class__ is Handle:
-            for op in ops:
-                if op in s.handler.clauses:
-                    raise cl.LintError(f"predicate handles the distinguished operation {op!r}")
+def old_lint(pred, sig):
+    """Complete the predicate's handlers, or reject the first signature
+    operation that any of its handlers handles."""
+
+    handled = {op for s in subterms(pred) if s.__class__ is Handle for op in s.handler.clauses}
+    for op in sig:
+        if op in handled:
+            raise cl.LintError(f"predicate handles the distinguished operation {op!r}")
+    return complete_handlers(pred, sig)
 
 
-def lint_outcome(lint, t, ops):
+def lint_outcome(lint, t, sig):
     try:
-        lint(t, ops)
+        return lint(t, sig)
     except cl.LintError as e:
         return str(e)
-    return "passed"
 
 
-def assert_walks_agree(t, ops):
+def assert_walks_agree(t, sig):
     assert sx.uses_effects(t) == old_uses_effects(t)
     assert sx.language_level(t) == old_language_level(t)
-    assert lint_outcome(cl.lint_handles_ops, t, ops) == lint_outcome(old_lint_handles_ops, t, ops)
+    got, want = lint_outcome(cl._complete_predicate, t, sig), lint_outcome(old_lint, t, sig)
+    if isinstance(want, str):  # the LintError's message
+        assert got == want
+    else:
+        assert same(got, want)
 
 
 def test_walks_agree_on_the_catalog():
-    effcount_ops = tuple(cl.get("effcount").build(3)[1])
+    effcount_sig = cl.get("effcount").build(3)[1]
     for name, desc in cl.catalog().items():
         term, sig = desc.build(3)
-        assert_walks_agree(term, tuple(sig) or effcount_ops)
+        assert_walks_agree(term, sig or effcount_sig)
 
 
 @pytest.mark.parametrize("effects, refs", list(itertools.product((False, True), repeat=2)))
 def test_walks_agree_on_generated_programs(effects, refs):
     for seed in range(1000):
         term, sig = random_program(seed, effects=effects, refs=refs)
-        assert_walks_agree(term, tuple(sig))
+        assert_walks_agree(term, sig)
         for op in sig:
-            assert_walks_agree(term, (op,))
+            assert_walks_agree(term, {op: sig[op]})
 
 
 def test_a_location_leaf_alone_makes_a_term_stateful():
@@ -122,10 +133,10 @@ fun (q : Nat -> Bool) ->
 """,
         _BRANCH_OOPS,
     )
-    for lint in (cl.lint_handles_ops, old_lint_handles_ops):
+    for lint in (cl._complete_predicate, old_lint):
         with pytest.raises(cl.LintError, match="'Branch'"):
-            lint(pred, ("Branch",))
-    assert_walks_agree(pred, ("Branch",))
+            lint(pred, {"Branch": _BRANCH})
+    assert_walks_agree(pred, {"Branch": _BRANCH})
 
 
 def test_a_handler_of_another_operation_passes_both():
@@ -133,9 +144,9 @@ def test_a_handler_of_another_operation_passes_both():
         "fun (q : Nat -> Bool) -> handle q 0 with {val x -> return x; Oops () r -> r true}",
         _BRANCH_OOPS,
     )
-    cl.lint_handles_ops(pred, ("Branch",))
-    old_lint_handles_ops(pred, ("Branch",))
-    assert_walks_agree(pred, ("Branch",))
+    cl._complete_predicate(pred, {"Branch": _BRANCH})
+    old_lint(pred, {"Branch": _BRANCH})
+    assert_walks_agree(pred, {"Branch": _BRANCH})
 
 
 def test_uses_effects_answers_inside_the_counter(monkeypatch):
@@ -164,6 +175,15 @@ def count_reads(monkeypatch, own):
 
         monkeypatch.setitem(sx._CHILDREN, cls, counted)
     return reads
+
+
+def test_a_counter_without_operations_does_not_read_the_predicate(monkeypatch):
+    pred, _ = cl.build_predicate("odd", 3)
+    reads = count_reads(monkeypatch, {id(s) for s in subterms(pred)})
+    term, sig, _ = cl.compose("naivecount", "odd", 3)
+    assert not sig
+    assert term.arg is pred  # the very predicate object
+    assert not reads
 
 
 def test_a_tree_predicate_is_read_once_to_extract_and_once_to_count(monkeypatch):
