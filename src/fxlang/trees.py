@@ -12,6 +12,14 @@ Trees are finite maps from addresses (tuples of booleans: the path of
 responses from the root) to nodes.  Every node carries the label and
 the number of machine transitions on the edge targeting it, so one
 extraction produces the untimed and timed views at once.
+
+Labels and terms are immutable, so the trees and predicates built here
+share them: a tree's nodes hold two `Answer` labels and one `Query` per
+index, and a compiled predicate reuses its leaves and its query
+applications.  A tree or a predicate is long-lived, and each object it
+holds is one more for Python's cyclic collector to visit; sharing keeps
+that count near the number of distinct labels and subterms, not the
+number of nodes.
 """
 
 from __future__ import annotations
@@ -61,6 +69,19 @@ class Answer:
 
 
 Label = Query | Answer
+
+# The two answer labels, shared by every tree; queries are shared within
+# one tree (see `_query`).
+_ANSWERS = {True: Answer(True), False: Answer(False)}
+
+
+def _query(queries: dict[int, Query], k: int) -> Query:
+    """The one `Query(k)` held in ``queries``, made on first use."""
+
+    q = queries.get(k)
+    if q is None:
+        q = queries[k] = Query(k)
+    return q
 
 
 @dataclass(slots=True)
@@ -200,7 +221,7 @@ class DecisionTree:
         if node is None or node.label.__class__ is not Answer:
             raise ValueError(f"{addr_str(addr)} is not an answer leaf")
         nodes = dict(self.nodes)
-        nodes[addr] = TreeNode(Answer(not node.label.result), node.steps)
+        nodes[addr] = TreeNode(_ANSWERS[not node.label.result], node.steps)
         return DecisionTree(nodes, dict(self.partial))
 
     def leaves(self) -> list[Addr]:
@@ -245,8 +266,9 @@ class DecisionTree:
 # ---------------------------------------------------------------------------
 
 
-# The two responses to a query.  Terms are never written, so every fork
-# shares them.
+# The two responses to a query, and the two leaves of a compiled
+# predicate.  Terms are never written, so every fork and every compiled
+# predicate shares them.
 _RETURN_TRUE = Return(bool_(True))
 _RETURN_FALSE = Return(bool_(False))
 
@@ -275,6 +297,7 @@ def extract_tree(
     probe = mc.VSentinel()
     st0 = mc.MachineState(App(pred, Var(probe.name)), {probe.name: probe}, mc.PURE_CONT)
     tree = DecisionTree()
+    queries: dict[int, Query] = {}
     stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
     while stack:
         addr, st = stack.pop()
@@ -285,7 +308,7 @@ def extract_tree(
                 raise ValueError(
                     f"the predicate queries {k!r}, not a numeral, at {addr_str(addr)}"
                 )
-            tree.nodes[addr] = TreeNode(Query(k), st.ticks)
+            tree.nodes[addr] = TreeNode(_query(queries, k), st.ticks)
             if depth_bound is not None and len(addr) >= depth_bound:
                 tree.partial[addr + (True,)] = "depth"
                 tree.partial[addr + (False,)] = "depth"
@@ -299,7 +322,7 @@ def extract_tree(
                 raise ValueError(
                     f"the predicate answers {st.out!r}, not a boolean, at {addr_str(addr)}"
                 ) from None
-            tree.nodes[addr] = TreeNode(Answer(answer), st.ticks)
+            tree.nodes[addr] = TreeNode(_ANSWERS[answer], st.ticks)
         elif kind == "op":
             tree.partial[addr] = "unhandled"
         else:  # fuel
@@ -314,7 +337,13 @@ def extract_tree(
 
 def tree_to_predicate(tree: DecisionTree) -> Term:
     """A pure predicate term whose extracted untimed tree is exactly the
-    input: the tree structure mirrored by nested conditionals."""
+    input: the tree structure mirrored by nested conditionals.
+
+    The term is a graph, not a tree: every leaf is `_RETURN_TRUE` or
+    `_RETURN_FALSE`, and every query of index k applies one shared
+    ``q k`` node, so a query costs three fresh nodes and a leaf none.
+    It prints, runs and compares as the tree it unfolds to.
+    """
 
     if tree.partial:
         raise ValueError("cannot compile a partial tree")
@@ -322,17 +351,24 @@ def tree_to_predicate(tree: DecisionTree) -> Term:
     # b, b'1, b'2, ... and _, _'1, _'2, ...
     bs = chain(("b",), (f"b'{k}" for k in count(1)))
     us = chain(("_",), (f"_'{k}" for k in count(1)))
+    q = Var("q")
+    calls: dict[int, App] = {}  # index k -> the shared ``q k``
 
     def emit(addr: Addr) -> Term:
         node = tree.nodes.get(addr)
         if node is None:
             raise ValueError(f"missing node at {addr_str(addr)}")
-        if node.label.__class__ is Answer:
-            return Return(bool_(node.label.result))
+        label = node.label
+        if label.__class__ is Answer:
+            return _RETURN_TRUE if label.result else _RETURN_FALSE
+        k = label.index
+        call = calls.get(k)
+        if call is None:
+            call = calls[k] = App(q, Num(k))
         b = next(bs)
         return Let(
             b,
-            App(Var("q"), Num(node.label.index)),
+            call,
             Case(
                 Var(b),
                 next(us),
@@ -355,14 +391,15 @@ def random_standard_tree(rng: Random, n: int) -> DecisionTree:
     random answers."""
 
     tree = DecisionTree()
+    queries: dict[int, Query] = {}
 
     def go(addr: Addr, remaining: tuple[int, ...]):
         if len(addr) == n:
-            tree.nodes[addr] = TreeNode(Answer(rng.random() < 0.5))
+            tree.nodes[addr] = TreeNode(_ANSWERS[rng.random() < 0.5])
             return
         k = remaining[rng.randrange(len(remaining))]
         rest = tuple(i for i in remaining if i != k)
-        tree.nodes[addr] = TreeNode(Query(k))
+        tree.nodes[addr] = TreeNode(_query(queries, k))
         go(addr + (True,), rest)
         go(addr + (False,), rest)
 
@@ -377,12 +414,13 @@ def random_predicate_tree(rng: Random, n: int) -> DecisionTree:
     one."""
 
     tree = DecisionTree()
+    queries: dict[int, Query] = {}
 
     def go(addr: Addr):
         if len(addr) >= n + 2 or rng.random() < 0.25:
-            tree.nodes[addr] = TreeNode(Answer(rng.random() < 0.5))
+            tree.nodes[addr] = TreeNode(_ANSWERS[rng.random() < 0.5])
             return
-        tree.nodes[addr] = TreeNode(Query(rng.randrange(n)))
+        tree.nodes[addr] = TreeNode(_query(queries, rng.randrange(n)))
         go(addr + (True,))
         go(addr + (False,))
 

@@ -1,6 +1,6 @@
 import re
 from collections import Counter
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 from random import Random
 
@@ -11,7 +11,24 @@ from fxlang import machine as mc
 from fxlang import trees as tr
 from fxlang.parser import parse_term
 from fxlang.pprint import to_source
-from fxlang.syntax import App, BOOL, UNIT, complete_handlers
+from fxlang.syntax import (
+    App,
+    Arrow,
+    BOOL,
+    Case,
+    Lam,
+    Let,
+    NAT,
+    Num,
+    Return,
+    UNIT,
+    Var,
+    bool_,
+    complete_handlers,
+    free_vars,
+    subterms,
+)
+from termeq import same
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -266,6 +283,124 @@ def test_compiled_predicate_golden(make, golden):
     # pins the binder names, and so every printed compiled tree
     pred = tr.tree_to_predicate(make(Random(0), 3))
     assert to_source(pred) + "\n" == (GOLDEN / golden).read_text()
+
+
+# The compiler before its leaves and query applications were shared: a
+# fresh node for every occurrence.  It is the reference for the shared
+# compiler's output, which must print, compare and run the same.
+
+
+def old_tree_to_predicate(tree):
+    bs = (f"b'{k}" if k else "b" for k in count())
+    us = (f"_'{k}" if k else "_" for k in count())
+
+    def emit(addr):
+        node = tree.nodes[addr]
+        if node.label.__class__ is tr.Answer:
+            return Return(bool_(node.label.result))
+        b = next(bs)
+        return Let(
+            b,
+            App(Var("q"), Num(node.label.index)),
+            Case(Var(b), next(us), emit(addr + (True,)), next(us), emit(addr + (False,))),
+        )
+
+    return Lam("q", emit(()), Arrow(NAT, BOOL))
+
+
+def random_trees(seed, number, nmax):
+    """``number`` random trees, standard and general in turn, at n in
+    1..nmax."""
+
+    rng = Random(seed)
+    for i in range(number):
+        n = rng.randrange(1, nmax + 1)
+        make = tr.random_standard_tree if i % 2 else tr.random_predicate_tree
+        yield n, make(rng, n)
+
+
+def test_shared_compiler_agrees_with_the_fresh_node_reference():
+    for n, tree in random_trees(27, 200, 8):
+        pred, ref = tr.tree_to_predicate(tree), old_tree_to_predicate(tree)
+        assert same(pred, ref), n
+        assert to_source(pred) == to_source(ref), n
+        assert tr.extract_tree(pred) == tree, n
+
+
+def test_a_compiled_standard_tree_holds_three_fresh_nodes_per_query():
+    # a query node costs its Let, Case and bound Var; the leaves, `q` and
+    # one `q k` per index are shared, so the term is a graph whose
+    # unfolding is the reference's tree
+    for n in range(1, 12):
+        tree = tr.random_standard_tree(Random(n), n)
+        pred = tr.tree_to_predicate(tree)
+        distinct = {id(s) for s in subterms(pred)}
+        assert len(distinct) <= 3 * (2 ** n - 1) + 2 * n + 8, n
+        occurrences = sum(1 for _ in subterms(pred))
+        assert occurrences == sum(1 for _ in subterms(old_tree_to_predicate(tree))), n
+
+
+def distinct_labels(tree):
+    return len({id(node.label) for node in tree.nodes.values()})
+
+
+def test_trees_share_their_labels():
+    # two answers and one query per index, however many nodes
+    for n, tree in random_trees(28, 40, 8):
+        assert distinct_labels(tree) <= n + 2, n
+        leaves = tree.leaves()
+        flipped = tree.flip_leaf(leaves[len(leaves) // 2])
+        assert distinct_labels(flipped) <= n + 2, n
+        assert distinct_labels(tr.extract_tree(tr.tree_to_predicate(tree))) <= n + 2, n
+    for n in range(1, 7):
+        odd, _ = extract("odd", n)
+        assert len(odd.nodes) == 2 ** (n + 1) - 1
+        assert distinct_labels(odd) <= n + 2, n
+
+
+# Compiled predicates share subterms, so the term walkers meet one object
+# at several positions.
+
+
+def test_completion_completes_a_shared_handler_at_each_position():
+    sig = _FLIP_OOPS
+    partial = parse_term("handle do Flip () with { val x -> return x; Flip () r -> r true }", sig)
+    closed = Return(bool_(True))
+    term = Let("a", partial, Let("c", closed, Let("d", partial, closed)))
+    done = complete_handlers(term, sig)
+    want = complete_handlers(partial, sig)
+    assert want is not partial
+    for handle in (done.bound, done.body.body.bound):
+        assert handle is not partial
+        assert same(handle, want)
+        assert set(handle.handler.clauses) == {"Flip", "Oops"}
+    assert done.body.bound is closed and done.body.body.body is closed
+    assert same(partial, parse_term(
+        "handle do Flip () with { val x -> return x; Flip () r -> r true }", sig
+    ))  # the shared input is not written
+
+
+def test_free_vars_of_a_shared_open_call_under_two_parents():
+    call = App(Var("q"), Num(0))
+    inner = Lam("q", call, Arrow(NAT, BOOL))
+    assert free_vars(inner) == frozenset()
+    outer = Let("f", Return(inner), call)
+    assert free_vars(outer) == frozenset({"q"})
+    assert free_vars(call) == frozenset({"q"})
+    assert free_vars(inner) == frozenset()
+    assert free_vars(tr.tree_to_predicate(tr.random_standard_tree(Random(3), 5))) == frozenset()
+
+
+def test_effcount_pays_each_edge_of_a_shared_predicate_once():
+    for n in range(1, 8):
+        tree = tr.random_standard_tree(Random(100 + n), n)
+        pred = tr.tree_to_predicate(tree)
+        steps = tr.extract_tree(pred).total_steps()
+        rep = cl.run_on_predicate("effcount", pred, n)
+        ref = cl.run_on_predicate("effcount", old_tree_to_predicate(tree), n)
+        assert rep.ticks == steps + 11 * 2 ** n - 6, n
+        assert (rep.result, rep.ticks, rep.envops) == (ref.result, ref.ticks, ref.envops), n
+        assert rep.result == tree.count_true(n), n
 
 
 def test_compiled_predicates_are_pure():
