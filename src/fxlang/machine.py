@@ -29,7 +29,10 @@ a one-transition run stops in.
 How a transition is carried out in Python is not part of the cost model,
 so `drive` takes shortcuts that leave ticks and envOps as they are: it
 reads variable operands inline, extends an environment in place while
-nothing has captured it, and runs four lets as superoperators.
+nothing has captured it, and runs four lets as superoperators.  `interp`
+reads the variable components of a pair or a cons cell inline, loops
+along a literal list's spine, and returns the shared `VTRUE`/`VFALSE`
+for `inl ()`/`inr ()`.
 docs/semantics.md §Cost model describes each of them, with its rules,
 its envOps and what it does when the fuel runs short.
 
@@ -277,17 +280,49 @@ def interp(v: Term, env: dict, st: MachineState):
     if cls is UnitVal:
         return VUNIT
     if cls is Inl:
-        return VInl(interp(v.value, env, st))
+        v = v.value
+        return VTRUE if v.__class__ is UnitVal else VInl(interp(v, env, st))
     if cls is Inr:
-        return VInr(interp(v.value, env, st))
+        v = v.value
+        return VFALSE if v.__class__ is UnitVal else VInr(interp(v, env, st))
     if cls is Pair:
-        return VPair(interp(v.fst, env, st), interp(v.snd, env, st))
+        a = v.fst
+        if a.__class__ is Var:
+            st.envops += 1
+            a = env[a.name]
+        else:
+            a = interp(a, env, st)
+        b = v.snd
+        if b.__class__ is Var:
+            st.envops += 1
+            return VPair(a, env[b.name])
+        return VPair(a, interp(b, env, st))
     if cls is Const:
         return v
     if cls is Nil:
         return VNIL
     if cls is Cons:
-        return VCons(interp(v.head, env, st), interp(v.tail, env, st))
+        t = v.tail
+        if t.__class__ is Cons:
+            # a literal list: read the heads in order, build from the end
+            heads = []
+            while v.__class__ is Cons:
+                heads.append(interp(v.head, env, st))
+                v = v.tail
+            v = interp(v, env, st)
+            for h in reversed(heads):
+                v = VCons(h, v)
+            return v
+        h = v.head
+        if h.__class__ is Var:
+            st.envops += 1
+            h = env[h.name]
+        else:
+            h = interp(h, env, st)
+        if t.__class__ is Var:
+            st.envops += 1
+            return VCons(h, env[t.name])
+        return VCons(h, interp(t, env, st))
     if cls is Loc:
         return VLoc(v.index)
     raise StuckError(f"not a value term: {v!r}")

@@ -194,9 +194,18 @@ def test_trace_golden(name):
     assert out == (GOLDEN / f"{name}_trace.txt").read_text()
 
 
-@pytest.mark.parametrize(
-    "name", sorted(p.name for p in PROGRAMS.glob("*.fx") if p.name != "diverge.fx")
-)
+RUNNABLE = sorted(p.name for p in PROGRAMS.glob("*.fx") if p.name != "diverge.fx")
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_run_golden(name):
+    # the value and both meters of every example that terminates
+    code, out, err = run_cli("run", str(PROGRAMS / name))
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / name.replace(".fx", "_run.txt")).read_text()
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
 def test_run_ticks_match_the_trace(name):
     # `fx run` fuses lets and a trace never does: both must count alike
     code, out, _ = run_cli("run", str(PROGRAMS / name))

@@ -22,6 +22,7 @@ from fxlang.syntax import (
     Const,
     Deref,
     Inl,
+    Inr,
     Lam,
     Let,
     LetRef,
@@ -33,8 +34,13 @@ from fxlang.syntax import (
     Rec,
     Return,
     Split,
+    UnitVal,
     Var,
     alpha_eq,
+    bool_,
+    free_vars,
+    is_value,
+    subterms,
 )
 from termeq import same
 
@@ -476,6 +482,94 @@ def test_long_list_value_no_recursion_cliff():
     assert n == 0 and t.__class__ is Nil
 
 
+def test_long_list_literal_runs_without_recursion():
+    # `interp` loops along a literal list's spine
+    term, want = Nil(), mc.VNIL
+    for i in reversed(range(5000)):
+        term, want = Cons(Num(i), term), mc.VCons(i, want)
+    res = mc.run_machine(Return(term))
+    assert res.value == want and (res.ticks, res.envops) == (0, 0)
+
+
+# `interp` as it was before it read components inline: one call per node.
+def ref_interp(v, env, st):
+    cls = v.__class__
+    if cls is Var:
+        st.envops += 1
+        return env[v.name]
+    if cls is Num:
+        return v.value
+    if cls is Quote:
+        return v.mval
+    if cls is Lam or cls is Rec:
+        return mc.VClosure(env, v)
+    if cls is UnitVal:
+        return mc.VUNIT
+    if cls is Inl:
+        return mc.VInl(ref_interp(v.value, env, st))
+    if cls is Inr:
+        return mc.VInr(ref_interp(v.value, env, st))
+    if cls is Pair:
+        return mc.VPair(ref_interp(v.fst, env, st), ref_interp(v.snd, env, st))
+    if cls is Const:
+        return v
+    if cls is Nil:
+        return mc.VNIL
+    if cls is Cons:
+        return mc.VCons(ref_interp(v.head, env, st), ref_interp(v.tail, env, st))
+    if cls is Loc:
+        return mc.VLoc(v.index)
+    raise StuckError(f"not a value term: {v!r}")
+
+
+def same_mval(a, b):
+    """Equal machine values; closures are equal when they hold the same
+    environment and term, since `==` compares them by identity."""
+
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a.__class__ is not b.__class__:
+            return False
+        if a.__class__ is mc.VClosure:
+            if a.env is not b.env or a.term is not b.term:
+                return False
+        elif a.__class__ in (mc.VPair, mc.VInl, mc.VInr, mc.VCons):
+            stack.extend((getattr(a, f), getattr(b, f)) for f in a.__slots__)
+        elif a != b:
+            return False
+    return True
+
+
+def _value_subterm_corpus():
+    for _, desc in sorted(cl.catalog().items()):
+        yield desc.build(2)[0]
+    for seed in range(200):
+        yield random_program(seed, effects=seed % 2 == 1, refs=seed % 5 == 3)[0]
+
+
+def test_interp_agrees_with_the_one_call_per_node_reference():
+    checked = 0
+    for term in _value_subterm_corpus():
+        for v in subterms(term):
+            if not is_value(v):
+                continue
+            env = {x: mc.VPair(i, mc.VNIL) for i, x in enumerate(sorted(free_vars(v)))}
+            st, ref_st = mc.MachineState(v, env, mc.PURE_CONT), mc.MachineState(v, env, mc.PURE_CONT)
+            got, want = mc.interp(v, env, st), ref_interp(v, env, ref_st)
+            assert same_mval(got, want), v
+            assert st.envops == ref_st.envops, v
+            checked += 1
+    assert checked > 3_000
+
+
+def test_interp_shares_the_two_booleans():
+    st = mc.MachineState(UNIT_V, {}, mc.PURE_CONT)
+    assert mc.interp(bool_(True), {}, st) is mc.VTRUE
+    assert mc.interp(bool_(False), {}, st) is mc.VFALSE
+    assert mc.interp(Inl(Num(1)), {}, st) == mc.VInl(1)
+
+
 # Stuck states: each error is raised where the operand is read, fast
 # path or not, and is a StuckError, never a bare KeyError.
 _RET_X = Return(Var("x"))
@@ -496,6 +590,17 @@ STUCK_CASES = [
     (Deref(Loc(3)), "unbound location 3"),
     (App(Num(1), Num(2)), "application of a non-function"),
     (Let("f", Return(UNIT_V), App(Var("f"), Num(2))), "application of a non-function"),
+    # `interp` reads pair and cons components inline, in order
+    (Return(Pair(Pair(Var("x"), Num(1)), Pair(Num(2), Num(3)))), "unbound variable 'x'"),
+    (Return(Pair(Pair(Num(0), Var("x")), Pair(Num(2), Num(3)))), "unbound variable 'x'"),
+    (Return(Pair(Pair(Num(0), Num(1)), Pair(Var("x"), Num(3)))), "unbound variable 'x'"),
+    (Return(Pair(Pair(Num(0), Num(1)), Pair(Num(2), Var("x")))), "unbound variable 'x'"),
+    (Return(Cons(Var("x"), Nil())), "unbound variable 'x'"),
+    (Return(Cons(Num(0), Var("x"))), "unbound variable 'x'"),
+    (Return(Cons(Num(0), Cons(Var("x"), Nil()))), "unbound variable 'x'"),
+    (Return(Cons(Num(0), Cons(Num(1), Var("x")))), "unbound variable 'x'"),
+    (Return(Pair(Pair(Num(0), Var("y")), Var("x"))), "unbound variable 'y'"),
+    (Return(Cons(Num(0), Cons(Var("y"), Var("x")))), "unbound variable 'y'"),
 ]
 
 
