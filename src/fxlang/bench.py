@@ -4,12 +4,16 @@ transitions.
 Ticks are semantic, so the emitted CSV is byte-identical across runs and
 machines; wall-clock time never appears in it.  Rows whose counter does
 not accept the predicate's class are marked SKIPPED rather than run.
+
+A `BenchSpec` is the one description of a grid: its fields are the spec
+file's keys and the `fx bench` flags, its defaults are the only grid
+defaults, and it checks its settings when it is built.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from fxlang import countlib as cl
@@ -24,7 +28,6 @@ from fxlang.machine import DEFAULT_FUEL
 # paths and has to stop earlier.
 PRED_CAPS = {"queens": 5, "queens_eager": 4}
 
-SPEC_KEYS = ("impls", "preds", "nmin", "nmax", "fuel", "reps", "out")
 CSV_HEADER = "impl,pred,variant,n,count,ticks,envOps,ticks_per_2n,ticks_per_n2n"
 
 
@@ -32,11 +35,21 @@ CSV_HEADER = "impl,pred,variant,n,count,ticks,envOps,ticks_per_2n,ticks_per_n2n"
 class BenchSpec:
     impls: list[str]
     preds: list[tuple[str, str]]  # (name, variant); variant '' for plain
-    n_min: int = 2
-    n_max: int = 8
+    nmin: int = 2
+    nmax: int = 8
     fuel: int = DEFAULT_FUEL
     reps: int = 1
     out: Optional[str] = None
+
+    def __post_init__(self):
+        if self.fuel < 1:
+            raise ValueError(f"fuel must be at least 1, not {self.fuel}")
+        if self.nmin < 0:
+            raise ValueError(f"nmin must be at least 0, not {self.nmin}")
+        if self.nmax < self.nmin:
+            raise ValueError(f"nmax must be at least nmin ({self.nmin}), not {self.nmax}")
+        if self.reps < 1:
+            raise ValueError(f"reps must be at least 1, not {self.reps}")
 
 
 def resolve_pred(name: str, variant: str) -> str:
@@ -70,14 +83,18 @@ def parse_lists(impls: str, preds: str) -> tuple[list[str], list[tuple[str, str]
     return impl_list, pred_list
 
 
-def parse_spec_file(text: str) -> BenchSpec:
-    """Flat key=value format; '#' starts a comment.
+def parse_spec_file(text: str = "", **given) -> BenchSpec:
+    """The `BenchSpec` that spec file ``text`` and the settings ``given``
+    describe.  A setting given replaces the file's key of the same name.
 
-    Keys: impls, preds (comma lists; a pred may be name:variant),
-    nmin, nmax, fuel, reps, out.  Any other key, a key given twice or a
-    number that is not an integer is an error.
+    The file is flat key = value, and '#' starts a comment.  The keys are
+    `BenchSpec`'s fields: impls, preds (comma lists; a pred may be
+    name:variant), nmin, nmax, fuel, reps, out.  Any other key, a key
+    given twice or an integer field whose value is not an integer is an
+    error.
     """
 
+    types = {f.name: f.type for f in fields(BenchSpec)}
     kv: dict[str, str | int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -86,32 +103,22 @@ def parse_spec_file(text: str) -> BenchSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value")
         k, v = map(str.strip, line.split("=", 1))
-        if k not in SPEC_KEYS:
+        if k not in types:
             raise ValueError(f"line {lineno}: unknown key {k!r}")
         if k in kv:
             raise ValueError(f"line {lineno}: duplicate key {k!r}")
         v = v.strip('"')
-        if k in ("nmin", "nmax", "fuel", "reps"):
+        if types[k] == "int":
             try:
                 v = int(v)
             except ValueError:
                 raise ValueError(f"line {lineno}: {k} must be an integer, not {v!r}") from None
         kv[k] = v
+    kv.update(given)
     if "impls" not in kv or "preds" not in kv:
         raise ValueError("spec needs both `impls` and `preds`")
-    impls, preds = parse_lists(kv["impls"], kv["preds"])
-    fuel = kv.get("fuel", DEFAULT_FUEL)
-    if fuel < 1:
-        raise ValueError(f"fuel must be at least 1, not {fuel}")
-    return BenchSpec(
-        impls=impls,
-        preds=preds,
-        n_min=kv.get("nmin", 2),
-        n_max=kv.get("nmax", 8),
-        fuel=fuel,
-        reps=kv.get("reps", 1),
-        out=kv.get("out"),
-    )
+    kv["impls"], kv["preds"] = parse_lists(kv["impls"], kv["preds"])
+    return BenchSpec(**kv)
 
 
 @dataclass(slots=True)
@@ -149,12 +156,6 @@ def _cap_for(impl: cl.ProgramDescriptor, pred: str) -> int:
 
 
 def run_grid(spec: BenchSpec) -> list[GridRow]:
-    if spec.n_min < 0:
-        raise ValueError(f"nmin must be at least 0, not {spec.n_min}")
-    if spec.n_max < spec.n_min:
-        raise ValueError(f"nmax must be at least nmin ({spec.n_min}), not {spec.n_max}")
-    if spec.reps < 1:
-        raise ValueError(f"reps must be at least 1, not {spec.reps}")
     impls = [cl.get_counter(name) for name in spec.impls]
     rows: list[GridRow] = []
     for impl in impls:
@@ -162,7 +163,7 @@ def run_grid(spec: BenchSpec) -> list[GridRow]:
         for pred_name, variant in spec.preds:
             pred = cl.get(resolve_pred(pred_name, variant))
             cap = _cap_for(impl, pred.name)
-            for n in range(spec.n_min, spec.n_max + 1):
+            for n in range(spec.nmin, spec.nmax + 1):
                 pred_class = pred.class_at(n)
                 if n > cap:
                     skip = "over size cap"

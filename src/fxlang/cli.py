@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from fxlang import bench as bn
 from fxlang import countlib as cl
@@ -109,23 +110,15 @@ def cmd_count(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    given = {f.name: v for f in fields(bn.BenchSpec) if (v := getattr(args, f.name)) is not None}
+    text = ""
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = bn.parse_spec_file(fh.read())
-    else:
-        if not args.impls or not args.preds:
-            print("bench needs --spec FILE or both --impls and --preds", file=sys.stderr)
-            return 1
-        impls, preds = bn.parse_lists(args.impls, args.preds)
-        spec = bn.BenchSpec(
-            impls=impls,
-            preds=preds,
-            n_min=args.nmin,
-            n_max=args.nmax,
-            fuel=args.fuel,
-            reps=args.reps,
-            out=args.out,
-        )
+            text = fh.read()
+    elif not args.impls or not args.preds:
+        print("bench needs --spec FILE or both --impls and --preds", file=sys.stderr)
+        return 1
+    spec = bn.parse_spec_file(text, **given)
     if not spec.out:
         sys.stdout.write(bn.grid_csv(bn.run_grid(spec)))
         return 0
@@ -197,13 +190,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("bench", help="run a counter x predicate grid, emit CSV")
-    p.add_argument("--spec", help="flat key=value spec file")
+    p.add_argument("--spec", help="flat key=value spec file; a flag replaces its key")
     p.add_argument("--impls", help="comma-separated counter names")
     p.add_argument("--preds", help="comma-separated predicates (name[:variant])")
-    p.add_argument("--nmin", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--fuel", type=int, default=mc.DEFAULT_FUEL)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--nmin", type=int)
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--fuel", type=int)
+    p.add_argument("--reps", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
 
@@ -215,8 +208,9 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "fuel", 1) < 1:
-            raise ValueError(f"--fuel must be at least 1, not {args.fuel}")
+        fuel = getattr(args, "fuel", None)  # `fx bench` without --fuel: None
+        if fuel is not None and fuel < 1:
+            raise ValueError(f"--fuel must be at least 1, not {fuel}")
         return args.fn(args)
     except FuelExhausted as exc:
         unit = "reductions" if getattr(args, "semantics", "") == "smallstep" else "transitions"

@@ -156,6 +156,23 @@ def test_bench_spec_file():
     assert out == (PROGRAMS.parent / "perfbench" / "grid.csv").read_text()
 
 
+def test_bench_spec_file_with_out_writes_the_file(tmp_path):
+    out = tmp_path / "grid.csv"
+    code, stdout, err = run_cli("bench", "--spec", str(PROGRAMS / "grid.spec"), "--out", str(out))
+    assert code == 0 and err == ""
+    assert stdout == f"wrote 42 rows to {out}\n"
+    assert out.read_bytes() == (PROGRAMS.parent / "perfbench" / "grid.csv").read_bytes()
+
+
+def test_bench_flag_replaces_the_spec_files_key():
+    code, from_spec, err = run_cli("bench", "--spec", str(PROGRAMS / "grid.spec"), "--nmax", "3")
+    assert code == 0 and err == ""
+    code, from_flags, err = run_cli("bench", "--impls", "effcount,naivecount,lazycount",
+                                    "--preds", "odd,constfalse", "--nmin", "2", "--nmax", "3")
+    assert code == 0 and err == ""
+    assert from_spec == from_flags and len(from_spec.splitlines()) == 13
+
+
 def test_trace_flag(tmp_path):
     f = tmp_path / "t.fx"
     f.write_text("let x <- return 1 in x + x\n")
