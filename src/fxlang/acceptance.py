@@ -39,7 +39,6 @@ from fxlang.syntax import (
     alpha_eq,
     language_level,
     rewrite,
-    uses_effects,
 )
 from fxlang.typecheck import typecheck_program
 
@@ -212,7 +211,7 @@ def lemma_shape(term, sig, cap=400) -> Optional[str]:
 
     st = mc.inject(term, sig)
     cur = decompile(st)
-    want = Handle(st.comp, mc.ID_HANDLER) if uses_effects(st.comp) else st.comp
+    want = Handle(st.comp, mc.ID_HANDLER) if st.kont is mc.ID_CONT else st.comp
     if not alpha_eq(cur, want):
         return "initial configuration does not decompile to the term"
     scfg = StateConfig(cur)

@@ -115,6 +115,13 @@ def cmd_bench(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
+        # The file's own settings are checked first, and only their error
+        # names the file.  A list given as a flag stands in for the file's,
+        # which may leave it to the flags.
+        try:
+            bn.parse_spec_file(text, **{k: given[k] for k in ("impls", "preds") if k in given})
+        except ValueError as exc:
+            raise ValueError(f"{args.spec}: {exc}") from None
     elif not args.impls or not args.preds:
         print("bench needs --spec FILE or both --impls and --preds", file=sys.stderr)
         return 1
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
         # The parser, the type checker, the printers and `interp` recurse
         # once per nesting level of a program or of its result.
         what = "nesting too deep" if exc.__class__ is RecursionError else exc
-        where = getattr(args, "file", None) or getattr(args, "spec", None)
+        where = getattr(args, "file", None)
         msg = f"{where}: {what}" if where else str(what)
     print(msg, file=sys.stderr)
     return 1

@@ -12,9 +12,10 @@ shapes clause for clause, since the exact machine-step accounting of the
 plain effectful counter is pinned by the acceptance suite.
 
 A descriptor records what each program is (point / predicate / counter /
-searcher), which language features it needs, and - for predicates - the
-class of its decision tree; counters dually record the widest predicate
-class they count correctly.  It holds the program as source: a string,
+searcher) and - for predicates - the class of its decision tree;
+counters dually record the widest predicate class they count correctly.
+The language features a program needs are not recorded: its `level` is
+read from the program itself.  It holds the program as source: a string,
 or a function from n to a string.  `build` parses each source text once
 per process, so each (program, n) at most once, completes its handlers
 against its own signature, and hands every caller the same term.
@@ -92,7 +93,6 @@ def _complete_predicate(pred: Term, sig: Signature) -> Term:
 class ProgramDescriptor:
     name: str
     kind: str  # 'point' | 'predicate' | 'counter' | 'searcher' | 'selector' | 'program'
-    level: str  # 'base' | 'handler' | 'base+memo' | 'state'
     source: str | Callable[[int], str]  # the program, or its template in n
     input_class: Optional[str] = None  # predicates: the class of their tree
     accepts: Optional[str] = None  # counters: widest class counted correctly
@@ -102,6 +102,13 @@ class ProgramDescriptor:
     @property
     def takes_n(self) -> bool:
         return callable(self.source)
+
+    @property
+    def level(self) -> str:
+        """The language features the program uses (see
+        `syntax.language_level`), read from the program at n = 0."""
+
+        return language_level(self.build(0)[0])
 
     def build(self, n: Optional[int] = None) -> tuple[Term, Signature]:
         """The program at size n (fixed programs ignore n) and its
@@ -173,17 +180,17 @@ def get(name: str) -> ProgramDescriptor:
 _DIVERGE = "(rec (loop : Unit -> Bool) u -> loop u) ()"
 
 _register(ProgramDescriptor(
-    "q0", "point", "base",
+    "q0", "point",
     "fun (_ : Nat) -> true",
     summary="the all-true point",
 ))
 _register(ProgramDescriptor(
-    "q1", "point", "base",
+    "q1", "point",
     "fun (i : Nat) -> i = 0",
     summary="true at index 0, false elsewhere",
 ))
 _register(ProgramDescriptor(
-    "q2", "point", "base",
+    "q2", "point",
     (
         "fun (i : Nat) -> if i = 0 then return true else "
         f"(if i = 1 then return false else {_DIVERGE})"
@@ -191,7 +198,7 @@ _register(ProgramDescriptor(
     summary="(true, false), diverging beyond index 1",
 ))
 _register(ProgramDescriptor(
-    "bottom", "program", "base",
+    "bottom", "program",
     _DIVERGE,
     summary="the diverging computation",
 ))
@@ -199,43 +206,43 @@ _register(ProgramDescriptor(
 _PRED = "(q : Nat -> Bool)"
 
 _register(ProgramDescriptor(
-    "T0", "predicate", "base",
+    "T0", "predicate",
     f"fun {_PRED} -> true",
     input_class=N_STANDARD, bits=lambda n: n or 0,
     summary="constant true, no queries (0-standard)",
 ))
 _register(ProgramDescriptor(
-    "T1", "predicate", "base",
+    "T1", "predicate",
     f"fun {_PRED} -> q 1; q 0; true",
     input_class=N_STANDARD, bits=lambda n: n or 2,
     summary="constant true after querying 1 then 0",
 ))
 _register(ProgramDescriptor(
-    "T2", "predicate", "base",
+    "T2", "predicate",
     f"fun {_PRED} -> q 0; q 0; true",
     input_class=GENERAL, bits=lambda n: n or 2,
     summary="constant true, queries index 0 twice",
 ))
 _register(ProgramDescriptor(
-    "I0", "predicate", "base",
+    "I0", "predicate",
     f"fun {_PRED} -> q 0",
     input_class=AT_MOST_ONCE, bits=lambda n: n or 1,
     summary="the identity predicate on bit 0",
 ))
 _register(ProgramDescriptor(
-    "I1", "predicate", "base",
+    "I1", "predicate",
     f"fun {_PRED} -> let b <- q 0 in if b then return true else return false",
     input_class=AT_MOST_ONCE, bits=lambda n: n or 1,
     summary="identity on bit 0 via a conditional",
 ))
 _register(ProgramDescriptor(
-    "I2", "predicate", "base",
+    "I2", "predicate",
     f"fun {_PRED} -> q 0 && q 0",
     input_class=GENERAL, bits=lambda n: n or 1,
     summary="identity on bit 0, queried twice",
 ))
 _register(ProgramDescriptor(
-    "constfalse", "predicate", "base",
+    "constfalse", "predicate",
     f"fun {_PRED} -> false",
     input_class=N_STANDARD, bits=lambda n: n or 0,
     summary="constant false, no queries",
@@ -258,7 +265,7 @@ fun {_PRED} ->
 
 
 _register(ProgramDescriptor(
-    "odd", "predicate", "base",
+    "odd", "predicate",
     _odd_src,
     input_class=N_STANDARD, bits=lambda n: n,
     summary="true on points with an odd number of true bits",
@@ -270,7 +277,7 @@ _register(ProgramDescriptor(
 # ---------------------------------------------------------------------------
 
 _register(ProgramDescriptor(
-    "toss", "program", "handler",
+    "toss", "program",
     """
 operation Branch : Unit -> Bool
 # Toss outcomes encoded as booleans: Heads = true, Tails = false.
@@ -345,7 +352,7 @@ def _naivecount_src(n: int) -> str:
 
 
 _register(ProgramDescriptor(
-    "naivecount", "counter", "base",
+    "naivecount", "counter",
     _naivecount_src,
     accepts=GENERAL,
     summary="applies the predicate to all 2^n points in turn",
@@ -373,7 +380,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
 
 
 _register(ProgramDescriptor(
-    "bestshot", "selector", "base",
+    "bestshot", "selector",
     _bestshot_src,
     accepts=GENERAL,
     summary="deferred choice: a satisfying point if one exists",
@@ -394,7 +401,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_testbit_prelude(n)}
 
 
 _register(ProgramDescriptor(
-    "lazycount", "counter", "base",
+    "lazycount", "counter",
     _lazycount_src,
     accepts=GENERAL,
     summary="tests a best-shot point first; constant time on empty predicates",
@@ -415,7 +422,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->
 """
 
 _register(ProgramDescriptor(
-    "effcount", "counter", "handler",
+    "effcount", "counter",
     _EFFCOUNT_SRC,
     accepts=N_STANDARD,
     summary="one generic point, resumed twice per query; n-independent",
@@ -444,7 +451,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_POW2}
 
 
 _register(ProgramDescriptor(
-    "effcount_miss", "counter", "handler",
+    "effcount_miss", "counter",
     _effcount_miss_src,
     accepts=AT_MOST_ONCE,
     summary="depth-passing handler; scales leaves by the unexplored subtree",
@@ -532,7 +539,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_POW2}
 
 
 _register(ProgramDescriptor(
-    "effcount_rep", "counter", "handler",
+    "effcount_rep", "counter",
     _effcount_rep_src,
     accepts=GENERAL,
     summary="memoises answers in a balanced map and scales unexplored "
@@ -589,13 +596,13 @@ def _effsearch_cons_src(n: int) -> str:
 
 
 _register(ProgramDescriptor(
-    "effsearch", "searcher", "handler",
+    "effsearch", "searcher",
     _effsearch_src,
     accepts=N_STANDARD,
     summary="materialises satisfying points as difference lists",
 ))
 _register(ProgramDescriptor(
-    "effsearch_cons", "searcher", "handler",
+    "effsearch_cons", "searcher",
     _effsearch_cons_src,
     accepts=N_STANDARD,
     summary="effsearch with plain cons-list concatenation (the slow contrast)",
@@ -678,7 +685,7 @@ fun (pred : (Nat -> Bool) -> Bool) ->{_berger_prelude(n)}
 
 
 _register(ProgramDescriptor(
-    "bergercount", "counter", "base+memo",
+    "bergercount", "counter",
     _berger_src,
     accepts=GENERAL,
     summary="memoised leftmost-solution pruning; fast on fail-fast predicates",
@@ -768,13 +775,13 @@ def _queens_eager_src(n: int) -> str:
 
 
 _register(ProgramDescriptor(
-    "queens", "predicate", "base",
+    "queens", "predicate",
     _queens_failfast_src,
     input_class=AT_MOST_ONCE, bits=lambda n: n * n,
     summary="n-queens board validity, rejecting at the first violation",
 ))
 _register(ProgramDescriptor(
-    "queens_eager", "predicate", "base",
+    "queens_eager", "predicate",
     _queens_eager_src,
     input_class=N_STANDARD, bits=lambda n: n * n,
     summary="n-queens board validity after reading the whole board",
@@ -897,11 +904,11 @@ def point_term(bits: list[bool]) -> Term:
 
 def validate_catalog(n_small: int = 3) -> None:
     """Typecheck every catalog entry (at a small n for the templated
-    ones) and verify the declared language level."""
+    ones) and check that its language level does not depend on n."""
 
     for name, desc in _REGISTRY.items():
         term, sig = desc.build(n_small)
         lvl = language_level(term)
         if lvl != desc.level:
-            raise AssertionError(f"{name}: declared {desc.level}, found {lvl}")
+            raise AssertionError(f"{name}: level {desc.level} at n = 0, {lvl} at n = {n_small}")
         typecheck_program(sig, term)

@@ -649,7 +649,9 @@ def uses_effects(t: Term) -> bool:
 
     Nodes are read in constructor order (pre-order, left to right), and
     the walk stops at the first ``do`` or ``handle``: on a counter
-    applied to a predicate it answers inside the counter.
+    applied to a predicate it answers inside the counter.  `inject` calls
+    it on every run, so it is a hand-written loop: over `subterms` it
+    measured about 3.5 times slower.
     """
 
     stack = [t]
@@ -678,17 +680,10 @@ def language_level(t: Term) -> str:
 
     forms = set()
     memo = False
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        cls = s.__class__
-        forms.add(cls)
-        if cls in _LEAVES:
-            if cls is Const and s.name == "memoise":
-                memo = True
-            continue
-        for c, _ in _CHILDREN[cls](s):
-            stack.append(c)
+    for s in subterms(t):
+        forms.add(s.__class__)
+        if s.__class__ is Const and s.name == "memoise":
+            memo = True
     eff = not forms.isdisjoint(_EFFECT_FORMS)
     if not forms.isdisjoint(_REF_FORMS):
         return "handler+state" if eff else "state"

@@ -46,7 +46,6 @@ from fxlang.syntax import (
     Var,
     as_function,
     bool_,
-    language_level,
 )
 
 Addr = tuple[bool, ...]
@@ -285,15 +284,15 @@ def extract_tree(
 
     A predicate's handlers must already be complete (see
     `syntax.complete_handlers`): an operation no handler catches makes its
-    branch unexplored ('unhandled').  Stateful predicates are rejected:
-    with reference cells there is no canonical tree to assign.  So is a
-    predicate that is not a ``fun`` or ``rec`` value, and one that queries
-    a non-numeral or answers a non-boolean, at the address where it does.
+    branch unexplored ('unhandled').  A run that allocates a reference
+    cell is rejected, at its address: with state there is no canonical
+    tree to assign.  So is a predicate that is not a ``fun`` or ``rec``
+    value, and one that queries a non-numeral or answers a non-boolean, at
+    the address where it does.  A ``letref`` that no run reaches stops
+    nothing.
     """
 
     pred = as_function(pred)
-    if "state" in language_level(pred):
-        raise ValueError("no decision tree for stateful predicates")
     probe = mc.VSentinel()
     st0 = mc.MachineState(App(pred, Var(probe.name)), {probe.name: probe}, mc.PURE_CONT)
     tree = DecisionTree()
@@ -302,6 +301,8 @@ def extract_tree(
     while stack:
         addr, st = stack.pop()
         kind = mc.drive(st, fuel)
+        if st.store:  # only M-Alloc adds a cell
+            raise ValueError(f"no decision tree for stateful predicates, at {addr_str(addr)}")
         if kind == "query":
             k = st.out
             if k.__class__ is not int:

@@ -9,6 +9,7 @@ from fxlang import countlib as cl
 from fxlang.cli import main
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -132,9 +133,10 @@ def test_count_command():
 
 
 def test_list_command():
-    code, out, _ = run_cli("list")
-    assert code == 0
-    assert "effcount" in out and "queens" in out
+    # pins every catalog entry's level, which is read from its program
+    code, out, err = run_cli("list")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "list.txt").read_text()
 
 
 def test_bench_command(tmp_path):
@@ -186,9 +188,6 @@ def test_check_command(tmp_path):
     f.write_text("return (2, true)\n")
     code, out, _ = run_cli("check", str(f))
     assert code == 0 and "ok" in out
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_trace_golden_pure(tmp_path):
@@ -443,6 +442,18 @@ def test_bench_bad_range_is_one_line(tmp_path, flags, message):
     spec.write_text("impls = effcount\npreds = odd\n"
                     + "".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
     assert_one_line_error(*run_cli("bench", "--spec", str(spec)), f"range.spec: {message}")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--nmin", "-1"),
+    ("--impls", "odd"),
+    ("--nmax", "1"),
+])
+def test_a_bad_flag_given_with_a_spec_file_does_not_blame_the_file(flags):
+    # programs/grid.spec sets nmin = 2, as the default does
+    code, out, flag_only = run_cli("bench", "--impls", "effcount", "--preds", "odd", *flags)
+    assert_one_line_error(code, out, flag_only)
+    assert run_cli("bench", "--spec", str(PROGRAMS / "grid.spec"), *flags) == (1, "", flag_only)
 
 
 def test_bench_trailing_commas_are_dropped(tmp_path):

@@ -474,6 +474,26 @@ def test_stateful_predicates_rejected():
         tr.extract_tree(pred)
 
 
+def test_a_stateful_run_is_rejected_at_its_address():
+    # `q 0` is answered before any cell is allocated: the false branch
+    # is a leaf, the true branch allocates
+    pred = parse_term(
+        "fun (q : Nat -> Bool) -> let b <- q 0 in "
+        "if b then (letref c = 0 in return true) else return false"
+    )
+    with pytest.raises(ValueError, match=r"^no decision tree for stateful predicates, at t$"):
+        tr.extract_tree(pred)
+
+
+def test_a_letref_that_no_run_reaches_does_not_stop_extraction():
+    pred = parse_term(
+        "fun (q : Nat -> Bool) -> if 1 = 2 then (letref c = 0 in return true) else q 0"
+    )
+    twin = parse_term("fun (q : Nat -> Bool) -> if 1 = 2 then return true else q 0")
+    # the same labels and the same ticks on every edge
+    assert tr.extract_tree(pred).to_text(timed=True) == tr.extract_tree(twin).to_text(timed=True)
+
+
 def test_a_predicate_that_is_a_computation_is_rejected():
     # well typed, but a computation that returns the function, not a value
     pred = parse_term("let k = 0 in fun (q : Nat -> Bool) -> q k")
