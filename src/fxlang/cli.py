@@ -115,11 +115,20 @@ def cmd_bench(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-        # The file's own settings are checked first, and only their error
-        # names the file.  A list given as a flag stands in for the file's,
-        # which may leave it to the flags.
+        # The file's own settings, and the programs its lists name, are
+        # checked first, and only their error names the file.  A list given
+        # as a flag stands in for the file's, which may leave it to the flags.
+        lists = {k: given[k] for k in ("impls", "preds") if k in given}
         try:
-            bn.parse_spec_file(text, **{k: given[k] for k in ("impls", "preds") if k in given})
+            own = bn.parse_spec_file(text, **lists)
+            if "impls" not in lists:
+                for name in own.impls:
+                    cl.get_counter(name)
+            if "preds" not in lists:
+                for name, variant in own.preds:
+                    cl.get(bn.resolve_pred(name, variant))
+        except KeyError as exc:  # an unknown program, quoted as `main` quotes it
+            raise ValueError(f"{args.spec}: {exc.args[0]}") from None
         except ValueError as exc:
             raise ValueError(f"{args.spec}: {exc}") from None
     elif not args.impls or not args.preds:

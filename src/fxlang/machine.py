@@ -24,7 +24,7 @@ continuations can be re-invoked any number of times.
 
 Rule names live in `drive`: each branch of its dispatch is one rule and
 names itself, so `step` and `trace_run` read the name off the state that
-a one-transition run stops in.
+a one-transition run stops in.  `RULES` lists every name `drive` gives.
 
 How a transition is carried out in Python is not part of the cost model,
 so `drive` takes shortcuts that leave ticks and envOps as they are: it
@@ -84,6 +84,34 @@ from fxlang.syntax import (
 )
 
 DEFAULT_FUEL = 10**8
+
+# Every rule `drive` fires, once, with its kind.  The two commutative
+# rules push a frame that small-step keeps inside its term; each of the
+# 19 principal ones matches one small-step reduction (Accattoli,
+# Barenbaum & Mazza, "Distilling abstract machines", ICFP 2014).
+RULES: tuple[tuple[str, str], ...] = (
+    ("M-App", "principal"),
+    ("M-Rec", "principal"),
+    ("M-Const", "principal"),
+    ("M-Split", "principal"),
+    ("M-CaseL", "principal"),
+    ("M-CaseR", "principal"),
+    ("M-CaseNil", "principal"),
+    ("M-CaseCons", "principal"),
+    ("M-Let", "commutative"),
+    ("M-RetCont", "principal"),
+    ("M-Handle", "commutative"),
+    ("M-RetHandler", "principal"),
+    ("M-Handle-Op", "principal"),
+    ("M-Resume", "principal"),
+    ("M-Alloc", "principal"),
+    ("M-Deref", "principal"),
+    ("M-Assign", "principal"),
+    ("M-Memo", "principal"),
+    ("M-Memo-Hit", "principal"),
+    ("M-Memo-Force", "principal"),
+    ("M-Memo-Record", "principal"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -901,10 +929,7 @@ def step(st: MachineState):
 
     Returns (rule_name, MachineState) or ('final', Final...) when ``st``
     is final.  The rule name is the one `drive` gave the transition it
-    fired: M-App, M-Rec, M-Const, M-Split, M-CaseL, M-CaseR, M-CaseNil,
-    M-CaseCons, M-Let, M-RetCont, M-Handle, M-RetHandler, M-Handle-Op,
-    M-Resume, M-Alloc, M-Deref, M-Assign, M-Memo, M-Memo-Hit,
-    M-Memo-Force, M-Memo-Record.
+    fired, one of `RULES`.
     """
 
     nxt = st.fork(st.comp)

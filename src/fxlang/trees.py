@@ -8,10 +8,17 @@ the stopped configuration with `return true` / `return false`; the
 persistent machine makes the restart free.  A run that completes yields
 an answer leaf.
 
-Trees are finite maps from addresses (tuples of booleans: the path of
-responses from the root) to nodes.  Every node carries the label and
-the number of machine transitions on the edge targeting it, so one
-extraction produces the untimed and timed views at once.
+Trees are finite maps from addresses to nodes.  An address is the path
+of responses from the root, numbered as the nodes of an implicit binary
+heap (Williams, "Algorithm 232: Heapsort", CACM 1964): the root is 1,
+and node ``a`` has the false child ``2a`` and the true child ``2a + 1``.
+So the depth of ``a`` is ``a.bit_length() - 1``, its parent is
+``a >> 1`` and its last response is ``a & 1``, and the binary digits of
+``a`` after the leading 1 spell the path (printed ``f``/``t``, root
+``ε``).  Sorted order is print order: shallower nodes first, and within
+one depth the false branch before the true one.  Every node carries the
+label and the number of machine transitions on the edge targeting it,
+so one extraction produces the untimed and timed views at once.
 
 Labels and terms are immutable, so the trees and predicates built here
 share them: a tree's nodes hold two `Answer` labels and one `Query` per
@@ -48,7 +55,9 @@ from fxlang.syntax import (
     bool_,
 )
 
-Addr = tuple[bool, ...]
+# A path of responses from the root: 1 is the root, 2a and 2a + 1 are
+# the false and true children of a.
+Addr = int
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +104,14 @@ class Classification(enum.Enum):
     NEITHER = "neither"
 
 
+_PATH_CHARS = str.maketrans("01", "ft")
+
+
 def addr_str(addr: Addr) -> str:
-    return "".join("t" if b else "f" for b in addr) if addr else "ε"
+    """The path to ``addr`` as its responses from the root: ``ε``, ``f``,
+    ``t``, ``ff``, ..."""
+
+    return bin(addr)[3:].translate(_PATH_CHARS) if addr > 1 else "ε"
 
 
 @dataclass(slots=True)
@@ -123,7 +138,7 @@ class DecisionTree:
         return bool(self.partial)
 
     def addresses(self) -> list[Addr]:
-        return sorted(self.nodes, key=lambda a: (len(a), a))
+        return sorted(self.nodes)
 
     # -- classification (structure of the label map alone)
 
@@ -148,29 +163,29 @@ class DecisionTree:
         defect = None
         reached = 0
         path: list[int] = []  # the queries above the node popped last
-        stack: list[Addr] = [()]
+        stack: list[Addr] = [1]
         while stack:
             addr = stack.pop()
             node = nodes.get(addr)
             if node is None:  # only the root is pushed unchecked
                 return Classification.NEITHER, "address ε missing"
             reached += 1
-            depth = len(addr)
+            depth = addr.bit_length() - 1
             del path[depth:]
+            f = addr << 1  # the false child; f | 1 is the true one
             label = node.label
             if label.__class__ is Query:
                 k = label.index
                 if k >= n:
                     return Classification.NEITHER, f"query {k} out of range at {addr_str(addr)}"
-                t, f = addr + (True,), addr + (False,)
-                if t not in nodes or f not in nodes:
+                if f | 1 not in nodes or f not in nodes:
                     return Classification.NEITHER, f"missing child under {addr_str(addr)}"
                 if defect is None and k in path:
                     defect = f"repeated query {k}"
                 path.append(k)
-                stack.append(t)
+                stack.append(f | 1)
                 stack.append(f)
-            elif addr + (True,) in nodes or addr + (False,) in nodes:
+            elif f | 1 in nodes or f in nodes:
                 return Classification.NEITHER, f"answer at {addr_str(addr)} is not a leaf"
             elif defect is None and depth != n:
                 defect = f"answer at depth {depth}, not {n}"
@@ -187,14 +202,16 @@ class DecisionTree:
         """The answer this tree gives on a semantic point (indexable by
         query index)."""
 
-        addr: Addr = ()
+        nodes = self.nodes
+        addr = 1
         while True:
-            node = self.nodes.get(addr)
+            node = nodes.get(addr)
             if node is None:
                 raise KeyError(f"path fell off the tree at {addr_str(addr)}")
-            if node.label.__class__ is Answer:
-                return node.label.result
-            addr = addr + (bool(point[node.label.index]),)
+            label = node.label
+            if label.__class__ is Answer:
+                return label.result
+            addr = addr << 1 | 1 if point[label.index] else addr << 1
 
     def count_true(self, n: int) -> int:
         """Number of true leaves; equals the point count on n-standard
@@ -236,7 +253,7 @@ class DecisionTree:
                 lines.append(f"{addr_str(addr)} {node.label} {node.steps}")
             else:
                 lines.append(f"{addr_str(addr)} {node.label}")
-        for addr in sorted(self.partial, key=lambda a: (len(a), a)):
+        for addr in sorted(self.partial):
             lines.append(f"{addr_str(addr)} unexplored:{self.partial[addr]}")
         return "\n".join(lines)
 
@@ -247,9 +264,9 @@ class DecisionTree:
             name = addr_str(addr)
             shape = "circle" if node.label.__class__ is Query else "box"
             out.append(f'  "{name}" [label="{node.label}", shape={shape}];')
-            if addr:
-                parent = addr_str(addr[:-1])
-                lbl = "t" if addr[-1] else "f"
+            if addr > 1:
+                parent = addr_str(addr >> 1)
+                lbl = "t" if addr & 1 else "f"
                 if timed:
                     lbl += f" ({node.steps})"
                 out.append(f'  "{parent}" -> "{name}" [label="{lbl}"];')
@@ -280,7 +297,7 @@ def extract_tree(
     ``fuel`` bounds the transitions of each edge segment; a branch that
     exhausts it is recorded as unexplored (the tree is partial there),
     matching the reading of divergence as undefinedness.  ``depth_bound``
-    caps the address length explored.
+    caps the depth explored.
 
     A predicate's handlers must already be complete (see
     `syntax.complete_handlers`): an operation no handler catches makes its
@@ -297,7 +314,7 @@ def extract_tree(
     st0 = mc.MachineState(App(pred, Var(probe.name)), {probe.name: probe}, mc.PURE_CONT)
     tree = DecisionTree()
     queries: dict[int, Query] = {}
-    stack: list[tuple[Addr, mc.MachineState]] = [((), st0)]
+    stack: list[tuple[Addr, mc.MachineState]] = [(1, st0)]
     while stack:
         addr, st = stack.pop()
         kind = mc.drive(st, fuel)
@@ -310,12 +327,13 @@ def extract_tree(
                     f"the predicate queries {k!r}, not a numeral, at {addr_str(addr)}"
                 )
             tree.nodes[addr] = TreeNode(_query(queries, k), st.ticks)
-            if depth_bound is not None and len(addr) >= depth_bound:
-                tree.partial[addr + (True,)] = "depth"
-                tree.partial[addr + (False,)] = "depth"
+            f = addr << 1
+            if depth_bound is not None and addr.bit_length() > depth_bound:  # depth >= bound
+                tree.partial[f | 1] = "depth"
+                tree.partial[f] = "depth"
                 continue
-            stack.append((addr + (True,), st.fork(_RETURN_TRUE)))
-            stack.append((addr + (False,), st.fork(_RETURN_FALSE)))
+            stack.append((f | 1, st.fork(_RETURN_TRUE)))
+            stack.append((f, st.fork(_RETURN_FALSE)))
         elif kind == "value":
             try:
                 answer = mc.mval_to_bool(st.out)
@@ -373,13 +391,13 @@ def tree_to_predicate(tree: DecisionTree) -> Term:
             Case(
                 Var(b),
                 next(us),
-                emit(addr + (True,)),
+                emit(addr << 1 | 1),
                 next(us),
-                emit(addr + (False,)),
+                emit(addr << 1),
             ),
         )
 
-    return Lam("q", emit(()), Arrow(NAT, BOOL))
+    return Lam("q", emit(1), Arrow(NAT, BOOL))
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +411,19 @@ def random_standard_tree(rng: Random, n: int) -> DecisionTree:
 
     tree = DecisionTree()
     queries: dict[int, Query] = {}
+    leaf = 1 << n  # the first address at depth n
 
     def go(addr: Addr, remaining: tuple[int, ...]):
-        if len(addr) == n:
+        if addr >= leaf:
             tree.nodes[addr] = TreeNode(_ANSWERS[rng.random() < 0.5])
             return
         k = remaining[rng.randrange(len(remaining))]
         rest = tuple(i for i in remaining if i != k)
         tree.nodes[addr] = TreeNode(_query(queries, k))
-        go(addr + (True,), rest)
-        go(addr + (False,), rest)
+        go(addr << 1 | 1, rest)
+        go(addr << 1, rest)
 
-    go((), tuple(range(n)))
+    go(1, tuple(range(n)))
     return tree
 
 
@@ -416,14 +435,15 @@ def random_predicate_tree(rng: Random, n: int) -> DecisionTree:
 
     tree = DecisionTree()
     queries: dict[int, Query] = {}
+    leaf = 1 << (n + 2)  # the first address at depth n + 2
 
     def go(addr: Addr):
-        if len(addr) >= n + 2 or rng.random() < 0.25:
+        if addr >= leaf or rng.random() < 0.25:
             tree.nodes[addr] = TreeNode(_ANSWERS[rng.random() < 0.5])
             return
         tree.nodes[addr] = TreeNode(_query(queries, rng.randrange(n)))
-        go(addr + (True,))
-        go(addr + (False,))
+        go(addr << 1 | 1)
+        go(addr << 1)
 
-    go(())
+    go(1)
     return tree

@@ -249,6 +249,13 @@ def test_timed_tree_golden(pred, n):
     assert out == (GOLDEN / f"{pred}{n}_tree_timed.txt").read_text()
 
 
+def test_dot_tree_golden():
+    # the one tree printer that names each node's parent
+    code, out, err = run_cli("tree", "--pred", "odd", "-n", "3", "--timed", "--format", "dot")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "odd3_tree_timed.dot").read_text()
+
+
 @pytest.mark.parametrize("args, golden", [
     (("--pred", "T2", "-n", "2"), "T2_n2_tree.txt"),  # a repeated query
     (("--pred", "T1", "-n", "3"), "T1_n3_tree.txt"),  # an answer above depth n
@@ -444,9 +451,24 @@ def test_bench_bad_range_is_one_line(tmp_path, flags, message):
     assert_one_line_error(*run_cli("bench", "--spec", str(spec)), f"range.spec: {message}")
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("impls = odd\npreds = odd\n", "odd is not a counter or searcher"),
+    ("impls = nosuch\npreds = odd\n", "unknown program 'nosuch'; see `fx list` for the catalog"),
+    ("impls = effcount\npreds = nosuch\n", "unknown program 'nosuch'; see `fx list` for the catalog"),
+    ("impls = effcount\npreds = odd:nosuch\n",
+     "unknown variant 'nosuch' of predicate 'odd'; see `fx list` for the catalog"),
+])
+def test_a_bad_name_in_a_spec_file_blames_the_file(tmp_path, lines, message):
+    spec = tmp_path / "names.spec"
+    spec.write_text(lines + "nmax = 2\n")
+    assert run_cli("bench", "--spec", str(spec)) == (1, "", f"{spec}: {message}\n")
+
+
 @pytest.mark.parametrize("flags", [
     ("--nmin", "-1"),
     ("--impls", "odd"),
+    ("--impls", "nosuch"),
+    ("--preds", "nosuch"),
     ("--nmax", "1"),
 ])
 def test_a_bad_flag_given_with_a_spec_file_does_not_blame_the_file(flags):

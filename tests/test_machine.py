@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -50,8 +51,8 @@ def run(src, sig=None, **kw):
     return mc.run_machine(term, sig, **kw)
 
 
-# The rule names `step` documents.
-RULES = set(re.findall(r"M-[A-Za-z]+(?:-[A-Za-z]+)*", mc.step.__doc__))
+# Every rule name `drive` gives (see test_rules_name_every_rule_drive_sets_and_no_other).
+RULES = {name for name, _ in mc.RULES}
 
 
 def fired(term, sig=None):
@@ -679,3 +680,50 @@ def test_fuel_stop_after_value_rule_parks_a_quoted_return(src, rule, values):
     st = mc.inject(parse_term(src))
     while mc.drive(st, st.ticks + 1) == "fuel":
         assert st.comp is not None
+
+
+# `machine.RULES` against the rule names `drive` gives, read from its
+# source: a name `drive` sets that the tuple lacks, or an entry `drive`
+# never sets, fails.
+
+
+def rules_set_in(source, function="drive"):
+    """The string literals assigned to ``rule`` in ``function``."""
+
+    tree = ast.parse(source)
+    (fn,) = [n for n in ast.walk(tree) if n.__class__ is ast.FunctionDef and n.name == function]
+    return [
+        n.value.value
+        for n in ast.walk(fn)
+        if n.__class__ is ast.Assign
+        and [t.id for t in n.targets if t.__class__ is ast.Name] == ["rule"]
+        and n.value.__class__ is ast.Constant
+        and isinstance(n.value.value, str)
+    ]
+
+
+def test_rules_name_every_rule_drive_sets_and_no_other():
+    names = [name for name, _ in mc.RULES]
+    assert len(names) == len(set(names)) == 21
+    assert set(rules_set_in(Path(mc.__file__).read_text(encoding="utf-8"))) == set(names)
+
+
+def test_rules_kinds():
+    kinds = dict(mc.RULES)
+    assert {k for k, kind in kinds.items() if kind == "commutative"} == {"M-Let", "M-Handle"}
+    assert sum(kind == "principal" for kind in kinds.values()) == 19
+
+
+def test_rules_set_in_finds_each_literal_rule():
+    src = (
+        "def drive(st):\n"
+        "    rule = 'A'\n"
+        "    if st:\n"
+        "        rule = \"B\"\n"
+        "    st.rule = 'C'\n"
+        "    other = 'D'\n"
+        "    rule = f(st)\n"
+        "def step():\n"
+        "    rule = 'E'\n"
+    )
+    assert rules_set_in(src) == ["A", "B"]

@@ -38,26 +38,34 @@ def extract(name, n=None, **kw):
     return tr.extract_tree(pred, **kw), bits
 
 
+def at(path):
+    """The address that prints as ``path``: "ε", "f", "t", "tf", ...  The
+    root is 1, and the digits after its leading 1 are the responses,
+    0 for false and 1 for true."""
+
+    return int("1" + ("" if path == "ε" else path.replace("f", "0").replace("t", "1")), 2)
+
+
 def test_identity_predicate_tree():
     tree, _ = extract("I0", 1)
     labels = tree.labels()
-    assert labels[()] == tr.Query(0)
-    assert labels[(True,)] == tr.Answer(True)
-    assert labels[(False,)] == tr.Answer(False)
+    assert labels[at("ε")] == tr.Query(0)
+    assert labels[at("t")] == tr.Answer(True)
+    assert labels[at("f")] == tr.Answer(False)
     assert tree.classify(1) is tr.Classification.N_STANDARD
 
 
 def test_constant_true_tree():
     tree, _ = extract("T0", 0)
-    assert tree.labels() == {(): tr.Answer(True)}
+    assert tree.labels() == {at("ε"): tr.Answer(True)}
     assert tree.classify(0) is tr.Classification.N_STANDARD
 
 
 def test_repeated_query_tree():
     tree, _ = extract("I2", 1)
     # ?0 repeats along the true path; one false leaf is unreachable
-    assert tree.labels()[()] == tr.Query(0)
-    assert tree.labels()[(True,)] == tr.Query(0)
+    assert tree.labels()[at("ε")] == tr.Query(0)
+    assert tree.labels()[at("t")] == tr.Query(0)
     kind, reason = tree.classify_detail(1)
     assert kind is tr.Classification.N_PREDICATE
     assert "repeated query 0" in reason
@@ -86,7 +94,13 @@ def test_empty_tree_is_neither():
 # The two-pass classification that the one walk replaced: a pass over
 # every node in dict order, then a walk from the root with a set of the
 # queries on each path and a count of the domain.  It is the reference for
-# the walk's agreement tests.
+# the walk's agreement tests.  It finds children and depths by the
+# numbering's arithmetic alone: 2a and 2a + 1 under a, at one more than
+# the depth of a.
+
+
+def depth(addr):
+    return len(bin(addr)) - 3  # the digits after "0b1"
 
 
 def old_classify_detail(tree, n):
@@ -97,12 +111,12 @@ def old_classify_detail(tree, n):
         if node.label.__class__ is tr.Query:
             if node.label.index >= n:
                 return C.NEITHER, f"query {node.label.index} out of range at {tr.addr_str(addr)}"
-            for b in (True, False):
-                if addr + (b,) not in tree.nodes:
+            for b in (1, 0):
+                if 2 * addr + b not in tree.nodes:
                     return C.NEITHER, f"missing child under {tr.addr_str(addr)}"
         else:
-            for b in (True, False):
-                if addr + (b,) in tree.nodes:
+            for b in (1, 0):
+                if 2 * addr + b in tree.nodes:
                     return C.NEITHER, f"answer at {tr.addr_str(addr)} is not a leaf"
     reason = old_standard_defect(tree, n)
     if reason is None:
@@ -111,7 +125,7 @@ def old_classify_detail(tree, n):
 
 
 def old_standard_defect(tree, n):
-    stack = [((), frozenset())]
+    stack = [(1, frozenset())]
     while stack:
         addr, seen = stack.pop()
         node = tree.nodes.get(addr)
@@ -121,13 +135,13 @@ def old_standard_defect(tree, n):
             k = node.label.index
             if k in seen:
                 return f"repeated query {k}"
-            if len(addr) >= n:
+            if depth(addr) >= n:
                 return f"query below depth {n}"
             s2 = seen | {k}
-            stack.append((addr + (True,), s2))
-            stack.append((addr + (False,), s2))
-        elif len(addr) != n:
-            return f"answer at depth {len(addr)}, not {n}"
+            stack.append((2 * addr + 1, s2))
+            stack.append((2 * addr, s2))
+        elif depth(addr) != n:
+            return f"answer at depth {depth(addr)}, not {n}"
     if len(tree.nodes) != 2 ** (n + 1) - 1:
         return f"domain has {len(tree.nodes)} nodes, not {2 ** (n + 1) - 1}"
     return None
@@ -180,14 +194,14 @@ def test_classify_gives_the_reference_kind_on_random_trees():
 
 
 def test_a_map_without_a_root_is_neither():
-    tree = tr.DecisionTree({(True,): tr.TreeNode(tr.Answer(True))})
+    tree = tr.DecisionTree({at("t"): tr.TreeNode(tr.Answer(True))})
     assert tree.classify_detail(1) == (tr.Classification.NEITHER, "address ε missing")
 
 
 def test_a_standard_tree_with_an_orphan_node_is_neither():
     tree, _ = extract("I0", 1)
     assert tree.classify(1) is tr.Classification.N_STANDARD
-    tree.nodes[(True, False, True)] = tr.TreeNode(tr.Answer(False))  # its parent is absent
+    tree.nodes[at("tft")] = tr.TreeNode(tr.Answer(False))  # its parent is absent
     assert tree.classify_detail(1) == (
         tr.Classification.NEITHER, "1 of 4 nodes unreachable from ε"
     )
@@ -217,11 +231,11 @@ def test_count_true_examples():
     odd3, _ = extract("odd", 3)
     assert odd3.count_true(3) == 4
     all_true = tr.DecisionTree()
-    all_true.nodes[()] = tr.TreeNode(tr.Query(0))
-    for b in (True, False):
-        all_true.nodes[(b,)] = tr.TreeNode(tr.Query(1))
-        for c in (True, False):
-            all_true.nodes[(b, c)] = tr.TreeNode(tr.Answer(True))
+    all_true.nodes[at("ε")] = tr.TreeNode(tr.Query(0))
+    for b in "tf":
+        all_true.nodes[at(b)] = tr.TreeNode(tr.Query(1))
+        for c in "tf":
+            all_true.nodes[at(b + c)] = tr.TreeNode(tr.Answer(True))
     assert all_true.count_true(2) == 4
 
 
@@ -239,12 +253,12 @@ def test_count_true_rejects_nonstandard():
 
 def test_flip_leaf():
     tree, _ = extract("I0", 1)
-    flipped = tree.flip_leaf((True,))
-    assert flipped.labels()[(True,)] == tr.Answer(False)
+    flipped = tree.flip_leaf(at("t"))
+    assert flipped.labels()[at("t")] == tr.Answer(False)
     assert flipped.count_true(1) == 0
-    assert flipped.flip_leaf((True,)).labels() == tree.labels()
+    assert flipped.flip_leaf(at("t")).labels() == tree.labels()
     with pytest.raises(ValueError):
-        tree.flip_leaf(())  # a query node
+        tree.flip_leaf(at("ε"))  # a query node
 
 
 def test_flip_leaf_changes_count_by_one():
@@ -302,10 +316,10 @@ def old_tree_to_predicate(tree):
         return Let(
             b,
             App(Var("q"), Num(node.label.index)),
-            Case(Var(b), next(us), emit(addr + (True,)), next(us), emit(addr + (False,))),
+            Case(Var(b), next(us), emit(2 * addr + 1), next(us), emit(2 * addr)),
         )
 
-    return Lam("q", emit(()), Arrow(NAT, BOOL))
+    return Lam("q", emit(1), Arrow(NAT, BOOL))
 
 
 def random_trees(seed, number, nmax):
@@ -417,8 +431,8 @@ def test_divergent_branch_is_partial():
         "if a then (rec (f : Unit -> Bool) u -> f u) () else return false"
     )
     tree = tr.extract_tree(pred, fuel=2_000)
-    assert tree.partial.get((True,)) == "fuel"
-    assert tree.labels()[(False,)] == tr.Answer(False)
+    assert tree.partial.get(at("t")) == "fuel"
+    assert tree.labels()[at("f")] == tr.Answer(False)
     assert tree.classify(1) is tr.Classification.NEITHER
 
 
@@ -435,7 +449,7 @@ def test_unhandled_operation_branch_absent():
     sig = {"Oops": (UNIT, BOOL)}
     pred = parse_term("fun (q : Nat -> Bool) -> do Oops ()", sig)
     tree = tr.extract_tree(pred)
-    assert tree.partial.get(()) == "unhandled"
+    assert tree.partial.get(at("ε")) == "unhandled"
     assert not tree.nodes
 
 
@@ -551,3 +565,80 @@ def test_dot_format():
     dot = tree.to_dot()
     assert "shape=circle" in dot and "shape=box" in dot
     assert dot.startswith("digraph")
+
+
+# The numbering against the paths it spells.  ``path_of`` reads an
+# address's responses off its binary digits, as the tuple of booleans
+# that addressed the node before; trees printed and walked in the
+# (depth, path) order of those tuples, False before True.
+
+
+def path_of(addr):
+    responses = []
+    while addr > 1:
+        responses.append(addr & 1 == 1)
+        addr >>= 1
+    return tuple(reversed(responses))
+
+
+def old_addr_str(path):
+    return "".join("t" if b else "f" for b in path) if path else "ε"
+
+
+def numbered_trees():
+    """Random standard and general trees at n up to 6, and the extracted
+    trees of odd and queens."""
+
+    rng = Random(31)
+    for i in range(60):
+        n = rng.randrange(1, 7)
+        yield f"random {i} n={n}", (tr.random_standard_tree if i % 2 else tr.random_predicate_tree)(rng, n)
+    for name, n in [("odd", n) for n in range(1, 7)] + [("queens", 1), ("queens", 2)]:
+        yield f"{name}@{n}", extract(name, n)[0]
+
+
+def test_addresses_are_in_the_old_depth_then_path_order():
+    for key, tree in numbered_trees():
+        old_order = sorted(tree.nodes, key=lambda a: (len(path_of(a)), path_of(a)))
+        assert tree.addresses() == old_order, key
+        assert tree.leaves() == [a for a in old_order if tree.nodes[a].label.__class__ is tr.Answer], key
+        assert [tr.addr_str(a) for a in tree.addresses()] == [old_addr_str(path_of(a)) for a in old_order], key
+
+
+def test_addr_str_is_one_to_one_onto_path_strings():
+    printed = set()
+    for d in range(9):
+        at_depth = range(1 << d, 2 << d)  # every address at depth d, in order
+        words = ["".join(w) or "ε" for w in product("ft", repeat=d)]
+        assert [tr.addr_str(a) for a in at_depth] == words, d
+        assert [at(w) for w in words] == list(at_depth), d
+        assert all(tr.addr_str(a) == old_addr_str(path_of(a)) for a in at_depth), d
+        printed.update(words)
+    assert len(printed) == 2 ** 9 - 1
+
+
+@pytest.mark.parametrize("pred, sig, kw, want", [
+    (  # the depth bound: both children of each query at the bound
+        None, None, dict(depth_bound=1),
+        "ε ?0|f ?1|t ?1|ff unexplored:depth|ft unexplored:depth|tf unexplored:depth|tt unexplored:depth",
+    ),
+    (  # the true branch runs out of fuel
+        "fun (q : Nat -> Bool) -> let a <- q 0 in "
+        "if a then (rec (f : Unit -> Bool) u -> f u) () else return false",
+        None, dict(fuel=2_000),
+        "ε ?0|f !false|t unexplored:fuel",
+    ),
+    (  # an unhandled operation, on two branches at two depths
+        "fun (q : Nat -> Bool) -> let a <- q 0 in if a then do Oops () "
+        "else (let b <- q 1 in if b then do Oops () else return true)",
+        {"Oops": (UNIT, BOOL)}, {},
+        "ε ?0|f ?1|ff !true|t unexplored:unhandled|ft unexplored:unhandled",
+    ),
+])
+def test_partial_addresses_print_as_paths(pred, sig, kw, want):
+    term = cl.build_predicate("odd", 3)[0] if pred is None else parse_term(pred, sig)
+    tree = tr.extract_tree(term, **kw)
+    assert "|".join(tree.to_text(timed=False).splitlines()) == want
+    assert {tr.addr_str(a) for a in tree.partial} == {
+        line.split()[0] for line in want.split("|") if "unexplored" in line
+    }
