@@ -62,9 +62,17 @@ def resolve_pred(name: str, variant: str) -> str:
     combined = f"{name}_{variant}"
     if combined not in cl.catalog():
         cl.get(name)  # an unknown predicate is reported as such
-        raise KeyError(f"unknown variant {variant!r} of predicate {name!r}; "
-                       "see `fx list` for the catalog")
+        raise ValueError(f"unknown variant {variant!r} of predicate {name!r}; "
+                         "see `fx list` for the catalog")
     return combined
+
+
+def resolve_programs(impls: list[str], preds: list[tuple[str, str]]) -> tuple[list, list]:
+    """The catalog entries of a grid's counters and of its predicates,
+    each checked for its kind, in the order given."""
+
+    return ([cl.get(name, "counter", "searcher") for name in impls],
+            [cl.get(resolve_pred(name, variant), "predicate") for name, variant in preds])
 
 
 def parse_lists(impls: str, preds: str) -> tuple[list[str], list[tuple[str, str]]]:
@@ -156,12 +164,11 @@ def _cap_for(impl: cl.ProgramDescriptor, pred: str) -> int:
 
 
 def run_grid(spec: BenchSpec) -> list[GridRow]:
-    impls = [cl.get_counter(name) for name in spec.impls]
+    impls, preds = resolve_programs(spec.impls, spec.preds)
     rows: list[GridRow] = []
     for impl in impls:
         impl_name = impl.name
-        for pred_name, variant in spec.preds:
-            pred = cl.get(resolve_pred(pred_name, variant))
+        for (pred_name, variant), pred in zip(spec.preds, preds):
             cap = _cap_for(impl, pred.name)
             for n in range(spec.nmin, spec.nmax + 1):
                 pred_class = pred.class_at(n)

@@ -113,22 +113,17 @@ def cmd_bench(args) -> int:
     given = {f.name: v for f in fields(bn.BenchSpec) if (v := getattr(args, f.name)) is not None}
     text = ""
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        # The file's own settings, and the programs its lists name, are
-        # checked first, and only their error names the file.  A list given
-        # as a flag stands in for the file's, which may leave it to the flags.
+        # The file's text, its own settings and the programs its lists name
+        # are checked first, and only their error names the file.  A list
+        # given as a flag stands in for the file's, which may leave it to
+        # the flags.
         lists = {k: given[k] for k in ("impls", "preds") if k in given}
         try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
             own = bn.parse_spec_file(text, **lists)
-            if "impls" not in lists:
-                for name in own.impls:
-                    cl.get_counter(name)
-            if "preds" not in lists:
-                for name, variant in own.preds:
-                    cl.get(bn.resolve_pred(name, variant))
-        except KeyError as exc:  # an unknown program, quoted as `main` quotes it
-            raise ValueError(f"{args.spec}: {exc.args[0]}") from None
+            bn.resolve_programs([] if "impls" in lists else own.impls,
+                                [] if "preds" in lists else own.preds)
         except ValueError as exc:
             raise ValueError(f"{args.spec}: {exc}") from None
     elif not args.impls or not args.preds:
@@ -138,8 +133,10 @@ def cmd_bench(args) -> int:
     if not spec.out:
         sys.stdout.write(bn.grid_csv(bn.run_grid(spec)))
         return 0
-    # Opened before the grid runs, so a bad path fails at once; opened for
+    # Opened after the grid's programs are found and before the grid runs,
+    # so a bad name makes no file and a bad path fails at once; opened for
     # appending, so a grid that fails leaves an old file as it was.
+    bn.resolve_programs(spec.impls, spec.preds)
     with open(spec.out, "a", encoding="utf-8") as fh:
         rows = bn.run_grid(spec)
         fh.truncate(0)
@@ -234,8 +231,6 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         msg = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
-    except KeyError as exc:  # str() of a KeyError quotes its message
-        msg = str(exc.args[0]) if exc.args else "KeyError"
     except (ParseError, TypeCheckError, cl.LintError, ValueError, RecursionError) as exc:
         # The parser, the type checker, the printers and `interp` recurse
         # once per nesting level of a program or of its result.

@@ -164,13 +164,16 @@ def catalog() -> dict[str, ProgramDescriptor]:
     return dict(_REGISTRY)
 
 
-def get(name: str) -> ProgramDescriptor:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown program {name!r}; see `fx list` for the catalog"
-        ) from None
+def get(name: str, *kinds: str) -> ProgramDescriptor:
+    """The catalog entry ``name``, which must be of one of ``kinds`` if
+    any are given."""
+
+    desc = _REGISTRY.get(name)
+    if desc is None:
+        raise ValueError(f"unknown program {name!r}; see `fx list` for the catalog")
+    if kinds and desc.kind not in kinds:
+        raise ValueError(f"{name} is not a {' or '.join(kinds)}")
+    return desc
 
 
 # ---------------------------------------------------------------------------
@@ -796,24 +799,13 @@ _register(ProgramDescriptor(
 def build_predicate(pred_name: str, n: Optional[int]) -> tuple[Term, int]:
     """A predicate term and its arity in bits."""
 
-    desc = get(pred_name)
-    if desc.kind != "predicate":
-        raise ValueError(f"{pred_name} is not a predicate")
+    desc = get(pred_name, "predicate")
     k = desc.min_n
     if n is not None and 0 <= n < k:  # `build` rejects a negative n
         raise ValueError(f"{pred_name} reads {k} bit{'s' * (k != 1)}; "
                          f"n must be at least {k}, not {n}")
     term, _ = desc.build(n)
     return as_value(term), desc.bits(n)
-
-
-def get_counter(name: str) -> ProgramDescriptor:
-    """The catalog entry ``name``, which must be a counter or searcher."""
-
-    impl = get(name)
-    if impl.kind not in ("counter", "searcher"):
-        raise ValueError(f"{name} is not a counter or searcher")
-    return impl
 
 
 def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]:
@@ -823,7 +815,7 @@ def _apply(impl_name: str, pred_term: Term, bits: int) -> tuple[Term, Signature]
     against the counter's signature, in one walk of the predicate when
     the counter has operations and in none when it has none."""
 
-    counter_term, sig = get_counter(impl_name).build(bits)
+    counter_term, sig = get(impl_name, "counter", "searcher").build(bits)
     if sig:
         pred_term = _complete_predicate(pred_term, sig)
     return App(as_value(counter_term), pred_term), sig

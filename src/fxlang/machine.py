@@ -88,7 +88,10 @@ DEFAULT_FUEL = 10**8
 # Every rule `drive` fires, once, with its kind.  The two commutative
 # rules push a frame that small-step keeps inside its term; each of the
 # 19 principal ones matches one small-step reduction (Accattoli,
-# Barenbaum & Mazza, "Distilling abstract machines", ICFP 2014).
+# Barenbaum & Mazza, "Distilling abstract machines", ICFP 2014), but for
+# two memo rules: M-Memo-Hit stands for the several reductions with which
+# small-step computes the recorded value again, and M-Memo-Record for
+# none: it records a forced value and returns it unchanged.
 RULES: tuple[tuple[str, str], ...] = (
     ("M-App", "principal"),
     ("M-Rec", "principal"),

@@ -457,6 +457,7 @@ def test_bench_bad_range_is_one_line(tmp_path, flags, message):
     ("impls = effcount\npreds = nosuch\n", "unknown program 'nosuch'; see `fx list` for the catalog"),
     ("impls = effcount\npreds = odd:nosuch\n",
      "unknown variant 'nosuch' of predicate 'odd'; see `fx list` for the catalog"),
+    ("impls = effcount\npreds = q0\n", "q0 is not a predicate"),
 ])
 def test_a_bad_name_in_a_spec_file_blames_the_file(tmp_path, lines, message):
     spec = tmp_path / "names.spec"
@@ -470,6 +471,7 @@ def test_a_bad_name_in_a_spec_file_blames_the_file(tmp_path, lines, message):
     ("--impls", "nosuch"),
     ("--preds", "nosuch"),
     ("--nmax", "1"),
+    ("--preds", "q0"),
 ])
 def test_a_bad_flag_given_with_a_spec_file_does_not_blame_the_file(flags):
     # programs/grid.spec sets nmin = 2, as the default does
@@ -531,3 +533,38 @@ def test_unknown_variant_names_predicate_and_variant(argv):
 def test_unknown_predicate_with_a_variant_names_the_predicate():
     argv = ("count", "--impl", "effcount", "--pred", "nosuch", "--variant", "weird", "-n", "2")
     assert_one_line_error(*run_cli(*argv), "unknown program 'nosuch'")
+
+
+@pytest.mark.parametrize("name", sorted(cl.catalog()))
+def test_every_program_name_in_every_slot_exits_cleanly(tmp_path, name):
+    # a result or a one-line error, never a traceback, whatever kind of
+    # program a name is given where a counter or a predicate is wanted
+    runs = [("tree", "--pred", name, "-n", "2")]
+    for impls, preds in (("effcount", name), (name, "odd")):
+        runs.append(("bench", "--impls", impls, "--preds", preds, "--nmin", "2", "--nmax", "2"))
+        spec = tmp_path / f"{impls}-{preds}.spec"
+        spec.write_text(f"impls = {impls}\npreds = {preds}\nnmin = 2\nnmax = 2\n")
+        runs.append(("bench", "--spec", str(spec)))
+    for argv in runs:
+        code, out, err = run_cli(*argv)
+        if code != 0:
+            assert_one_line_error(code, out, err)
+
+
+@pytest.mark.parametrize("names", [("nosuch", "odd"), ("effcount", "q0")])
+def test_a_grid_with_a_bad_name_makes_no_out_file(tmp_path, names):
+    impls, preds = names
+    out = tmp_path / "x.csv"
+    argv = ("bench", "--impls", impls, "--preds", preds, "--nmax", "2", "--out", str(out))
+    assert_one_line_error(*run_cli(*argv))
+    assert not out.exists()
+    out.write_text("old\n")
+    assert_one_line_error(*run_cli(*argv))
+    assert out.read_text() == "old\n"
+
+
+def test_a_spec_file_that_is_not_utf8_is_named(tmp_path):
+    spec = tmp_path / "binary.spec"
+    spec.write_bytes(b"\xffimpls = effcount\npreds = odd\n")
+    assert_one_line_error(*run_cli("bench", "--spec", str(spec)),
+                          f"{spec}: 'utf-8' codec can't decode byte 0xff")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fxlang import acceptance as ac
 from fxlang import countlib as cl
 from fxlang import machine as mc
 from fxlang.decompile import decompile, reify
@@ -727,3 +728,34 @@ def test_rules_set_in_finds_each_literal_rule():
         "    rule = 'E'\n"
     )
     assert rules_set_in(src) == ["A", "B"]
+
+
+# Three paths no other test runs: a constant applied to a variable bound
+# to a pair, which `_apply_const` reads through `interp`; a memoised
+# resumption forced (M-Memo-Force) and then hit (M-Memo-Hit); and a
+# `fun` and a `rec` whose type comes from an annotation around them.
+PATH_CASES = [
+    ("let p = (12, 5) in let s <- (+) p in let e <- (=) p in return (s, e)",
+     "(17, false)", 8, 7, None),
+    ("operation Ask : Unit -> Unit\n"
+     "handle (let u <- do Ask () in return 5) with { val x -> return x; "
+     "Ask () r -> let m <- memoise r in let a <- m () in let b <- m () in a + b }",
+     "10", 17, 15, ("M-Memo-Force", "M-Memo-Hit")),
+    ("let f = (fun x -> return x : Nat -> Nat) in "
+     "let g = (rec h x -> if x = 0 then return 0 else h (x - 1) : Nat -> Nat) in "
+     "let a <- f 3 in g a",
+     "0", 36, 44, None),
+]
+
+
+@pytest.mark.parametrize("src, value, ticks, envops, rules", PATH_CASES)
+def test_rarely_taken_paths_keep_their_costs_and_agree(src, value, ticks, envops, rules):
+    sig, term = parse_program(src)
+    res = mc.run_machine(term, sig)
+    assert (render_mval(res.value), res.ticks, res.envops) == (value, ticks, envops)
+    assert ac.agreement(term, sig, (2_000, 600_000)) == ("value", None)
+    assert ac.lemma_shape(term, sig) is None
+    if rules:
+        fired = [rule for _, rule, _, _ in mc.trace_run(term, sig)]
+        first, then = rules
+        assert then in fired[fired.index(first) + 1:]
